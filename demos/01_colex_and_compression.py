@@ -2,6 +2,8 @@
 """Tour of the combinatorial layer: colex order, colex-initial graphs,
 links, left compression, and the descendant poset."""
 
+from math import comb
+
 from laglab import (
     RGraph,
     ancestors,
@@ -61,8 +63,9 @@ def main():
     print("descendants of (1,2,5):", sorted(descendants((1, 2, 5))))
     print("ancestors of (4,5,7) in [7]:", sorted(ancestors((4, 5, 7), within=7)))
     for t in (4, 5, 6):
-        per_m = [count_left_compressed(t, m) for m in range(10)]
-        print(f"left-compressed 3-graphs on [{t}] by m (m=0..9): {per_m}")
+        top = min(9, comb(t, 3))
+        per_m = [count_left_compressed(t, m) for m in range(top + 1)]
+        print(f"left-compressed 3-graphs on [{t}] by m (m=0..{top}): {per_m}")
 
 
 if __name__ == "__main__":

@@ -223,14 +223,15 @@ def cmd_compute(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
-    if not 4 <= args.t_max <= 8:
-        print(f"error: --t-max must be in 4..8, got {args.t_max}", file=sys.stderr)
-        return EXIT_USAGE
     vopts = VerifierOptions(solver=_solver_options(args))
     if args.cell_budget is not None:
         vopts = replace(vopts, max_graphs=args.cell_budget)
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
-    reports = sweep(args.t_max, vopts, workers=max(1, workers))
+    try:
+        reports = sweep(args.t_max, vopts, workers=max(1, workers))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     out_dir: Path = args.out
     cells_dir = out_dir / "cells"

@@ -409,11 +409,16 @@ def parse_edge_list(text: str) -> RGraph:
         raise EdgeListParseError(
             f"header must be 'r n m', got {len(head)} fields", 1
         )
-    try:
-        r, n, m = (int(x) for x in head)
-    except ValueError:
-        col = 1 + lines[0].find(next(x for x in head if not _is_int(x)))
-        raise EdgeListParseError("header fields must be integers", 1, col) from None
+    for tok in head:
+        if not _is_digits(tok):
+            raise EdgeListParseError(
+                "header fields must be non-negative integers", 1, 1 + lines[0].find(tok)
+            )
+    r, n, m = (int(x) for x in head)
+    if r < 2:
+        raise EdgeListParseError(
+            f"uniformity must be >= 2, got r={r}", 1, 1 + lines[0].find(head[0])
+        )
     edges = []
     lineno = 1
     for lineno, raw in enumerate(lines[1:], start=2):
@@ -422,7 +427,7 @@ def parse_edge_list(text: str) -> RGraph:
         parts = raw.split()
         vals = []
         for tok in parts:
-            if not _is_int(tok):
+            if not _is_digits(tok):
                 raise EdgeListParseError(
                     f"expected integer vertex, got {tok!r}", lineno, 1 + raw.find(tok)
                 )
@@ -448,9 +453,7 @@ def parse_edge_list(text: str) -> RGraph:
     return RGraph(r, n, frozenset(edges))
 
 
-def _is_int(tok: str) -> bool:
-    try:
-        int(tok)
-        return True
-    except ValueError:
-        return False
+def _is_digits(tok: str) -> bool:
+    """ASCII digits only: ``int`` would also take signs, underscores and
+    non-ASCII digits, which do not serialize back to the same text."""
+    return tok.isascii() and tok.isdigit()

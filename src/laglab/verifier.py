@@ -36,8 +36,6 @@ class ConfigurationError(ValueError):
 @dataclass(frozen=True)
 class VerifierOptions:
     solver: SolverOptions = field(default_factory=SolverOptions)
-    ineq_tol: float = INEQ_TOL
-    witness_tie: float = WITNESS_TIE
     max_graphs: int = 5_000_000
 
 
@@ -250,10 +248,6 @@ def build_configuration(spec: ConfigurationSpec) -> RGraph:
     return g
 
 
-def configuration_a(spec: ConfigurationSpec) -> int:
-    return len(configuration_complement(spec))
-
-
 def check_theorem_inequality(spec: ConfigurationSpec,
                              opts: VerifierOptions | None = None) -> InequalityCheck:
     """Solve the family graph and its colex rival; pass iff the colex value
@@ -275,7 +269,7 @@ def check_theorem_inequality(spec: ConfigurationSpec,
         config_value=res_g.value,
         colex_value=res_c.value,
         margin=margin,
-        passed=bool(certified and margin >= -opts.ineq_tol),
+        passed=bool(certified and margin >= -INEQ_TOL),
         certified=certified,
         inconclusive=not certified,
     )
@@ -365,14 +359,14 @@ def verify_cell(t: int, m: int, opts: VerifierOptions | None = None) -> Verifica
         )
 
     witnesses = [
-        (g, res) for g, res in results if res.value >= max_value - opts.witness_tie
+        (g, res) for g, res in results if res.value >= max_value - WITNESS_TIE
     ]
     witnesses.sort(key=lambda pair: tuple(colex_rank(e) for e in pair[0].sorted_edges()))
     uncertified = sum(1 for _g, res in results if not res.certified)
     gap = colex_value - max_value
     all_pass = (
         complete
-        and gap >= -opts.ineq_tol
+        and gap >= -INEQ_TOL
         and colex_certified
         and all(res.certified for _g, res in witnesses)
     )

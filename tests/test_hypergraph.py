@@ -318,3 +318,12 @@ class TestEdgeListFormat:
             parse_edge_list("3 5 2\n1 2 3\n1 2 3\n")
         with pytest.raises(EdgeListParseError, match="announced"):
             parse_edge_list("3 5 3\n1 2 3\n")
+        # only ASCII digits: underscores and signs would not round-trip
+        with pytest.raises(EdgeListParseError, match="line 1, column 3"):
+            parse_edge_list("3 1_0 1\n+1 2 3\n")
+        with pytest.raises(EdgeListParseError, match="line 2, column 1"):
+            parse_edge_list("3 10 1\n+1 2 3\n")
+        with pytest.raises(EdgeListParseError, match="line 1, column 1"):
+            parse_edge_list("1 4 0\n")
+        with pytest.raises(EdgeListParseError, match="line 1, column 3"):
+            parse_edge_list("3 -1 0\n")
