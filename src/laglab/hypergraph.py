@@ -8,6 +8,7 @@ all numerics live in :mod:`laglab.solver`.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
@@ -404,32 +405,31 @@ def parse_edge_list(text: str) -> RGraph:
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise EdgeListParseError("missing header line 'r n m'", 1)
-    head = lines[0].split()
+    head = _tokens(lines[0])
     if len(head) != 3:
         raise EdgeListParseError(
             f"header must be 'r n m', got {len(head)} fields", 1
         )
-    for tok in head:
-        if not _is_digits(tok):
+    for col, tok in head:
+        if not _is_canonical_int(tok):
             raise EdgeListParseError(
-                "header fields must be non-negative integers", 1, 1 + lines[0].find(tok)
+                "header fields must be non-negative integers without leading zeros",
+                1, col,
             )
-    r, n, m = (int(x) for x in head)
+    r, n, m = (int(tok) for _col, tok in head)
     if r < 2:
-        raise EdgeListParseError(
-            f"uniformity must be >= 2, got r={r}", 1, 1 + lines[0].find(head[0])
-        )
+        raise EdgeListParseError(f"uniformity must be >= 2, got r={r}", 1, head[0][0])
     edges = []
     lineno = 1
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
-        parts = raw.split()
         vals = []
-        for tok in parts:
-            if not _is_digits(tok):
+        for col, tok in _tokens(raw):
+            if not _is_canonical_int(tok):
                 raise EdgeListParseError(
-                    f"expected integer vertex, got {tok!r}", lineno, 1 + raw.find(tok)
+                    f"expected integer vertex without leading zeros, got {tok!r}",
+                    lineno, col,
                 )
             vals.append(int(tok))
         if len(vals) != r:
@@ -453,7 +453,13 @@ def parse_edge_list(text: str) -> RGraph:
     return RGraph(r, n, frozenset(edges))
 
 
-def _is_digits(tok: str) -> bool:
-    """ASCII digits only: ``int`` would also take signs, underscores and
-    non-ASCII digits, which do not serialize back to the same text."""
-    return tok.isascii() and tok.isdigit()
+def _tokens(line: str) -> list[tuple[int, str]]:
+    """Whitespace-separated tokens of a line with their 1-based columns."""
+    return [(mt.start() + 1, mt.group()) for mt in re.finditer(r"\S+", line)]
+
+
+def _is_canonical_int(tok: str) -> bool:
+    """ASCII digits without a leading zero: ``int`` would also take signs,
+    underscores, non-ASCII digits and leading zeros, which do not serialize
+    back to the same text."""
+    return tok.isascii() and tok.isdigit() and (tok == "0" or tok[0] != "0")

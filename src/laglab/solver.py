@@ -1,11 +1,13 @@
-"""Lagrangian computation for r-graphs by multi-start simplex ascent.
+"""Lagrangian computation for r-graphs over the probability simplex.
 
-The maximizer of the edge-monomial polynomial over the probability simplex
-is located by projected gradient ascent from many starts, then polished by
-Newton iteration on the equal-link stationarity system of the active
-support.  Results carry a KKT residual and a certification flag; an
-exhaustive support-enumeration path provides an independent cross-check
-for small graphs.
+A left-compressed graph has a non-increasing optimal weighting, so its
+optimal support is a prefix [k] of the vertices: each prefix face is solved
+by multiplicative ascent from its uniform point and Newton iteration on the
+equal-link stationarity system.  Other graphs are solved by projected
+gradient ascent from many starts, polished by the same Newton iteration on
+the detected supports.  Results carry a KKT residual and a certification
+flag; an exhaustive support-enumeration path provides a cross-check for
+small graphs.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ CROSS_CHECK_MAX_ACTIVE = 6  # largest active vertex count given the cross-check
 SUPPORT_BUDGET = 20_000  # vertex subsets support enumeration may inspect
 NEWTON_ITERS = 60  # Newton steps per support round
 
-METHOD_CLOSED_FORM = "closed_form_2graph"
 METHOD_SYMMETRY = "symmetry_reduced"
 METHOD_MULTISTART = "multistart_gradient"
 METHOD_SUPPORT_ENUM = "support_enumeration"
@@ -40,7 +41,9 @@ class SolverOptions:
     ``starts`` random Dirichlet starts (32), ascent stall tolerance
     ``value_tol`` (1e-12), certification residual ``kkt_tol`` (1e-8), the
     random ``seed`` (0xF2F2), and whether small graphs get the
-    support-enumeration ``cross_check`` (on).
+    support-enumeration ``cross_check`` (on).  ``starts``, ``value_tol`` and
+    ``seed`` act only on graphs that are not left-compressed; the prefix
+    route draws no random starts.
     """
 
     starts: int = 32
@@ -342,21 +345,6 @@ def symmetry_classes(g: RGraph) -> list[list[int]]:
     return classes
 
 
-def _class_average(x: np.ndarray, classes: list[list[int]]) -> np.ndarray:
-    """Average weights over the supported members of each class.
-
-    Swapping two supported class members is a graph automorphism, so the
-    average never lowers the value; unsupported members stay at zero
-    (equal weights are only forced inside the support).
-    """
-    out = x.copy()
-    for cls in classes:
-        idx = [v - 1 for v in cls if x[v - 1] > POSITIVE_EPS]
-        if len(idx) > 1:
-            out[idx] = out[idx].mean()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # KKT check
 # ---------------------------------------------------------------------------
@@ -453,33 +441,18 @@ def _candidate_supports(x: np.ndarray, peel: int = 0) -> list[tuple[int, ...]]:
     return [tuple(sorted(base[k:])) for k in range(min(peel + 1, len(base)))]
 
 
-def _sort_desc(x: np.ndarray) -> np.ndarray:
-    """Sort weights non-increasingly (never lowers the value of a
-    left-compressed graph, by the pairwise shift argument)."""
-    return np.sort(x)[::-1].copy()
+def _multistart(data: _GraphData, opts: SolverOptions) -> tuple[np.ndarray, float]:
+    """Best polished point of the multistart route, and the best value any
+    start reached on its own.
 
-
-def lagrangian(g: RGraph, opts: SolverOptions | None = None) -> LagrangianResult:
-    """Maximize the edge polynomial of g over the simplex.
-
-    Multi-start projected gradient ascent (uniform, vertex- and edge-biased,
-    and Dirichlet random starts) with Newton polish on the detected support.
-    Left-compressed graphs get a symmetry pass: class-averaged, ordered
-    non-increasingly, and re-polished.  ``certified`` requires the KKT
-    residual below ``opts.kkt_tol``, the value within ``TIE_TOL`` of the
-    best start, and (for graphs with at most ``CROSS_CHECK_MAX_ACTIVE``
-    active vertices, when ``opts.cross_check`` is on) agreement with
-    :func:`support_enumeration` within 1e-8.
+    Uniform, vertex- and edge-biased, and Dirichlet random starts ascend
+    together; the strongest distinct supports get a Newton polish.
     """
-    opts = opts or SolverOptions()
-    data = _GraphData(g)
-    if data.m == 0:
-        return _empty_result(g)
-
-    rng = np.random.default_rng([opts.seed & 0xFFFFFFFFFFFFFFFF, g.canonical_hash()])
+    rng = np.random.default_rng(
+        [opts.seed & 0xFFFFFFFFFFFFFFFF, data.graph.canonical_hash()]
+    )
     starts = _build_starts(data, rng, opts.starts)
     ends, end_vals = _ascend(data, starts, opts)
-    best_start_value = float(end_vals.max())
 
     # polish the strongest distinct supports
     order = np.argsort(-end_vals, kind="stable")
@@ -502,26 +475,6 @@ def lagrangian(g: RGraph, opts: SolverOptions | None = None) -> LagrangianResult
 
     best_value = max(v for v, _x, _r in candidates)
     pool = [c for c in candidates if c[0] >= best_value - TIE_TOL]
-
-    notes: list[str] = []
-    if is_left_compressed(g):
-        # class-average and order every tied candidate, then re-polish; for a
-        # left-compressed graph neither transformation lowers the value
-        classes = symmetry_classes(g)
-        mapped = []
-        for _val, x_cand, _res in pool:
-            y = _sort_desc(_class_average(x_cand, classes))
-            sup = np.flatnonzero(y > POSITIVE_EPS)
-            ys, _r2, ok = _newton_on_support(data, y, sup)
-            z = _sort_desc(ys) if ok and ys.min() >= 0 else y
-            zv = data.eval_one(z)
-            mapped.append((zv, z, _residual_at(data, z, zv)))
-        best_value = max(best_value, max(v for v, _x, _r in mapped))
-        pool = [c for c in mapped if c[0] >= best_value - TIE_TOL] or mapped
-        method = METHOD_SYMMETRY
-    else:
-        method = METHOD_MULTISTART
-
     # minimal support first, then polished stationarity, then the
     # lexicographically largest weighting for reproducibility
     pool.sort(
@@ -531,18 +484,57 @@ def lagrangian(g: RGraph, opts: SolverOptions | None = None) -> LagrangianResult
             [-w for w in c[1]],
         )
     )
-    value, x_best, residual = pool[0]
+    return pool[0][1], float(end_vals.max())
+
+
+def lagrangian(g: RGraph, opts: SolverOptions | None = None) -> LagrangianResult:
+    """Maximize the edge polynomial of g over the simplex.
+
+    A left-compressed graph has a non-increasing optimal weighting, so its
+    prefix faces [r], [r+1], ... up to the active vertices are solved by
+    :func:`_best_on_faces` (method ``symmetry_reduced``).  Other graphs go
+    through :func:`_multistart` (method ``multistart_gradient``).
+    ``certified`` requires the equal-link residual on the support below
+    ``opts.kkt_tol``; on the prefix route, no vertex link above
+    r * value + ``opts.kkt_tol`` (the first-order condition on the whole
+    simplex); on the multistart route, the value within ``TIE_TOL`` of the
+    best start; and (for graphs with at most ``CROSS_CHECK_MAX_ACTIVE``
+    active vertices, when ``opts.cross_check`` is on) agreement with
+    :func:`support_enumeration` within 1e-8.
+    """
+    opts = opts or SolverOptions()
+    data = _GraphData(g)
+    if data.m == 0:
+        return _empty_result(g)
+
+    if is_left_compressed(g):
+        # the active vertices form a prefix and [r] is an edge, whose face
+        # always has a solution
+        faces = [tuple(range(1, k + 1)) for k in range(g.r, data.active.size + 1)]
+        _val, x_best = _best_on_faces(data, faces)
+        method = METHOD_SYMMETRY
+    else:
+        x_best, best_start_value = _multistart(data, opts)
+        method = METHOD_MULTISTART
 
     x_best = np.maximum(x_best, 0.0)
     total = x_best.sum()
     if abs(total - 1.0) > 1e-12 and total > 0:
         x_best = x_best / total
     value = data.eval_one(x_best)
-    residual = _residual_at(data, x_best, value)
+    grad = data.grad_one(x_best)
+    residual = _residual_at(data, x_best, value, grad)
 
-    certified = residual <= opts.kkt_tol and value >= best_start_value - TIE_TOL
+    notes: list[str] = []
+    if method == METHOD_SYMMETRY:
+        consistent = float(grad.max()) <= g.r * value + opts.kkt_tol
+        failure = "stationarity or the first-order condition off the support not met"
+    else:
+        consistent = value >= best_start_value - TIE_TOL
+        failure = "stationarity or multistart consistency not met"
+    certified = residual <= opts.kkt_tol and consistent
     if not certified:
-        notes.append("stationarity or multistart consistency not met")
+        notes.append(failure)
     if (
         certified
         and opts.cross_check
@@ -581,7 +573,7 @@ def _residual_at(data: _GraphData, x: np.ndarray, value: float,
 
 
 # ---------------------------------------------------------------------------
-# Independent routes: 2-graph closed form and support enumeration
+# Cross-check routes: 2-graph oracle and support enumeration
 # ---------------------------------------------------------------------------
 
 def clique_number(g: RGraph) -> int:
@@ -629,39 +621,15 @@ def lagrangian_2graph_oracle(g: RGraph) -> float:
     return 0.5 * (1.0 - 1.0 / t)
 
 
-def lagrangian_2graph_result(g: RGraph) -> LagrangianResult:
-    """Full closed-form result for a 2-graph: uniform weights on a maximum
-    clique (the lexicographically first one, for determinism)."""
-    t = clique_number(g)
-    if t <= 1 or g.m == 0:
-        return _empty_result(g)
-    for sub in combinations(range(1, g.n + 1), t):
-        if all((i, j) in g.edges for i, j in combinations(sub, 2)):
-            x = np.zeros(g.n)
-            x[[v - 1 for v in sub]] = 1.0 / t
-            break
-    value = 0.5 * (1.0 - 1.0 / t)
-    data = _GraphData(g)
-    residual = _residual_at(data, x, value)
-    return LagrangianResult(
-        value=value,
-        weighting=tuple(float(w) for w in x),
-        support=t,
-        kkt_residual=float(residual),
-        method=METHOD_CLOSED_FORM,
-        certified=bool(residual <= 1e-8),
-    )
-
-
 def support_enumeration(g: RGraph, max_support: int | None = None,
                         opts: SolverOptions | None = None) -> LagrangianResult:
     """Best stationary point over all enumerable supports.
 
     Every candidate support (all vertices incident within the support, all
-    pairs covered by an edge, size at least r) gets a Newton solve of the
-    equal-link system from the uniform interior point; the best feasible
-    solution wins, preferring smaller supports at ties.  Independent of the
-    multi-start gradient path.
+    pairs covered by an edge, size at least r) is solved by
+    :func:`_best_on_faces`, the face solve that the prefix route of
+    :func:`lagrangian` also uses; independent of the multi-start gradient
+    path.
     """
     opts = opts or SolverOptions()
     data = _GraphData(g)
@@ -701,35 +669,14 @@ def support_enumeration(g: RGraph, max_support: int | None = None,
         if budget_hit:
             break
 
-    # monotone multiplicative ascent from every uniform-on-support point,
-    # batched across supports; plain Newton from the uniform point can land
-    # on a saddle of the equal-link system, ascent cannot go below its start
-    rows = np.zeros((len(supports), data.n))
-    for k, sup in enumerate(supports):
-        rows[k, [v - 1 for v in sup]] = 1.0 / len(sup)
-    ascended = _replicator_rows(data, rows, iters=300)
-
-    best: tuple[float, int, list, np.ndarray, float] | None = None
-    for k, sup in enumerate(supports):
-        sup0 = np.array([v - 1 for v in sup], dtype=np.intp)
-        xs, res, ok = _newton_on_support(data, ascended[k], sup0)
-        if not ok or xs.min() < 0:
-            continue
-        val = data.eval_one(xs)
-        size = _support_size(xs)
-        lex = [-w for w in xs]
-        if best is None or val > best[0] + TIE_TOL:
-            best = (val, size, lex, xs, res)
-        elif val >= best[0] - TIE_TOL and (size, lex) < (best[1], best[2]):
-            best = (val, size, lex, xs, res)
-
+    found = _best_on_faces(data, supports)
     notes = []
     if budget_hit:
         notes.append("support budget exceeded; partial result")
-    if best is None:
+    if found is None:
         return replace(_empty_result(g), certified=False,
                        notes=("no feasible stationary support found",))
-    val, _sz, _key, xs, res = best
+    val, xs = found
     residual = _residual_at(data, xs, val)
     certified = residual <= opts.kkt_tol and not budget_hit
     return LagrangianResult(
@@ -741,6 +688,36 @@ def support_enumeration(g: RGraph, max_support: int | None = None,
         certified=bool(certified),
         notes=tuple(notes),
     )
+
+
+def _best_on_faces(data: _GraphData, supports: list[tuple[int, ...]]
+                   ) -> tuple[float, np.ndarray] | None:
+    """Best stationary point over the faces spanned by ``supports`` (tuples
+    of 1-based vertices); None when no face yields one.
+
+    Each face gets a monotone multiplicative ascent from its uniform point,
+    batched across faces, then a Newton solve of its equal-link system; plain
+    Newton from the uniform point can land on a saddle, ascent cannot go
+    below its start.  The highest value wins; values within ``TIE_TOL`` of
+    it prefer the smaller support, then the lexicographically largest
+    weighting.
+    """
+    rows = np.zeros((len(supports), data.n))
+    for k, sup in enumerate(supports):
+        rows[k, [v - 1 for v in sup]] = 1.0 / len(sup)
+    ascended = _replicator_rows(data, rows, iters=300)
+
+    best: tuple[float, tuple, np.ndarray] | None = None  # (value, key, x)
+    for k, sup in enumerate(supports):
+        xs, _res, ok = _newton_on_support(data, ascended[k], np.array(sup) - 1)
+        if not ok or xs.min() < 0:
+            continue
+        val = data.eval_one(xs)
+        key = (_support_size(xs), [-w for w in xs])
+        if (best is None or val > best[0] + TIE_TOL
+                or (val >= best[0] - TIE_TOL and key < best[1])):
+            best = (val, key, xs)
+    return None if best is None else (best[0], best[2])
 
 
 def _replicator_rows(data: _GraphData, rows: np.ndarray, iters: int) -> np.ndarray:

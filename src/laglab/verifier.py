@@ -276,36 +276,20 @@ def check_theorem_inequality(spec: ConfigurationSpec,
 
 
 def in_range_instances(family: str, t: int) -> list[ConfigurationSpec]:
-    """Every valid parameterization of a family at a given t (may be empty)."""
-    out = []
-    if family == "thm1.10":
-        for a in range(3, t - 1):
-            for i in range(1, (a - 1) // 2 + 1):
-                if t - 2 - i >= 1:
-                    out.append(ConfigurationSpec("thm1.10", t, a=a, i=i))
-    elif family in ("lemma3.3", "lemma3.4", "lemma3.6"):
-        lo = {"lemma3.3": 6, "lemma3.4": 5, "lemma3.6": 7}[family]
-        for a in range(lo, t - 1):
-            out.append(ConfigurationSpec(family, t, a=a))
-    elif family == "lemma3.5":
-        if t >= 5:
-            out.append(ConfigurationSpec("lemma3.5", t))
-    elif family == "lemma3.7":
-        if t >= 6:
-            out.append(ConfigurationSpec("lemma3.7", t))
-    elif family.startswith("case"):
-        k = int(family[4:])
-        deep = _CASE_DEEP[k]
-        c = len(deep)
-        lowest = t - max(off[0] for off in deep)
-        a_min = c + (t - 1 - lowest)
-        for a in range(a_min, t - 1):
-            out.append(ConfigurationSpec(family, t, a=a))
-    else:
+    """Every valid parameterization of a family at a given t (may be empty):
+    a parameter grid filtered through :func:`configuration_complement`, the
+    one place that knows each family's range."""
+    if family not in FAMILIES:
         raise ConfigurationError(f"unknown family {family!r}")
-    # drop parameterizations the builder itself rejects
+    if family in ("lemma3.5", "lemma3.7"):
+        grid = [(None, None)]
+    elif family == "thm1.10":
+        grid = [(a, i) for a in range(t - 1) for i in range(1, t)]
+    else:
+        grid = [(a, None) for a in range(t - 1)]
     valid = []
-    for spec in out:
+    for a, i in grid:
+        spec = ConfigurationSpec(family, t, a=a, i=i)
         try:
             configuration_complement(spec)
         except ConfigurationError:

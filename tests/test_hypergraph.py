@@ -327,3 +327,16 @@ class TestEdgeListFormat:
             parse_edge_list("1 4 0\n")
         with pytest.raises(EdgeListParseError, match="line 1, column 3"):
             parse_edge_list("3 -1 0\n")
+        # leading zeros would not round-trip either; columns point at the
+        # token itself, not at an earlier token that contains it
+        with pytest.raises(EdgeListParseError, match="line 1, column 3"):
+            parse_edge_list("3 05 1\n1 2 3\n")
+        with pytest.raises(EdgeListParseError, match="line 1, column 1"):
+            parse_edge_list("03 4 1\n1 2 3\n")
+        with pytest.raises(EdgeListParseError, match="line 2, column 5"):
+            parse_edge_list("3 5 1\n1 2 05\n")
+        with pytest.raises(EdgeListParseError, match="line 2, column 8"):
+            parse_edge_list("3 2000 1\n1 1010 010\n")
+        # a lone zero is canonical, and edges out of colex order are accepted
+        assert parse_edge_list("3 0 0\n") == RGraph(3, 0, frozenset())
+        assert parse_edge_list("3 4 2\n1 2 4\n1 2 3\n").m == 2

@@ -6,6 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from laglab import solver
 from laglab.hypergraph import RGraph, build_colex_graph, enumerate_left_compressed
 from laglab.solver import (
     SolverOptions,
@@ -20,7 +21,7 @@ from laglab.solver import (
     support_enumeration,
     symmetry_classes,
 )
-from laglab.verifier import ConfigurationSpec, build_configuration
+from laglab.verifier import ConfigurationSpec, build_configuration, cell_window
 from oracles import clique_number_bruteforce, fd_gradient, grid_max, random_rgraph
 
 FIVE_CYCLE = RGraph.from_edges(2, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
@@ -170,16 +171,6 @@ class TestTwoGraphOracle:
         assert se.support == 2
         assert se.method == "support_enumeration"
 
-    def test_closed_form_result(self):
-        from laglab.solver import lagrangian_2graph_result
-
-        res = lagrangian_2graph_result(FIVE_CYCLE)
-        assert res.method == "closed_form_2graph"
-        assert res.value == pytest.approx(0.25)
-        assert res.support == 2
-        assert res.certified
-        assert evaluate(FIVE_CYCLE, res.weighting) == pytest.approx(0.25)
-
 
 class TestSupportEnumeration:
     def test_complete_four(self):
@@ -198,6 +189,39 @@ class TestSupportEnumeration:
             a = lagrangian(g, opts)
             b = support_enumeration(g)
             assert abs(a.value - b.value) <= 1e-8, sorted(g.edges)
+
+
+class TestPrefixRoute:
+    def test_agrees_with_support_enumeration_on_t7_window(self):
+        # the built-in cross-check skips these graphs (7 active vertices)
+        for m in cell_window(7):
+            for g in enumerate_left_compressed(7, m):
+                a = lagrangian(g, SolverOptions(cross_check=False))
+                b = support_enumeration(g)
+                assert abs(a.value - b.value) <= 1e-12, sorted(g.edges)
+                assert a.support == b.support, sorted(g.edges)
+
+    def test_left_compressed_graphs_skip_multistart(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("multistart route reached")
+
+        monkeypatch.setattr(solver, "_multistart", refuse)
+        res = lagrangian(build_colex_graph(3, 17))
+        assert res.certified
+        assert res.method == "symmetry_reduced"
+
+    def test_first_order_condition_refuses_a_face_optimum(self, monkeypatch):
+        # on the face [3] alone, K_4^(3) stops at 1/27 while vertex 4 has
+        # link 1/3 > 3 * 1/27; only the first-order condition can catch it
+        # once the cross-check is off
+        best_on_faces = solver._best_on_faces
+        monkeypatch.setattr(solver, "_best_on_faces",
+                            lambda data, faces: best_on_faces(data, faces[:1]))
+        res = lagrangian(RGraph.complete(3, 4), SolverOptions(cross_check=False))
+        assert res.value == pytest.approx(1 / 27, abs=1e-15)
+        assert res.kkt_residual <= 1e-14
+        assert not res.certified
+        assert res.notes
 
 
 class TestStructuralInvariants:
@@ -319,6 +343,9 @@ class TestOptionsAndDeterminism:
         a = lagrangian(g, SolverOptions(seed=1))
         b = lagrangian(g, SolverOptions(seed=2))
         assert abs(a.value - b.value) <= 1e-9
+        # the prefix route of a left-compressed graph draws no random starts
+        g = build_colex_graph(3, 17)
+        assert lagrangian(g, SolverOptions(seed=1)) == lagrangian(g, SolverOptions(seed=2))
 
     def test_json_fields(self):
         doc = lagrangian(RGraph.complete(3, 4)).as_json_dict()
