@@ -60,21 +60,24 @@ def _default_seed() -> int:
     return DEFAULT_SEED
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
                    help="global seed (default: LAGLAB_SEED env or 0xF2F2)")
-    p.add_argument("--tol", type=float, default=None,
-                   help="ascent value tolerance override")
     p.add_argument("--kkt-tol", type=float, default=None,
                    help="certification residual threshold (default 1e-8)")
-    p.add_argument("--starts", type=int, default=None,
+    p.add_argument("--starts", type=_non_negative_int, default=None,
                    help="number of random starts (default 32)")
 
 
 def _solver_options(args) -> SolverOptions:
     opts = SolverOptions(seed=args.seed if args.seed is not None else _default_seed())
-    if args.tol is not None:
-        opts = replace(opts, value_tol=args.tol)
     if args.kkt_tol is not None:
         opts = replace(opts, kkt_tol=args.kkt_tol)
     if args.starts is not None:
@@ -367,7 +370,10 @@ def cmd_check(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     handlers = {
         "compute": cmd_compute,
         "sweep": cmd_sweep,

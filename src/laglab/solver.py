@@ -3,11 +3,11 @@
 A left-compressed graph has a non-increasing optimal weighting, so its
 optimal support is a prefix [k] of the vertices: each prefix face is solved
 by multiplicative ascent from its uniform point and Newton iteration on the
-equal-link stationarity system.  Other graphs are solved by projected
-gradient ascent from many starts, polished by the same Newton iteration on
-the detected supports.  Results carry a KKT residual and a certification
-flag; an exhaustive support-enumeration path provides a cross-check for
-small graphs.
+equal-link stationarity system.  Other graphs run the same multiplicative
+ascent from many starts and hand the supports it reveals to the same face
+solve.  Results carry a KKT residual and a certification flag; an exhaustive
+support-enumeration path, again through the face solve, provides a
+cross-check for small graphs.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ from laglab.hypergraph import RGraph, difference_link, is_left_compressed
 
 DEFAULT_SEED = 0xF2F2
 
-MAX_ITERS = 10_000  # ascent iterations per start
-STEP_TOL = 1e-14  # a row whose backtracked step falls below this is frozen
 TIE_TOL = 1e-9  # values within this of the best count as tied
 POSITIVE_EPS = 1e-10  # weights above this are in the support
 CROSS_CHECK_MAX_ACTIVE = 6  # largest active vertex count given the cross-check
 SUPPORT_BUDGET = 20_000  # vertex subsets support enumeration may inspect
 NEWTON_ITERS = 60  # Newton steps per support round
+ASCENT_ITERS = 300  # multiplicative ascent steps per start or face
 
+# route names kept from earlier solvers for report and benchmark compatibility
 METHOD_SYMMETRY = "symmetry_reduced"
 METHOD_MULTISTART = "multistart_gradient"
 METHOD_SUPPORT_ENUM = "support_enumeration"
@@ -38,16 +38,14 @@ METHOD_SUPPORT_ENUM = "support_enumeration"
 class SolverOptions:
     """Settings of :func:`lagrangian`.
 
-    ``starts`` random Dirichlet starts (32), ascent stall tolerance
-    ``value_tol`` (1e-12), certification residual ``kkt_tol`` (1e-8), the
-    random ``seed`` (0xF2F2), and whether small graphs get the
-    support-enumeration ``cross_check`` (on).  ``starts``, ``value_tol`` and
+    ``starts`` random Dirichlet starts (32), certification residual
+    ``kkt_tol`` (1e-8), the random ``seed`` (0xF2F2), and whether small
+    graphs get the support-enumeration ``cross_check`` (on).  ``starts`` and
     ``seed`` act only on graphs that are not left-compressed; the prefix
     route draws no random starts.
     """
 
     starts: int = 32
-    value_tol: float = 1e-12
     kkt_tol: float = 1e-8
     seed: int = DEFAULT_SEED
     cross_check: bool = True
@@ -202,69 +200,6 @@ def link_values(g: RGraph, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Projected gradient ascent
-# ---------------------------------------------------------------------------
-
-def _project_rows(x_rows: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex."""
-    s, n = x_rows.shape
-    u = -np.sort(-x_rows, axis=1)
-    css = np.cumsum(u, axis=1) - 1.0
-    ind = np.arange(1, n + 1)
-    cond = u - css / ind > 0
-    rho = n - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(s), rho] / (rho + 1)
-    return np.maximum(x_rows - theta[:, None], 0.0)
-
-
-def _ascend(data: _GraphData, x_rows: np.ndarray, opts: SolverOptions):
-    """Batched projected gradient ascent with per-row backtracking steps."""
-    x = x_rows.copy()
-    vals = data.eval_rows(x)
-    eta = np.full(x.shape[0], 0.25)
-    stall = 0
-    crawl = 0
-    for _ in range(MAX_ITERS):
-        grad = data.grad_rows(x)
-        base = vals.copy()
-        new_x = x.copy()
-        new_v = vals.copy()
-        accepted = np.zeros(x.shape[0], dtype=bool)
-        for _bt in range(60):
-            todo = np.flatnonzero(~accepted)
-            if todo.size == 0:
-                break
-            trial = _project_rows(x[todo] + eta[todo, None] * grad[todo])
-            tv = data.eval_rows(trial)
-            good = tv >= base[todo]
-            hit = todo[good]
-            new_x[hit] = trial[good]
-            new_v[hit] = tv[good]
-            accepted[hit] = True
-            eta[todo[~good]] *= 0.5
-            if eta[todo[~good]].size and eta[todo[~good]].max() < STEP_TOL:
-                accepted[todo[~good]] = True  # frozen rows
-        eta[accepted] = np.minimum(eta[accepted] * 1.6, 4.0)
-        x, vals = new_x, new_v
-        improvement = float((vals - base).max()) if vals.size else 0.0
-        if improvement < opts.value_tol:
-            stall += 1
-            if stall >= 3:
-                break
-        else:
-            stall = 0
-        # Newton polish mops up slow tail convergence; without this cut a
-        # serial sweep(6) runs about 15 % longer (2 cores, Python 3.11)
-        if improvement < 1e-10:
-            crawl += 1
-            if crawl >= 60:
-                break
-        else:
-            crawl = 0
-    return x, vals
-
-
-# ---------------------------------------------------------------------------
 # Newton refinement of the equal-link system on a support
 # ---------------------------------------------------------------------------
 
@@ -272,8 +207,10 @@ def _newton_on_support(data: _GraphData, x0: np.ndarray, support: np.ndarray):
     """Solve equal link values on the support; returns (x, residual, ok).
 
     The system is: link(i) = mu for i in the support, weights sum to 1,
-    off-support weights zero.  Vertices forced negative are dropped
-    (active-set style) and the iteration restarts on the smaller support.
+    off-support weights zero.  Steps are halved until no weight falls below
+    -1e-9; when 40 halvings do not suffice, the iteration stops there.
+    Vertices left at zero are dropped (active-set style) and the iteration
+    restarts on the smaller support.
     """
     sup = np.array(sorted(int(v) for v in support), dtype=np.intp)
     for _round in range(max(1, len(sup))):
@@ -307,6 +244,8 @@ def _newton_on_support(data: _GraphData, x0: np.ndarray, support: np.ndarray):
                 if (x[sup] + step * dx).min() >= -1e-9:
                     break
                 step *= 0.5
+            else:  # no step stays on the simplex: drop the vertices at zero
+                break
             x[sup] = x[sup] + step * dx
             mu += step * float(delta[sup.size])
         neg = sup[x[sup] < POSITIVE_EPS]
@@ -406,85 +345,39 @@ def _empty_result(g: RGraph) -> LagrangianResult:
     )
 
 
-def _build_starts(data: _GraphData, rng: np.random.Generator, starts: int) -> np.ndarray:
-    n = data.n
-    act = data.active
-    k = act.size
-    rows = []
-    base = np.zeros(n)
-    base[act] = 1.0 / k
-    rows.append(base)
-    for v in act:
-        biased = 0.25 * base.copy()
-        biased[v] += 0.75
-        rows.append(biased)
-    for e in data.e0[: min(data.m, 40)]:
-        biased = 0.2 * base.copy()
-        for v in e:
-            biased[v] += 0.8 / data.r
-        rows.append(biased)
-    if starts > 0:
-        dirichlet = rng.dirichlet(np.ones(k), size=starts)
-        block = np.zeros((starts, n))
-        block[:, act] = dirichlet
-        rows.extend(block)
-    return np.array(rows)
-
-
-def _candidate_supports(x: np.ndarray, peel: int = 0) -> list[tuple[int, ...]]:
-    """Plausible supports for a near-optimal point: the coordinates above
-    1e-9, then up to ``peel`` smaller supports that drop the smallest of them
-    one at a time (optima can sit on flat segments where a vertex weight may
-    slide to zero)."""
-    base = [int(v) for v in np.flatnonzero(x > 1e-9)]
-    base.sort(key=lambda v: x[v])
-    return [tuple(sorted(base[k:])) for k in range(min(peel + 1, len(base)))]
+def _candidate_supports(x: np.ndarray) -> list[tuple[int, ...]]:
+    """Faces for an ascent end point, as 1-based vertices: the coordinates
+    above 1e-9, then the same without its smallest one and without its two
+    smallest.  Ascent nears a face of the simplex only geometrically, so
+    vertices whose optimal weight is zero can still sit above the cut."""
+    base = sorted((int(v) for v in np.flatnonzero(x > 1e-9)), key=lambda v: x[v])
+    return [tuple(sorted(v + 1 for v in base[k:])) for k in range(min(3, len(base)))]
 
 
 def _multistart(data: _GraphData, opts: SolverOptions) -> tuple[np.ndarray, float]:
-    """Best polished point of the multistart route, and the best value any
+    """Best face solution of the multistart route, and the best value any
     start reached on its own.
 
-    Uniform, vertex- and edge-biased, and Dirichlet random starts ascend
-    together; the strongest distinct supports get a Newton polish.
+    The uniform point of the active vertices and ``opts.starts`` Dirichlet
+    random points on them climb by multiplicative ascent; the candidate
+    supports of the two best end points go to :func:`_best_on_faces`.  If no
+    face yields a point, the best end point is returned as it is.
     """
     rng = np.random.default_rng(
         [opts.seed & 0xFFFFFFFFFFFFFFFF, data.graph.canonical_hash()]
     )
-    starts = _build_starts(data, rng, opts.starts)
-    ends, end_vals = _ascend(data, starts, opts)
-
-    # polish the strongest distinct supports
+    act = data.active
+    starts = np.zeros((opts.starts + 1, data.n))
+    starts[0, act] = 1.0 / act.size
+    starts[1:, act] = rng.dirichlet(np.ones(act.size), size=opts.starts)
+    ends = _replicator_rows(data, starts)
+    end_vals = data.eval_rows(ends)
     order = np.argsort(-end_vals, kind="stable")
-    candidates: list[tuple[float, np.ndarray, float]] = []  # (value, x, residual)
-    seen: set[tuple[int, ...]] = set()
-    for rank, idx in enumerate(order[:20]):
-        x_end = ends[idx]
-        peel = 6 if rank < 6 else 0
-        for sup in _candidate_supports(x_end, peel=peel):
-            if sup in seen:
-                continue
-            seen.add(sup)
-            xs, res, ok = _newton_on_support(data, x_end, np.array(sup))
-            if ok and xs.min() >= 0:
-                candidates.append((data.eval_one(xs), xs, res))
-        val = float(end_vals[idx])
-        grad = data.grad_one(x_end)
-        pga_res = _residual_at(data, x_end, val, grad)
-        candidates.append((val, x_end, pga_res))
-
-    best_value = max(v for v, _x, _r in candidates)
-    pool = [c for c in candidates if c[0] >= best_value - TIE_TOL]
-    # minimal support first, then polished stationarity, then the
-    # lexicographically largest weighting for reproducibility
-    pool.sort(
-        key=lambda c: (
-            _support_size(c[1]),
-            0 if c[2] <= opts.kkt_tol else 1,
-            [-w for w in c[1]],
-        )
-    )
-    return pool[0][1], float(end_vals.max())
+    faces = list(dict.fromkeys(
+        face for idx in order[:2] for face in _candidate_supports(ends[idx])
+    ))
+    found = _best_on_faces(data, faces)
+    return (ends[order[0]] if found is None else found[1]), float(end_vals.max())
 
 
 def lagrangian(g: RGraph, opts: SolverOptions | None = None) -> LagrangianResult:
@@ -493,7 +386,8 @@ def lagrangian(g: RGraph, opts: SolverOptions | None = None) -> LagrangianResult
     A left-compressed graph has a non-increasing optimal weighting, so its
     prefix faces [r], [r+1], ... up to the active vertices are solved by
     :func:`_best_on_faces` (method ``symmetry_reduced``).  Other graphs go
-    through :func:`_multistart` (method ``multistart_gradient``).
+    through :func:`_multistart` (method ``multistart_gradient``), which
+    picks its faces from random starts and solves them the same way.
     ``certified`` requires the equal-link residual on the support below
     ``opts.kkt_tol``; on the prefix route, no vertex link above
     r * value + ``opts.kkt_tol`` (the first-order condition on the whole
@@ -627,9 +521,9 @@ def support_enumeration(g: RGraph, max_support: int | None = None,
 
     Every candidate support (all vertices incident within the support, all
     pairs covered by an edge, size at least r) is solved by
-    :func:`_best_on_faces`, the face solve that the prefix route of
-    :func:`lagrangian` also uses; independent of the multi-start gradient
-    path.
+    :func:`_best_on_faces`, the face solve that both routes of
+    :func:`lagrangian` use, so it differs from them only in which faces it
+    tries.
     """
     opts = opts or SolverOptions()
     data = _GraphData(g)
@@ -705,7 +599,7 @@ def _best_on_faces(data: _GraphData, supports: list[tuple[int, ...]]
     rows = np.zeros((len(supports), data.n))
     for k, sup in enumerate(supports):
         rows[k, [v - 1 for v in sup]] = 1.0 / len(sup)
-    ascended = _replicator_rows(data, rows, iters=300)
+    ascended = _replicator_rows(data, rows)
 
     best: tuple[float, tuple, np.ndarray] | None = None  # (value, key, x)
     for k, sup in enumerate(supports):
@@ -720,7 +614,7 @@ def _best_on_faces(data: _GraphData, supports: list[tuple[int, ...]]
     return None if best is None else (best[0], best[2])
 
 
-def _replicator_rows(data: _GraphData, rows: np.ndarray, iters: int) -> np.ndarray:
+def _replicator_rows(data: _GraphData, rows: np.ndarray) -> np.ndarray:
     """Batched multiplicative-update ascent x <- x * grad / (r * value).
 
     Supports are invariant under the update and the value never decreases,
@@ -728,7 +622,7 @@ def _replicator_rows(data: _GraphData, rows: np.ndarray, iters: int) -> np.ndarr
     hits zero are left unchanged.
     """
     x = rows.copy()
-    for _ in range(iters):
+    for _ in range(ASCENT_ITERS):
         grad = data.grad_rows(x)
         new = x * grad
         totals = new.sum(axis=1, keepdims=True)

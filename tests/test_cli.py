@@ -201,6 +201,37 @@ class TestCheck:
         assert code == 1
 
 
+class TestUsageErrors:
+    """Parser errors share exit 1 with the other usage errors; exit 2 stays
+    reserved for uncertified or failing numeric results."""
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep",),  # --t-max is required
+        ("compute", "complete:r=3,t=4", "--starts", "x"),
+        ("compute", "complete:r=3,t=4", "--starts", "-3"),
+        ("compute", "complete:r=3,t=4", "--tol", "1e-9"),  # no such flag
+        ("frobnicate",),
+    ])
+    def test_parser_errors_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run(capsys, "compute", "--help")
+        assert code == 0
+        assert "--starts" in out
+
+    def test_zero_starts_accepted(self, capsys, tmp_path):
+        # a general graph, so the multistart route runs without random starts
+        path = tmp_path / "c5.edges"
+        path.write_text("2 5 5\n1 2\n2 3\n3 4\n4 5\n1 5\n")
+        code, out, _ = run(capsys, "compute", str(path), "--starts", "0")
+        assert code == 0
+        assert "value: 0.25" in out
+
+
 class TestSeeding:
     def test_env_seed_override(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("LAGLAB_SEED", "0x1234")

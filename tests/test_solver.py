@@ -1,5 +1,6 @@
 """Lagrangian solver: values, stationarity, oracles, invariances."""
 
+import warnings
 from itertools import combinations
 from math import comb
 
@@ -25,6 +26,11 @@ from laglab.verifier import ConfigurationSpec, build_configuration, cell_window
 from oracles import clique_number_bruteforce, fd_gradient, grid_max, random_rgraph
 
 FIVE_CYCLE = RGraph.from_edges(2, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+
+
+def graph_from_words(r, n, words):
+    """An r-graph on [n] from edges written as digit strings, e.g. "123 124"."""
+    return RGraph.from_edges(r, [tuple(int(c) for c in w) for w in words.split()], n=n)
 
 
 class TestEvaluate:
@@ -222,6 +228,62 @@ class TestPrefixRoute:
         assert res.kkt_residual <= 1e-14
         assert not res.certified
         assert res.notes
+
+
+class TestMultistartRoute:
+    # at the given seed each graph ends below its optimum, flagged
+    # uncertified, when the multistart route tries fewer faces: without the
+    # peel chain (one-vertex-peel), with a chain of one step
+    # (two-vertex-peel), or from the best ascent end point alone
+    # (second-end-point)
+    @pytest.mark.parametrize("r, n, words, seed, value, support", [
+        pytest.param(3, 7, "123 124 125 126 127 137 145 146 147 156 157 167 234 "
+                           "236 237 245 256 267 346 356 367 457 567",
+                     solver.DEFAULT_SEED, 0.07424083396701817, 6, id="one-vertex-peel"),
+        pytest.param(3, 9, "124 125 127 128 129 134 136 137 138 139 145 146 147 "
+                           "148 149 156 157 158 159 167 169 179 189 236 237 238 "
+                           "239 246 247 248 256 267 268 278 289 346 347 348 356 "
+                           "358 367 368 378 379 389 456 457 458 459 467 468 469 "
+                           "478 479 489 567 568 569 589 678 689",
+                     2, 0.08976192924480776, 7, id="two-vertex-peel"),
+        pytest.param(2, 7, "12 13 15 24 26 27 34 36 37 46 67",
+                     solver.DEFAULT_SEED, 1 / 3, 3, id="second-end-point"),
+    ])
+    def test_finds_the_optimal_face(self, r, n, words, seed, value, support):
+        g = graph_from_words(r, n, words)
+        res = lagrangian(g, SolverOptions(seed=seed, cross_check=False))
+        se = support_enumeration(g)
+        assert res.method == "multistart_gradient"
+        assert res.certified
+        assert se.value == pytest.approx(value, abs=1e-15)
+        assert abs(res.value - se.value) <= 1e-12
+        assert res.support == se.support == support
+
+    def test_damped_newton_stays_on_the_simplex(self):
+        # on an ill-conditioned face of this graph a full Newton step leaves
+        # the simplex, and the iterate then overflows inside grad_rows
+        g = graph_from_words(4, 8, "1234 1245 1345 2345 1346 1256 1356 2356 1456 "
+                                   "3456 1237 1247 2357 1367 2367 1467 1567 3567 "
+                                   "4567 2348 1368 1468 3468 4568 1378 2378 3478 "
+                                   "1578 1678 5678")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            se = support_enumeration(g)
+            res = lagrangian(g)
+        assert se.certified and res.certified
+        assert abs(res.value - se.value) <= 1e-9
+
+    def test_face_solve_drops_a_vertex_that_blocks_every_step(self):
+        # on the face [8], every damped Newton step would push the weight of
+        # vertex 8 below zero; dropping it leads to the optimum on [7]
+        g = graph_from_words(4, 8, "1235 1236 1237 1238 1245 1247 1248 1257 1267 "
+                                   "1356 1357 1578 2345 2346 2378 2456 2678 3467 "
+                                   "3468 3567 3578 4567 4578 4678")
+        found = solver._best_on_faces(solver._GraphData(g), [tuple(range(1, 9))])
+        se = support_enumeration(g)
+        assert found is not None
+        assert abs(found[0] - se.value) <= 1e-12
+        assert found[1][7] == 0.0
 
 
 class TestStructuralInvariants:
