@@ -1,7 +1,7 @@
 """Command-line surface: compute, sweep, verify-config, enumerate, check.
 
 Exit codes: 0 success/pass, 1 usage or parse error, 2 uncertified or failing
-numeric result, 3 incomplete sweep.
+numeric result.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from laglab.verifier import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNCERTIFIED = 2
-EXIT_INCOMPLETE = 3
 
 
 def _default_seed() -> int:
@@ -113,8 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output directory (default laglab-sweep)")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text",
                    help="stdout summary format")
-    p.add_argument("--cell-budget", type=int, default=None,
-                   help="max graphs per cell before flagging incomplete")
     _add_solver_flags(p)
 
     p = sub.add_parser("verify-config", help="check one configuration family instance")
@@ -128,8 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="left-compressed 3-graphs on [t] with m edges")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, default=3,
-                   help="uniformity (enumeration is implemented for r=3)")
     p.add_argument("--list", action="store_true", help="emit every graph")
     p.add_argument("--out", type=Path, default=None,
                    help="directory for one edge-list file per graph")
@@ -227,8 +222,6 @@ def cmd_compute(args) -> int:
 
 def cmd_sweep(args) -> int:
     vopts = VerifierOptions(solver=_solver_options(args))
-    if args.cell_budget is not None:
-        vopts = replace(vopts, max_graphs=args.cell_budget)
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     try:
         reports = sweep(args.t_max, vopts, workers=max(1, workers))
@@ -259,8 +252,6 @@ def cmd_sweep(args) -> int:
     else:
         for rep in reports:
             status = "pass" if rep.all_pass else "FAIL"
-            if not rep.complete:
-                status = "INCOMPLETE"
             print(
                 f"cell t={rep.t} m={rep.m}: graphs={rep.graph_count} "
                 f"colex={fmt_float(rep.colex_value)} max={fmt_float(rep.max_value)} "
@@ -269,11 +260,6 @@ def cmd_sweep(args) -> int:
         n_pass = sum(r.all_pass for r in reports)
         print(f"sweep t_max={args.t_max}: {len(reports)} cells, {n_pass} passed")
 
-    incomplete = [r for r in reports if not r.complete]
-    if incomplete:
-        for rep in incomplete:
-            print(f"incomplete cell: t={rep.t} m={rep.m}", file=sys.stderr)
-        return EXIT_INCOMPLETE
     if not all(r.all_pass for r in reports):
         return EXIT_UNCERTIFIED
     return EXIT_OK
@@ -311,10 +297,6 @@ def cmd_verify_config(args) -> int:
 
 def cmd_enumerate(args) -> int:
     try:
-        if args.r != 3:
-            raise ValueError(
-                f"down-set enumeration is implemented for r=3 only, got r={args.r}"
-            )
         if args.t < 3 or args.t > 8:
             raise ValueError(f"--t must be in 3..8, got {args.t}")
         count = count_left_compressed(args.t, args.m)

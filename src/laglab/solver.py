@@ -354,14 +354,15 @@ def _candidate_supports(x: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(sorted(v + 1 for v in base[k:])) for k in range(min(3, len(base)))]
 
 
-def _multistart(data: _GraphData, opts: SolverOptions) -> tuple[np.ndarray, float]:
-    """Best face solution of the multistart route, and the best value any
-    start reached on its own.
+def _multistart(data: _GraphData, opts: SolverOptions) -> np.ndarray:
+    """Best point of the multistart route.
 
     The uniform point of the active vertices and ``opts.starts`` Dirichlet
     random points on them climb by multiplicative ascent; the candidate
-    supports of the two best end points go to :func:`_best_on_faces`.  If no
-    face yields a point, the best end point is returned as it is.
+    supports of the two best end points go to :func:`_best_on_faces`.  The
+    best end point itself is returned when no face yields a point or when it
+    lies more than ``TIE_TOL`` above the face solution (a flat optimal set
+    can leave Newton's Jacobian singular on the face that holds it).
     """
     rng = np.random.default_rng(
         [opts.seed & 0xFFFFFFFFFFFFFFFF, data.graph.canonical_hash()]
@@ -376,8 +377,10 @@ def _multistart(data: _GraphData, opts: SolverOptions) -> tuple[np.ndarray, floa
     faces = list(dict.fromkeys(
         face for idx in order[:2] for face in _candidate_supports(ends[idx])
     ))
-    found = _best_on_faces(data, faces)
-    return (ends[order[0]] if found is None else found[1]), float(end_vals.max())
+    found = _best_on_faces(data, faces, opts.kkt_tol)
+    if found is None or end_vals[order[0]] > found[0] + TIE_TOL:
+        return ends[order[0]]
+    return found[1]
 
 
 def lagrangian(g: RGraph, opts: SolverOptions | None = None) -> LagrangianResult:
@@ -388,13 +391,10 @@ def lagrangian(g: RGraph, opts: SolverOptions | None = None) -> LagrangianResult
     :func:`_best_on_faces` (method ``symmetry_reduced``).  Other graphs go
     through :func:`_multistart` (method ``multistart_gradient``), which
     picks its faces from random starts and solves them the same way.
-    ``certified`` requires the equal-link residual on the support below
-    ``opts.kkt_tol``; on the prefix route, no vertex link above
-    r * value + ``opts.kkt_tol`` (the first-order condition on the whole
-    simplex); on the multistart route, the value within ``TIE_TOL`` of the
-    best start; and (for graphs with at most ``CROSS_CHECK_MAX_ACTIVE``
-    active vertices, when ``opts.cross_check`` is on) agreement with
-    :func:`support_enumeration` within 1e-8.
+    ``certified`` requires the first-order conditions of :func:`_certify`
+    within ``opts.kkt_tol`` and (for graphs with at most
+    ``CROSS_CHECK_MAX_ACTIVE`` active vertices, when ``opts.cross_check`` is
+    on) agreement with :func:`support_enumeration` within 1e-8.
     """
     opts = opts or SolverOptions()
     data = _GraphData(g)
@@ -405,10 +405,10 @@ def lagrangian(g: RGraph, opts: SolverOptions | None = None) -> LagrangianResult
         # the active vertices form a prefix and [r] is an edge, whose face
         # always has a solution
         faces = [tuple(range(1, k + 1)) for k in range(g.r, data.active.size + 1)]
-        _val, x_best = _best_on_faces(data, faces)
+        _val, x_best = _best_on_faces(data, faces, opts.kkt_tol)
         method = METHOD_SYMMETRY
     else:
-        x_best, best_start_value = _multistart(data, opts)
+        x_best = _multistart(data, opts)
         method = METHOD_MULTISTART
 
     x_best = np.maximum(x_best, 0.0)
@@ -416,27 +416,11 @@ def lagrangian(g: RGraph, opts: SolverOptions | None = None) -> LagrangianResult
     if abs(total - 1.0) > 1e-12 and total > 0:
         x_best = x_best / total
     value = data.eval_one(x_best)
-    grad = data.grad_one(x_best)
-    residual = _residual_at(data, x_best, value, grad)
-
-    notes: list[str] = []
-    if method == METHOD_SYMMETRY:
-        consistent = float(grad.max()) <= g.r * value + opts.kkt_tol
-        failure = "stationarity or the first-order condition off the support not met"
-    else:
-        consistent = value >= best_start_value - TIE_TOL
-        failure = "stationarity or multistart consistency not met"
-    certified = residual <= opts.kkt_tol and consistent
-    if not certified:
-        notes.append(failure)
-    if (
-        certified
-        and opts.cross_check
-        and data.active.size <= CROSS_CHECK_MAX_ACTIVE
-    ):
+    residual, failure = _certify(data, x_best, value, opts.kkt_tol)
+    notes = [failure] if failure else []
+    if not notes and opts.cross_check and data.active.size <= CROSS_CHECK_MAX_ACTIVE:
         se = support_enumeration(g, opts=opts)
         if abs(se.value - value) > 1e-8:
-            certified = False
             notes.append(
                 f"support enumeration disagrees: {se.value!r} vs {value!r}"
             )
@@ -447,7 +431,7 @@ def lagrangian(g: RGraph, opts: SolverOptions | None = None) -> LagrangianResult
         support=_support_size(x_best),
         kkt_residual=float(residual),
         method=method,
-        certified=bool(certified),
+        certified=not notes,
         notes=tuple(notes),
     )
 
@@ -456,14 +440,25 @@ def _support_size(x: np.ndarray) -> int:
     return int((x > POSITIVE_EPS).sum())
 
 
-def _residual_at(data: _GraphData, x: np.ndarray, value: float,
-                 grad: np.ndarray | None = None) -> float:
-    if grad is None:
-        grad = data.grad_one(x)
+def _certify(data: _GraphData, x: np.ndarray, value: float,
+             kkt_tol: float) -> tuple[float, str]:
+    """The equal-link residual of x on its support, and the first-order
+    condition x fails within ``kkt_tol`` ('' when it fails none).
+
+    A maximum of the edge polynomial on the simplex has every link on its
+    support equal to r * value and no link above it; these two conditions
+    certify a result on every route.
+    """
+    grad = data.grad_one(x)
     sup = np.flatnonzero(x > POSITIVE_EPS)
-    if sup.size == 0:
-        return 0.0
-    return float(np.abs(grad[sup] - data.r * value).max())
+    residual = float(np.abs(grad[sup] - data.r * value).max()) if sup.size else 0.0
+    if residual > kkt_tol:
+        return residual, f"equal-link residual {residual:.3g} on the support exceeds kkt_tol"
+    excess = float(grad.max()) - data.r * value
+    if excess > kkt_tol:
+        return residual, (f"link of vertex {int(grad.argmax()) + 1} exceeds "
+                          f"r * value by {excess:.3g} (first-order condition)")
+    return residual, ""
 
 
 # ---------------------------------------------------------------------------
@@ -515,22 +510,21 @@ def lagrangian_2graph_oracle(g: RGraph) -> float:
     return 0.5 * (1.0 - 1.0 / t)
 
 
-def support_enumeration(g: RGraph, max_support: int | None = None,
-                        opts: SolverOptions | None = None) -> LagrangianResult:
+def support_enumeration(g: RGraph, opts: SolverOptions | None = None) -> LagrangianResult:
     """Best stationary point over all enumerable supports.
 
-    Every candidate support (all vertices incident within the support, all
-    pairs covered by an edge, size at least r) is solved by
+    Every candidate support (all pairs covered by an edge, every vertex in
+    an edge inside the support, size at least r) is solved by
     :func:`_best_on_faces`, the face solve that both routes of
     :func:`lagrangian` use, so it differs from them only in which faces it
-    tries.
+    tries.  Certified as in :func:`_certify`, and only when no more than
+    ``SUPPORT_BUDGET`` vertex subsets had to be inspected.
     """
     opts = opts or SolverOptions()
     data = _GraphData(g)
     if data.m == 0:
         return _empty_result(g)
     act = [int(v) + 1 for v in data.active]
-    cap = len(act) if max_support is None else min(max_support, len(act))
 
     adj = {v: set() for v in act}
     for e in g.edges:
@@ -541,60 +535,54 @@ def support_enumeration(g: RGraph, max_support: int | None = None,
     supports = []
     budget_hit = False
     count = 0
-    for size in range(g.r, cap + 1):
+    for size in range(g.r, len(act) + 1):
         for sup in combinations(act, size):
             count += 1
             if count > SUPPORT_BUDGET:
                 budget_hit = True
                 break
-            sup_set = set(sup)
-            if any(not (adj[v] & sup_set) for v in sup):
-                continue
             if any(j not in adj[i] for i, j in combinations(sup, 2)):
                 continue
-            if g.r >= 3:
-                inside = [e for e in g.edges if set(e) <= sup_set]
-                if not inside:
-                    continue
-                incident = set(v for e in inside for v in e)
-                if incident != sup_set:
-                    continue
+            sup_set = set(sup)
+            inside = [e for e in g.edges if set(e) <= sup_set]
+            if set(v for e in inside for v in e) != sup_set:
+                continue
             supports.append(sup)
         if budget_hit:
             break
 
-    found = _best_on_faces(data, supports)
-    notes = []
-    if budget_hit:
-        notes.append("support budget exceeded; partial result")
+    found = _best_on_faces(data, supports, opts.kkt_tol)
     if found is None:
         return replace(_empty_result(g), certified=False,
                        notes=("no feasible stationary support found",))
     val, xs = found
-    residual = _residual_at(data, xs, val)
-    certified = residual <= opts.kkt_tol and not budget_hit
+    residual, failure = _certify(data, xs, val, opts.kkt_tol)
+    notes = [failure] if failure else []
+    if budget_hit:
+        notes.append("support budget exceeded; partial result")
     return LagrangianResult(
         value=float(val),
         weighting=tuple(float(w) for w in xs),
         support=_support_size(xs),
         kkt_residual=float(residual),
         method=METHOD_SUPPORT_ENUM,
-        certified=bool(certified),
+        certified=not notes,
         notes=tuple(notes),
     )
 
 
-def _best_on_faces(data: _GraphData, supports: list[tuple[int, ...]]
-                   ) -> tuple[float, np.ndarray] | None:
+def _best_on_faces(data: _GraphData, supports: list[tuple[int, ...]],
+                   kkt_tol: float) -> tuple[float, np.ndarray] | None:
     """Best stationary point over the faces spanned by ``supports`` (tuples
     of 1-based vertices); None when no face yields one.
 
     Each face gets a monotone multiplicative ascent from its uniform point,
     batched across faces, then a Newton solve of its equal-link system; plain
     Newton from the uniform point can land on a saddle, ascent cannot go
-    below its start.  The highest value wins; values within ``TIE_TOL`` of
-    it prefer the smaller support, then the lexicographically largest
-    weighting.
+    below its start.  The highest value wins; among values within
+    ``TIE_TOL`` of it, a point that meets the first-order conditions of
+    :func:`_certify` within ``kkt_tol`` comes first, then the smaller
+    support, then the lexicographically largest weighting.
     """
     rows = np.zeros((len(supports), data.n))
     for k, sup in enumerate(supports):
@@ -607,7 +595,8 @@ def _best_on_faces(data: _GraphData, supports: list[tuple[int, ...]]
         if not ok or xs.min() < 0:
             continue
         val = data.eval_one(xs)
-        key = (_support_size(xs), [-w for w in xs])
+        fails = bool(_certify(data, xs, val, kkt_tol)[1])
+        key = (fails, _support_size(xs), [-w for w in xs])
         if (best is None or val > best[0] + TIE_TOL
                 or (val >= best[0] - TIE_TOL and key < best[1])):
             best = (val, key, xs)

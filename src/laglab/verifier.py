@@ -36,7 +36,6 @@ class ConfigurationError(ValueError):
 @dataclass(frozen=True)
 class VerifierOptions:
     solver: SolverOptions = field(default_factory=SolverOptions)
-    max_graphs: int = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,6 @@ class VerificationReport:
     witness_supports: tuple[int, ...] = ()
     witness_values: tuple[float, ...] = ()
     uncertified: int = 0
-    complete: bool = True
     seed: int = 0
     scope: str = (
         "enumeration restricted to left-compressed 3-graphs; "
@@ -318,14 +316,7 @@ def verify_cell(t: int, m: int, opts: VerifierOptions | None = None) -> Verifica
             f"C({t},3)={comb(t, 3)} for t={t}"
         )
     colex_edges = build_colex_graph(3, m).edges
-    results = []
-    complete = True
-    for idx, g in enumerate(enumerate_left_compressed(t, m)):
-        if idx >= opts.max_graphs:
-            complete = False
-            break
-        res = lagrangian(g, opts.solver)
-        results.append((g, res))
+    results = [(g, lagrangian(g, opts.solver)) for g in enumerate_left_compressed(t, m)]
     if not results:
         raise ValueError(f"no graphs enumerated at (t={t}, m={m})")
 
@@ -349,8 +340,7 @@ def verify_cell(t: int, m: int, opts: VerifierOptions | None = None) -> Verifica
     uncertified = sum(1 for _g, res in results if not res.certified)
     gap = colex_value - max_value
     all_pass = (
-        complete
-        and gap >= -INEQ_TOL
+        gap >= -INEQ_TOL
         and colex_certified
         and all(res.certified for _g, res in witnesses)
     )
@@ -367,7 +357,6 @@ def verify_cell(t: int, m: int, opts: VerifierOptions | None = None) -> Verifica
         witness_supports=tuple(res.support for _g, res in witnesses),
         witness_values=tuple(res.value for _g, res in witnesses),
         uncertified=uncertified,
-        complete=complete,
         seed=opts.solver.seed,
     )
 
@@ -385,14 +374,11 @@ def sweep(t_max: int, opts: VerifierOptions | None = None,
         raise ValueError(f"t_max must be within 4..8, got {t_max}")
     cells = [(t, m, opts) for t in range(4, t_max + 1) for m in cell_window(t)]
     if workers <= 1:
-        reports = [_cell_worker(c) for c in cells]
-    else:
-        import concurrent.futures as cf
+        return [_cell_worker(c) for c in cells]
+    import concurrent.futures as cf
 
-        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_cell_worker, cells))
-    reports.sort(key=lambda rep: (rep.t, rep.m))
-    return reports
+    with cf.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_cell_worker, cells))
 
 
 # ---------------------------------------------------------------------------

@@ -130,11 +130,6 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--t", "4", "--m", "99")
         assert code == 1
 
-    def test_non_triple_uniformity_refused(self, capsys):
-        code, _, err = run(capsys, "enumerate", "--t", "5", "--m", "2", "--r", "4")
-        assert code == 1
-        assert "r=3" in err
-
 
 class TestSweep:
     def test_t4_files_and_exit(self, capsys, tmp_path):
@@ -158,13 +153,6 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert lines[0] == "t,m,a,colex_value,max_value,gap,graph_count,all_pass"
         assert len(lines) == 5
-
-    def test_budget_exhaustion_exit_3(self, capsys, tmp_path):
-        # t=4 cells hold a single graph each; t=5 cells exceed a budget of 1
-        code, _, err = run(capsys, "sweep", "--t-max", "5", "--workers", "1",
-                           "--out", str(tmp_path / "s"), "--cell-budget", "1")
-        assert code == 3
-        assert "incomplete cell" in err
 
     def test_bad_t_max_exit_1(self, capsys, tmp_path):
         code, _, _ = run(capsys, "sweep", "--t-max", "9",
@@ -211,6 +199,7 @@ class TestUsageErrors:
         ("compute", "complete:r=3,t=4", "--starts", "-3"),
         ("compute", "complete:r=3,t=4", "--tol", "1e-9"),  # no such flag
         ("frobnicate",),
+        ("enumerate", "--t", "5", "--m", "2", "--r", "4"),  # 3-graphs only
     ])
     def test_parser_errors_exit_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)

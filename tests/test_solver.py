@@ -221,13 +221,33 @@ class TestPrefixRoute:
         # link 1/3 > 3 * 1/27; only the first-order condition can catch it
         # once the cross-check is off
         best_on_faces = solver._best_on_faces
-        monkeypatch.setattr(solver, "_best_on_faces",
-                            lambda data, faces: best_on_faces(data, faces[:1]))
+        monkeypatch.setattr(
+            solver, "_best_on_faces",
+            lambda data, faces, kkt_tol: best_on_faces(data, faces[:1], kkt_tol))
         res = lagrangian(RGraph.complete(3, 4), SolverOptions(cross_check=False))
         assert res.value == pytest.approx(1 / 27, abs=1e-15)
         assert res.kkt_residual <= 1e-14
         assert not res.certified
         assert res.notes
+
+    @pytest.mark.parametrize("r, n, words, value", [
+        (4, 7, "1234 1235 1245 1345 1236 1246 1256 1237 1247 1257 1267",
+         0.006629242030811546),
+        (3, 8, "123 124 134 234 125 135 145 126 136 146 156 127 137 147 157 167 128",
+         0.06374771975079963),
+    ])
+    def test_face_ascent_reaches_the_optimum(self, r, n, words, value):
+        # Newton started at the uniform point of each prefix face stops short
+        # on these graphs (support 5 at 0.00659..., and 0.06285...); the
+        # multiplicative ascent before it is what reaches the optimum on [7]
+        g = graph_from_words(r, n, words)
+        res = lagrangian(g, SolverOptions(cross_check=False))
+        se = support_enumeration(g)
+        assert res.method == "symmetry_reduced"
+        assert res.certified and se.certified
+        assert res.value == pytest.approx(value, abs=1e-15)
+        assert abs(se.value - value) <= 1e-12
+        assert res.support == se.support == 7
 
 
 class TestMultistartRoute:
@@ -259,6 +279,35 @@ class TestMultistartRoute:
         assert abs(res.value - se.value) <= 1e-12
         assert res.support == se.support == support
 
+    def test_tie_rule_prefers_the_first_order_condition(self):
+        # the optimum on support 8 lies 2.4e-11 above a point on support 7
+        # whose vertex 1 has link r * value + 1.8e-6; the smaller support
+        # must not win the tie
+        g = graph_from_words(4, 9, "1235 1356 3456 2347 1357 2357 1457 2467 3467 "
+                                   "1567 2567 3567 4567 1348 2348 1358 2358 1458 "
+                                   "1368 2368 1468 2468 3468 1568 3568 1378 1478 "
+                                   "3478 3578 4578 2678 3678 5678 1249 1359 1269 "
+                                   "1369 2369 1469 2469 3469 3569 4569 1379 2379 "
+                                   "1479 2479 3679 1389 2389 1489 2489 3489 2589 "
+                                   "2689 3689 4689 1789 2789 3789 5789 6789")
+        for res in (lagrangian(g), support_enumeration(g)):
+            assert res.certified, res.method
+            assert res.support == 8, res.method
+            assert res.value == pytest.approx(0.010817886907343888, abs=1e-15)
+
+    def test_end_point_above_every_face_is_kept(self, monkeypatch):
+        # without the face (3, 6, 7) the faces' best is 0.25, below the best
+        # ascent end point at 1/3; the end point itself must come back
+        best_on_faces = solver._best_on_faces
+        monkeypatch.setattr(
+            solver, "_best_on_faces",
+            lambda data, faces, *rest: best_on_faces(
+                data, [f for f in faces if f != (3, 6, 7)], *rest))
+        g = graph_from_words(2, 7, "12 13 15 24 26 27 34 36 37 46 67")
+        res = lagrangian(g, SolverOptions(cross_check=False))
+        assert res.certified
+        assert res.value == pytest.approx(1 / 3, abs=1e-12)
+
     def test_damped_newton_stays_on_the_simplex(self):
         # on an ill-conditioned face of this graph a full Newton step leaves
         # the simplex, and the iterate then overflows inside grad_rows
@@ -279,7 +328,7 @@ class TestMultistartRoute:
         g = graph_from_words(4, 8, "1235 1236 1237 1238 1245 1247 1248 1257 1267 "
                                    "1356 1357 1578 2345 2346 2378 2456 2678 3467 "
                                    "3468 3567 3578 4567 4578 4678")
-        found = solver._best_on_faces(solver._GraphData(g), [tuple(range(1, 9))])
+        found = solver._best_on_faces(solver._GraphData(g), [tuple(range(1, 9))], 1e-8)
         se = support_enumeration(g)
         assert found is not None
         assert abs(found[0] - se.value) <= 1e-12

@@ -16,7 +16,6 @@ from laglab.verifier import (
     ConfigurationError,
     ConfigurationSpec,
     FAMILIES,
-    VerifierOptions,
     build_configuration,
     cell_window,
     check_delta_bound,
@@ -184,12 +183,6 @@ class TestCells:
             verify_cell(5, 3)
         with pytest.raises(ValueError, match="t >= 4"):
             verify_cell(3, 1)
-
-    def test_budget_marks_incomplete(self):
-        opts = VerifierOptions(max_graphs=1)
-        rep = verify_cell(5, 5, opts)
-        assert not rep.complete
-        assert not rep.all_pass
 
 
 class TestSweep:
