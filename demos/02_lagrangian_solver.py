@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Solving graph Lagrangians: certified values, stationarity reports,
-the 2-graph clique formula, and the independent support-enumeration route."""
+the 2-graph clique formula, and the support-enumeration cross-check (which
+shares the face solve with lagrangian, so it is not an independent route)."""
 
 from math import comb
 
@@ -45,7 +46,7 @@ def main():
 
     print()
     print("=" * 64)
-    print("Stationarity report and the independent route")
+    print("Stationarity report and the support-enumeration cross-check")
     print("=" * 64)
     g = build_colex_graph(3, 7)
     res = lagrangian(g)
@@ -53,6 +54,7 @@ def main():
     print("graph: the 7-edge colex-initial 3-graph")
     print("weighting:", [round(w, 6) for w in res.weighting])
     print("equal-link residual:", rep.residual)
+    print("link excess (max link - r * value):", rep.link_excess)
     print("difference-link identity residual:", rep.eq2_residual)
     print("pair cover on support:", rep.pair_cover_ok)
     print("symmetry classes:", symmetry_classes(g))

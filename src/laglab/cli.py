@@ -35,9 +35,11 @@ from laglab.verifier import (
     ConfigurationSpec,
     FAMILIES,
     VerifierOptions,
+    T_MAX,
     build_configuration,
     check_delta_bound,
     check_support_bound,
+    check_t,
     check_theorem_inequality,
     check_vertex_bound,
     sweep,
@@ -105,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
 
     p = sub.add_parser("sweep", help="exhaustive verification over all (t, m) cells")
-    p.add_argument("--t-max", type=int, required=True, help="largest t (4..8)")
+    p.add_argument("--t-max", type=int, required=True, help=f"largest t (4..{T_MAX})")
     p.add_argument("--workers", type=int, default=None,
                    help="parallel cell workers (default: available cores)")
     p.add_argument("--out", type=Path, default=Path("laglab-sweep"),
@@ -297,8 +299,7 @@ def cmd_verify_config(args) -> int:
 
 def cmd_enumerate(args) -> int:
     try:
-        if args.t < 3 or args.t > 8:
-            raise ValueError(f"--t must be in 3..8, got {args.t}")
+        check_t(args.t, 3, "--t")
         count = count_left_compressed(args.t, args.m)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

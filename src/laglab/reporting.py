@@ -13,6 +13,7 @@ from dataclasses import asdict
 from laglab.verifier import CheckResult, InequalityCheck, VerificationReport
 
 SCHEMA_VERSION = 1
+INDENT = 2  # spaces per nesting level
 
 
 def fmt_float(x: float) -> str:
@@ -22,17 +23,17 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def render_json(obj, indent: int = 2) -> str:
+def render_json(obj) -> str:
     """Serialize dicts/lists/scalars as JSON with pinned float formatting."""
     out: list[str] = []
-    _render(obj, out, indent, 0)
+    _render(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
 
-def _render(obj, out: list[str], indent: int, depth: int) -> None:
-    pad = " " * (indent * (depth + 1))
-    close_pad = " " * (indent * depth)
+def _render(obj, out: list[str], depth: int) -> None:
+    pad = " " * (INDENT * (depth + 1))
+    close_pad = " " * (INDENT * depth)
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -52,7 +53,7 @@ def _render(obj, out: list[str], indent: int, depth: int) -> None:
             out.append(pad)
             out.append(json.dumps(str(key), ensure_ascii=True))
             out.append(": ")
-            _render(val, out, indent, depth + 1)
+            _render(val, out, depth + 1)
             out.append(",\n" if k < len(obj) - 1 else "\n")
         out.append(close_pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -63,7 +64,7 @@ def _render(obj, out: list[str], indent: int, depth: int) -> None:
         out.append("[\n")
         for k, val in enumerate(seq):
             out.append(pad)
-            _render(val, out, indent, depth + 1)
+            _render(val, out, depth + 1)
             out.append(",\n" if k < len(seq) - 1 else "\n")
         out.append(close_pad + "]")
     else:

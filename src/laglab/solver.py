@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,10 +75,13 @@ class LagrangianResult:
 
 @dataclass(frozen=True)
 class KKTReport:
-    """Stationarity report for a weighting: residuals and pair coverage."""
+    """Stationarity report for a weighting: the residual, support and link
+    excess that certification tests, plus pair coverage and the
+    difference-link identity residual."""
 
     residual: float
     support: tuple[int, ...]
+    link_excess: float
     pair_cover_ok: bool
     eq2_residual: float | None
     link_values: tuple[float, ...]
@@ -103,18 +107,11 @@ class _GraphData:
         self.pos = []
         for p in range(g.r):
             mat = np.zeros((self.m, g.n))
-            if self.m:
-                mat[np.arange(self.m), self.e0[:, p]] = 1.0
+            mat[np.arange(self.m), self.e0[:, p]] = 1.0
             self.pos.append(mat)
-        deg = np.zeros(g.n, dtype=int)
-        for e in edges:
-            for v in e:
-                deg[v - 1] += 1
-        self.active = np.flatnonzero(deg > 0)
+        self.active = np.flatnonzero(np.bincount(self.e0.ravel(), minlength=g.n))
 
     def eval_rows(self, x_rows: np.ndarray) -> np.ndarray:
-        if self.m == 0:
-            return np.zeros(x_rows.shape[0])
         cols = x_rows[:, self.e0[:, 0]]
         for p in range(1, self.r):
             cols = cols * x_rows[:, self.e0[:, p]]
@@ -122,8 +119,6 @@ class _GraphData:
 
     def grad_rows(self, x_rows: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x_rows)
-        if self.m == 0:
-            return out
         gathered = [x_rows[:, self.e0[:, p]] for p in range(self.r)]
         for p in range(self.r):
             part = None
@@ -131,8 +126,6 @@ class _GraphData:
                 if q == p:
                     continue
                 part = gathered[q] if part is None else part * gathered[q]
-            if part is None:  # r == 1 cannot happen (r >= 2)
-                part = np.ones_like(gathered[p])
             out += part @ self.pos[p]
         return out
 
@@ -145,8 +138,6 @@ class _GraphData:
     def pair_matrix(self, x: np.ndarray) -> np.ndarray:
         """Matrix of pair-link values: entry (i, j) is the pair link at {i+1, j+1}."""
         h = np.zeros((self.n, self.n))
-        if self.m == 0:
-            return h
         for p in range(self.r):
             for q in range(p + 1, self.r):
                 part = np.ones(self.m)
@@ -155,6 +146,11 @@ class _GraphData:
                         part = part * x[self.e0[:, s]]
                 np.add.at(h, (self.e0[:, p], self.e0[:, q]), part)
         return h + h.T
+
+    def pair_cover(self) -> np.ndarray:
+        """Entry (i, j) is True when some edge holds vertices i+1 and j+1:
+        the pair matrix at x = 1 counts the edges through each pair."""
+        return self.pair_matrix(np.ones(self.n)) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +166,15 @@ def _as_vector(g: RGraph, x) -> np.ndarray:
     return arr[: g.n] if arr.shape[0] > g.n else arr
 
 
-def check_legal_weighting(x, tol: float = 1e-12) -> np.ndarray:
-    """Validate a simplex vector: non-negative entries summing to 1 within tol."""
+def check_legal_weighting(x) -> np.ndarray:
+    """Validate a simplex vector: no entry below -1e-12, and entries summing
+    to 1 within 1e-12 times their count."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ValueError("weighting must be one-dimensional")
-    if arr.size and arr.min() < -tol:
+    if arr.size and arr.min() < -1e-12:
         raise ValueError(f"weighting has negative entry {arr.min()}")
-    if abs(arr.sum() - 1.0) > max(tol, 1e-12 * max(1, arr.size)):
+    if abs(arr.sum() - 1.0) > 1e-12 * max(1, arr.size):
         raise ValueError(f"weighting sums to {arr.sum()}, expected 1")
     return arr
 
@@ -203,8 +200,9 @@ def link_values(g: RGraph, x) -> np.ndarray:
 # Newton refinement of the equal-link system on a support
 # ---------------------------------------------------------------------------
 
-def _newton_on_support(data: _GraphData, x0: np.ndarray, support: np.ndarray):
-    """Solve equal link values on the support; returns (x, residual, ok).
+def _newton_on_support(data: _GraphData, x0: np.ndarray,
+                       support: np.ndarray) -> np.ndarray | None:
+    """Solve equal link values on the support; None when no solve succeeds.
 
     The system is: link(i) = mu for i in the support, weights sum to 1,
     off-support weights zero.  Steps are halved until no weight falls below
@@ -215,7 +213,7 @@ def _newton_on_support(data: _GraphData, x0: np.ndarray, support: np.ndarray):
     sup = np.array(sorted(int(v) for v in support), dtype=np.intp)
     for _round in range(max(1, len(sup))):
         if sup.size == 0:
-            return np.zeros(data.n), np.inf, False
+            return None
         x = np.zeros(data.n)
         seed_vals = np.maximum(x0[sup], 0.0)
         if seed_vals.sum() <= 0:
@@ -237,7 +235,7 @@ def _newton_on_support(data: _GraphData, x0: np.ndarray, support: np.ndarray):
             try:
                 delta = np.linalg.solve(jac, -res)
             except np.linalg.LinAlgError:
-                return x, float(np.abs(res).max()), False
+                return None
             step = 1.0
             dx = delta[: sup.size]
             for _damp in range(40):
@@ -250,12 +248,9 @@ def _newton_on_support(data: _GraphData, x0: np.ndarray, support: np.ndarray):
             mu += step * float(delta[sup.size])
         neg = sup[x[sup] < POSITIVE_EPS]
         if neg.size == 0:
-            grad = data.grad_one(x)[sup]
-            res = np.concatenate([grad - mu, [x[sup].sum() - 1.0]])
-            x = np.maximum(x, 0.0)
-            return x, float(np.abs(res).max()), ok and np.abs(res).max() < 1e-12
+            return np.maximum(x, 0.0) if ok else None
         sup = np.setdiff1d(sup, neg)
-    return np.zeros(data.n), np.inf, False
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -285,23 +280,53 @@ def symmetry_classes(g: RGraph) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# KKT check
+# Stationarity: the first-order conditions of a maximum on the simplex
 # ---------------------------------------------------------------------------
 
-def kkt_check(g: RGraph, x, value: float, positive_eps: float = POSITIVE_EPS) -> KKTReport:
-    """Stationarity report: equal-link residual on the support, pair cover,
+class _Stationarity(NamedTuple):
+    """First-order quantities of a point x at a value, from one gradient."""
+
+    grad: np.ndarray
+    support: np.ndarray  # 0-based vertices whose weight exceeds POSITIVE_EPS
+    residual: float  # max |link_i - r * value| over the support (0 if empty)
+    link_excess: float  # max_i link_i - r * value over every vertex
+
+    def failure(self, kkt_tol: float) -> str:
+        """The first-order condition x fails within ``kkt_tol`` ('' when it
+        fails none).
+
+        A maximum of the edge polynomial on the simplex has every link on its
+        support equal to r * value and no link above it; these two conditions
+        certify a result on every route.
+        """
+        if self.residual > kkt_tol:
+            return f"equal-link residual {self.residual:.3g} on the support exceeds kkt_tol"
+        if self.link_excess > kkt_tol:
+            return (f"link of vertex {int(self.grad.argmax()) + 1} exceeds "
+                    f"r * value by {self.link_excess:.3g} (first-order condition)")
+        return ""
+
+
+def _stationarity(data: _GraphData, x: np.ndarray, value: float) -> _Stationarity:
+    """The one stationarity computation: certification on every route and
+    :func:`kkt_check` read it, so they agree on support and residual."""
+    grad = data.grad_one(x)
+    sup = np.flatnonzero(x > POSITIVE_EPS)
+    target = data.r * value
+    residual = float(np.abs(grad[sup] - target).max()) if sup.size else 0.0
+    return _Stationarity(grad, sup, residual, float(grad.max() - target))
+
+
+def kkt_check(g: RGraph, x, value: float) -> KKTReport:
+    """Stationarity report of x at ``value``: the equal-link residual,
+    support (weights above ``POSITIVE_EPS``) and link excess that
+    certification tests, whether an edge covers every pair of the support,
     and (for left-compressed graphs) the difference-link identity residual."""
     arr = check_legal_weighting(_as_vector(g, x))
     data = _GraphData(g)
-    grads = data.grad_one(arr)
-    support = tuple(int(i) + 1 for i in np.flatnonzero(arr > positive_eps))
-    if support:
-        residual = float(np.abs(grads[[i - 1 for i in support]] - g.r * value).max())
-    else:
-        residual = 0.0
-    pair_cover_ok = all(
-        _pair_in_some_edge(g, i, j) for i, j in combinations(support, 2)
-    )
+    st = _stationarity(data, arr, value)
+    support = tuple(int(i) + 1 for i in st.support)
+    cover = data.pair_cover()
     eq2 = None
     if is_left_compressed(g):
         eq2 = 0.0
@@ -316,16 +341,13 @@ def kkt_check(g: RGraph, x, value: float, positive_eps: float = POSITIVE_EPS) ->
                 rhs += p
             eq2 = max(eq2, abs(lhs - rhs))
     return KKTReport(
-        residual=residual,
+        residual=st.residual,
         support=support,
-        pair_cover_ok=pair_cover_ok,
+        link_excess=st.link_excess,
+        pair_cover_ok=all(cover[i - 1, j - 1] for i, j in combinations(support, 2)),
         eq2_residual=eq2,
-        link_values=tuple(float(v) for v in grads),
+        link_values=tuple(float(v) for v in st.grad),
     )
-
-
-def _pair_in_some_edge(g: RGraph, i: int, j: int) -> bool:
-    return any(i in e and j in e for e in g.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +413,11 @@ def lagrangian(g: RGraph, opts: SolverOptions | None = None) -> LagrangianResult
     :func:`_best_on_faces` (method ``symmetry_reduced``).  Other graphs go
     through :func:`_multistart` (method ``multistart_gradient``), which
     picks its faces from random starts and solves them the same way.
-    ``certified`` requires the first-order conditions of :func:`_certify`
-    within ``opts.kkt_tol`` and (for graphs with at most
-    ``CROSS_CHECK_MAX_ACTIVE`` active vertices, when ``opts.cross_check`` is
-    on) agreement with :func:`support_enumeration` within 1e-8.
+    ``certified`` requires the first-order conditions of
+    :meth:`_Stationarity.failure` within ``opts.kkt_tol`` and (for graphs
+    with at most ``CROSS_CHECK_MAX_ACTIVE`` active vertices, when
+    ``opts.cross_check`` is on) agreement with :func:`support_enumeration`
+    within 1e-8.
     """
     opts = opts or SolverOptions()
     data = _GraphData(g)
@@ -405,60 +428,39 @@ def lagrangian(g: RGraph, opts: SolverOptions | None = None) -> LagrangianResult
         # the active vertices form a prefix and [r] is an edge, whose face
         # always has a solution
         faces = [tuple(range(1, k + 1)) for k in range(g.r, data.active.size + 1)]
-        _val, x_best = _best_on_faces(data, faces, opts.kkt_tol)
+        x_best = _best_on_faces(data, faces, opts.kkt_tol)[1]
         method = METHOD_SYMMETRY
     else:
         x_best = _multistart(data, opts)
         method = METHOD_MULTISTART
 
-    x_best = np.maximum(x_best, 0.0)
-    total = x_best.sum()
-    if abs(total - 1.0) > 1e-12 and total > 0:
-        x_best = x_best / total
-    value = data.eval_one(x_best)
-    residual, failure = _certify(data, x_best, value, opts.kkt_tol)
-    notes = [failure] if failure else []
-    if not notes and opts.cross_check and data.active.size <= CROSS_CHECK_MAX_ACTIVE:
+    res = _result(data, x_best, method, opts.kkt_tol)
+    if res.certified and opts.cross_check and data.active.size <= CROSS_CHECK_MAX_ACTIVE:
         se = support_enumeration(g, opts=opts)
-        if abs(se.value - value) > 1e-8:
-            notes.append(
-                f"support enumeration disagrees: {se.value!r} vs {value!r}"
-            )
+        if abs(se.value - res.value) > 1e-8:
+            res = replace(res, certified=False, notes=(
+                f"support enumeration disagrees: {se.value!r} vs {res.value!r}",))
+    return res
 
+
+def _result(data: _GraphData, x: np.ndarray, method: str, kkt_tol: float,
+            notes: tuple[str, ...] = ()) -> LagrangianResult:
+    """The result at x from its stationarity report: certified when x meets
+    the first-order conditions within ``kkt_tol`` and the route adds no
+    ``notes`` of its own."""
+    value = data.eval_one(x)
+    st = _stationarity(data, x, value)
+    failure = st.failure(kkt_tol)
+    notes = ((failure,) if failure else ()) + notes
     return LagrangianResult(
-        value=float(value),
-        weighting=tuple(float(w) for w in x_best),
-        support=_support_size(x_best),
-        kkt_residual=float(residual),
+        value=value,
+        weighting=tuple(float(w) for w in x),
+        support=int(st.support.size),
+        kkt_residual=st.residual,
         method=method,
         certified=not notes,
-        notes=tuple(notes),
+        notes=notes,
     )
-
-
-def _support_size(x: np.ndarray) -> int:
-    return int((x > POSITIVE_EPS).sum())
-
-
-def _certify(data: _GraphData, x: np.ndarray, value: float,
-             kkt_tol: float) -> tuple[float, str]:
-    """The equal-link residual of x on its support, and the first-order
-    condition x fails within ``kkt_tol`` ('' when it fails none).
-
-    A maximum of the edge polynomial on the simplex has every link on its
-    support equal to r * value and no link above it; these two conditions
-    certify a result on every route.
-    """
-    grad = data.grad_one(x)
-    sup = np.flatnonzero(x > POSITIVE_EPS)
-    residual = float(np.abs(grad[sup] - data.r * value).max()) if sup.size else 0.0
-    if residual > kkt_tol:
-        return residual, f"equal-link residual {residual:.3g} on the support exceeds kkt_tol"
-    excess = float(grad.max()) - data.r * value
-    if excess > kkt_tol:
-        return residual, (f"link of vertex {int(grad.argmax()) + 1} exceeds "
-                          f"r * value by {excess:.3g} (first-order condition)")
-    return residual, ""
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +519,8 @@ def support_enumeration(g: RGraph, opts: SolverOptions | None = None) -> Lagrang
     an edge inside the support, size at least r) is solved by
     :func:`_best_on_faces`, the face solve that both routes of
     :func:`lagrangian` use, so it differs from them only in which faces it
-    tries.  Certified as in :func:`_certify`, and only when no more than
+    tries.  Certified by the first-order conditions of
+    :meth:`_Stationarity.failure`, and only when no more than
     ``SUPPORT_BUDGET`` vertex subsets had to be inspected.
     """
     opts = opts or SolverOptions()
@@ -526,12 +529,7 @@ def support_enumeration(g: RGraph, opts: SolverOptions | None = None) -> Lagrang
         return _empty_result(g)
     act = [int(v) + 1 for v in data.active]
 
-    adj = {v: set() for v in act}
-    for e in g.edges:
-        for i, j in combinations(e, 2):
-            adj[i].add(j)
-            adj[j].add(i)
-
+    cover = data.pair_cover()
     supports = []
     budget_hit = False
     count = 0
@@ -541,7 +539,7 @@ def support_enumeration(g: RGraph, opts: SolverOptions | None = None) -> Lagrang
             if count > SUPPORT_BUDGET:
                 budget_hit = True
                 break
-            if any(j not in adj[i] for i, j in combinations(sup, 2)):
+            if not all(cover[i - 1, j - 1] for i, j in combinations(sup, 2)):
                 continue
             sup_set = set(sup)
             inside = [e for e in g.edges if set(e) <= sup_set]
@@ -555,20 +553,8 @@ def support_enumeration(g: RGraph, opts: SolverOptions | None = None) -> Lagrang
     if found is None:
         return replace(_empty_result(g), certified=False,
                        notes=("no feasible stationary support found",))
-    val, xs = found
-    residual, failure = _certify(data, xs, val, opts.kkt_tol)
-    notes = [failure] if failure else []
-    if budget_hit:
-        notes.append("support budget exceeded; partial result")
-    return LagrangianResult(
-        value=float(val),
-        weighting=tuple(float(w) for w in xs),
-        support=_support_size(xs),
-        kkt_residual=float(residual),
-        method=METHOD_SUPPORT_ENUM,
-        certified=not notes,
-        notes=tuple(notes),
-    )
+    return _result(data, found[1], METHOD_SUPPORT_ENUM, opts.kkt_tol,
+                   ("support budget exceeded; partial result",) if budget_hit else ())
 
 
 def _best_on_faces(data: _GraphData, supports: list[tuple[int, ...]],
@@ -581,7 +567,7 @@ def _best_on_faces(data: _GraphData, supports: list[tuple[int, ...]],
     Newton from the uniform point can land on a saddle, ascent cannot go
     below its start.  The highest value wins; among values within
     ``TIE_TOL`` of it, a point that meets the first-order conditions of
-    :func:`_certify` within ``kkt_tol`` comes first, then the smaller
+    :meth:`_Stationarity.failure` within ``kkt_tol`` comes first, then the smaller
     support, then the lexicographically largest weighting.
     """
     rows = np.zeros((len(supports), data.n))
@@ -591,12 +577,12 @@ def _best_on_faces(data: _GraphData, supports: list[tuple[int, ...]],
 
     best: tuple[float, tuple, np.ndarray] | None = None  # (value, key, x)
     for k, sup in enumerate(supports):
-        xs, _res, ok = _newton_on_support(data, ascended[k], np.array(sup) - 1)
-        if not ok or xs.min() < 0:
+        xs = _newton_on_support(data, ascended[k], np.array(sup) - 1)
+        if xs is None:
             continue
         val = data.eval_one(xs)
-        fails = bool(_certify(data, xs, val, kkt_tol)[1])
-        key = (fails, _support_size(xs), [-w for w in xs])
+        st = _stationarity(data, xs, val)
+        key = (bool(st.failure(kkt_tol)), st.support.size, [-w for w in xs])
         if (best is None or val > best[0] + TIE_TOL
                 or (val >= best[0] - TIE_TOL and key < best[1])):
             best = (val, key, xs)

@@ -27,6 +27,7 @@ from laglab.solver import SolverOptions, lagrangian
 
 INEQ_TOL = 1e-7
 WITNESS_TIE = 1e-9
+T_MAX = 10  # largest t that a sweep or an enumeration accepts
 
 
 class ConfigurationError(ValueError):
@@ -361,6 +362,12 @@ def verify_cell(t: int, m: int, opts: VerifierOptions | None = None) -> Verifica
     )
 
 
+def check_t(t: int, lowest: int, name: str) -> None:
+    """Reject a t outside lowest..T_MAX, naming the argument it came from."""
+    if not lowest <= t <= T_MAX:
+        raise ValueError(f"{name} must be within {lowest}..{T_MAX}, got {t}")
+
+
 def _cell_worker(args) -> VerificationReport:
     t, m, opts = args
     return verify_cell(t, m, opts)
@@ -370,8 +377,7 @@ def sweep(t_max: int, opts: VerifierOptions | None = None,
           workers: int = 1) -> list[VerificationReport]:
     """Run every cell for 4 <= t <= t_max; deterministic (t, m) order."""
     opts = opts or VerifierOptions()
-    if not 4 <= t_max <= 8:
-        raise ValueError(f"t_max must be within 4..8, got {t_max}")
+    check_t(t_max, 4, "t_max")
     cells = [(t, m, opts) for t in range(4, t_max + 1) for m in cell_window(t)]
     if workers <= 1:
         return [_cell_worker(c) for c in cells]

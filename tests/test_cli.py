@@ -130,6 +130,14 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--t", "4", "--m", "99")
         assert code == 1
 
+    def test_t_range_shared_with_sweep(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--t", "9", "--m", "77")
+        assert code == 0
+        assert out.splitlines()[0] == "9"
+        code, _, err = run(capsys, "enumerate", "--t", "11", "--m", "120")
+        assert code == 1
+        assert "3..10" in err
+
 
 class TestSweep:
     def test_t4_files_and_exit(self, capsys, tmp_path):
@@ -155,7 +163,7 @@ class TestSweep:
         assert len(lines) == 5
 
     def test_bad_t_max_exit_1(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "sweep", "--t-max", "9",
+        code, _, _ = run(capsys, "sweep", "--t-max", "11",
                          "--out", str(tmp_path / "s"))
         assert code == 1
 

@@ -421,6 +421,25 @@ class TestKKT:
         assert rep.residual <= 1e-14
         assert rep.support == (1, 2, 3)
 
+    def test_link_excess_off_support(self):
+        # a face point of K_4^(3): vertex 4's link 1/3 exceeds 3 * 1/27
+        rep = kkt_check(RGraph.complete(3, 4), [1 / 3, 1 / 3, 1 / 3, 0.0], 1 / 27)
+        assert rep.residual == 0.0
+        assert rep.link_excess == pytest.approx(2 / 9, abs=1e-15)
+
+    @pytest.mark.parametrize("kkt_tol", [1e-8, 1e-16])
+    def test_report_agrees_with_certificate(self, kkt_tol):
+        opts = SolverOptions(kkt_tol=kkt_tol, cross_check=False)
+        graphs = [RGraph.complete(3, 4), RGraph.from_edges(3, [(1, 2, 3)], n=4),
+                  build_configuration(ConfigurationSpec("lemma3.5", 6))]
+        graphs += [g for m in cell_window(5) for g in enumerate_left_compressed(5, m)]
+        for g in graphs:
+            res = lagrangian(g, opts)
+            rep = kkt_check(g, res.weighting, res.value)
+            assert rep.residual == res.kkt_residual
+            assert len(rep.support) == res.support
+            assert (rep.residual <= kkt_tol and rep.link_excess <= kkt_tol) == res.certified
+
     def test_lemma35_eq2_holds_at_solver_output(self):
         g = build_configuration(ConfigurationSpec("lemma3.5", 6))
         res = lagrangian(g)

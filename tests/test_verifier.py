@@ -173,6 +173,22 @@ class TestCells:
                 parse_edge_list(w).edges == colex.edges for w in rep.witnesses
             )
 
+    def test_cell_9_77_last_plateau_cell(self):
+        # m = C(8,3) + C(7,2): five of the nine graphs tie colex at
+        # lambda(K_8^(3)), all on support 8
+        rep = verify_cell(9, 77)
+        assert rep.graph_count == 9
+        assert rep.all_pass and rep.uncertified == 0
+        assert rep.witness_supports == (8,) * 5
+        colex = build_colex_graph(3, 77).with_n(9)
+        assert any(parse_edge_list(w).edges == colex.edges for w in rep.witnesses)
+
+    @pytest.mark.slow
+    def test_cell_9_56_largest_t9_cell(self):
+        rep = verify_cell(9, 56)
+        assert rep.graph_count == 379
+        assert rep.all_pass and rep.uncertified == 0
+
     def test_max_never_below_colex(self):
         for m in cell_window(5):
             rep = verify_cell(5, m)
@@ -204,7 +220,7 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(3)
         with pytest.raises(ValueError):
-            sweep(9)
+            sweep(11)
 
     def test_corollary_m_range_at_t6(self, sweep6_reports):
         # all left-compressed graphs with C(6,3)-6 <= m <= C(6,3)-3 stay below
