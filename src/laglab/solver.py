@@ -8,12 +8,18 @@ ascent from many starts and hand the supports it reveals to the same face
 solve.  Results carry a KKT residual and a certification flag; an exhaustive
 support-enumeration path, again through the face solve, provides a
 cross-check for small graphs.
+
+The face solve is batched: graphs that share r, n and m (one cell) stack
+their edges, each (graph, face) pair is one weight row, and each ascent or
+Newton step is one numpy call over all rows.  No row's arithmetic depends on
+the rows beside it, so :func:`lagrangians` on a cell gives exactly what
+:func:`lagrangian` gives on each graph alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +34,8 @@ CROSS_CHECK_MAX_ACTIVE = 6  # largest active vertex count given the cross-check
 SUPPORT_BUDGET = 20_000  # vertex subsets support enumeration may inspect
 NEWTON_ITERS = 60  # Newton steps per support round
 ASCENT_ITERS = 300  # multiplicative ascent steps per start or face
+CHUNK_ROWS = 256  # weight rows per batched face solve, in whole graphs
+_HALVINGS = 0.5 ** np.arange(40)  # damped Newton step lengths, longest first
 
 # route names kept from earlier solvers for report and benchmark compatibility
 METHOD_SYMMETRY = "symmetry_reduced"
@@ -88,74 +96,89 @@ class KKTReport:
 
 
 # ---------------------------------------------------------------------------
-# Prepared arrays
+# Batched kernels on weight rows
 # ---------------------------------------------------------------------------
 
 class _GraphData:
-    def __init__(self, g: RGraph):
-        self.graph = g
-        self.r = g.r
-        self.n = g.n
-        self.m = g.m
-        edges = g.sorted_edges()
-        self.e0 = (
-            np.array(edges, dtype=np.intp) - 1
-            if edges
-            else np.zeros((0, g.r), dtype=np.intp)
-        )
-        # one-hot (m, n) scatter matrices per edge position
-        self.pos = []
-        for p in range(g.r):
-            mat = np.zeros((self.m, g.n))
-            mat[np.arange(self.m), self.e0[:, p]] = 1.0
-            self.pos.append(mat)
-        self.active = np.flatnonzero(np.bincount(self.e0.ravel(), minlength=g.n))
+    """Edges of graphs that share r, n and m, stacked as one (r, G, m) array
+    of 0-based vertices, one (G, m) layer per edge position; kernels run on
+    weight rows through :meth:`rows`."""
 
-    def eval_rows(self, x_rows: np.ndarray) -> np.ndarray:
-        cols = x_rows[:, self.e0[:, 0]]
-        for p in range(1, self.r):
-            cols = cols * x_rows[:, self.e0[:, p]]
-        return cols.sum(axis=1)
+    def __init__(self, graphs: list[RGraph]):
+        g = graphs[0]
+        if any((h.r, h.n, h.m) != (g.r, g.n, g.m) for h in graphs):
+            raise ValueError("stacked graphs must share r, n and m")
+        self.graphs = graphs
+        self.r, self.n, self.m = g.r, g.n, g.m
+        edges = np.array([h.sorted_edges() for h in graphs], dtype=np.intp)
+        self.vert = edges.reshape(len(graphs), g.m, g.r).transpose(2, 0, 1).copy() - 1
+        self.active = [np.flatnonzero(np.bincount(self.vert[:, k].ravel(), minlength=g.n))
+                       for k in range(len(graphs))]
 
-    def grad_rows(self, x_rows: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x_rows)
-        gathered = [x_rows[:, self.e0[:, p]] for p in range(self.r)]
-        for p in range(self.r):
-            part = None
-            for q in range(self.r):
-                if q == p:
-                    continue
-                part = gathered[q] if part is None else part * gathered[q]
-            out += part @ self.pos[p]
+    def rows(self, owner=(0,), support: np.ndarray | None = None) -> _Rows:
+        return _Rows(self, np.asarray(owner, dtype=np.intp), support)
+
+
+def _products(cols: np.ndarray, k: int) -> np.ndarray:
+    """For each k-set of edge positions, in :func:`combinations` order, the
+    elementwise product of the gathered positions ``cols[p]`` outside it."""
+    skips = list(combinations(range(len(cols)), k))
+    out = np.ones((len(skips),) + cols.shape[1:])
+    for row, skip in zip(out, skips):
+        for p in range(len(cols)):
+            if p not in skip:
+                row *= cols[p]
+    return out
+
+
+class _Rows:
+    """Kernels on weight rows x (R, n), or one row as a vector: row i weights
+    graph ``owner[i]`` and is zero off ``support[i]`` (a boolean mask), so
+    only edges inside the support enter its sums; the others would add exact
+    zeros.  Gathers and scatters use flat indices into x and every sum runs
+    in edge order within its row, so no row depends on the rows beside it."""
+
+    def __init__(self, data: _GraphData, owner: np.ndarray,
+                 support: np.ndarray | None = None):
+        self.shape = (owner.size, data.n)
+        vert = np.take(data.vert, owner, axis=1).reshape(data.r, -1)  # (r, R * m)
+        self.row = np.repeat(np.arange(owner.size), data.m)
+        if support is not None:
+            inside = support[self.row, vert].all(axis=0)
+            self.row, vert = self.row[inside], np.compress(inside, vert, axis=1)
+        self.flat = self.row * data.n + vert  # (r, N) indices into x.ravel()
+
+    def subset(self, keep: np.ndarray) -> _Rows:
+        """The kernels of the rows where ``keep`` holds, in order."""
+        out = object.__new__(_Rows)
+        out.shape = (int(keep.sum()), self.shape[1])
+        sel = keep[self.row]
+        out.row = (np.cumsum(keep) - 1)[self.row[sel]]
+        shift = (self.row[sel] - out.row) * self.shape[1]
+        out.flat = np.compress(sel, self.flat, axis=1) - shift
         return out
 
-    def eval_one(self, x: np.ndarray) -> float:
-        return float(self.eval_rows(x[None, :])[0])
+    def eval(self, x: np.ndarray) -> np.ndarray:
+        monomials = _products(x.ravel()[self.flat], 0)[0]
+        return np.bincount(self.row, monomials, minlength=self.shape[0])
 
-    def grad_one(self, x: np.ndarray) -> np.ndarray:
-        return self.grad_rows(x[None, :])[0]
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        parts = _products(x.ravel()[self.flat], 1)
+        return np.bincount(self.flat.ravel(), parts.ravel(),
+                           minlength=x.size).reshape(x.shape)
 
-    def pair_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of pair-link values: entry (i, j) is the pair link at {i+1, j+1}."""
-        h = np.zeros((self.n, self.n))
-        for p in range(self.r):
-            for q in range(p + 1, self.r):
-                part = np.ones(self.m)
-                for s in range(self.r):
-                    if s != p and s != q:
-                        part = part * x[self.e0[:, s]]
-                np.add.at(h, (self.e0[:, p], self.e0[:, q]), part)
-        return h + h.T
+    def pair(self, x: np.ndarray) -> np.ndarray:
+        """Pair-link matrices (R, n, n): entry (i, j) of a row's matrix is the
+        pair link at {i+1, j+1}."""
+        size, n = self.shape
+        cols, vert = x.ravel()[self.flat], self.flat - self.row * n
+        idx = [self.row * n * n + vert[p] * n + vert[q]
+               for p, q in combinations(range(len(cols)), 2)]
+        parts = _products(cols, 2)
+        h = np.bincount(np.concatenate(idx), parts.ravel(),
+                        minlength=size * n * n).reshape(size, n, n)
+        return h + h.transpose(0, 2, 1)
 
-    def pair_cover(self) -> np.ndarray:
-        """Entry (i, j) is True when some edge holds vertices i+1 and j+1:
-        the pair matrix at x = 1 counts the edges through each pair."""
-        return self.pair_matrix(np.ones(self.n)) > 0
-
-
-# ---------------------------------------------------------------------------
-# Elementary operations
-# ---------------------------------------------------------------------------
 
 def _as_vector(g: RGraph, x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
@@ -181,7 +204,7 @@ def check_legal_weighting(x) -> np.ndarray:
 
 def evaluate(g: RGraph, x) -> float:
     """The edge-monomial sum at a weight vector (0 for the empty graph)."""
-    return _GraphData(g).eval_one(_as_vector(g, x))
+    return float(_GraphData([g]).rows().eval(_as_vector(g, x))[0])
 
 
 def link_value(g: RGraph, i: int, x) -> float:
@@ -193,69 +216,104 @@ def link_value(g: RGraph, i: int, x) -> float:
 
 def link_values(g: RGraph, x) -> np.ndarray:
     """Vector of link weights for every vertex (the gradient)."""
-    return _GraphData(g).grad_one(_as_vector(g, x))
+    return _GraphData([g]).rows().grad(_as_vector(g, x))
 
 
 # ---------------------------------------------------------------------------
-# Newton refinement of the equal-link system on a support
+# Newton refinement of the equal-link system, one row per face
 # ---------------------------------------------------------------------------
 
-def _newton_on_support(data: _GraphData, x0: np.ndarray,
-                       support: np.ndarray) -> np.ndarray | None:
-    """Solve equal link values on the support; None when no solve succeeds.
+def _seed_rows(x0: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """x0 clipped at zero on each row's support and rescaled (uniform there
+    when nothing positive is left): the start of a Newton round."""
+    seed = np.where(sup, np.maximum(x0, 0.0), 0.0)
+    empty = seed.sum(axis=1) <= 0
+    seed[empty] = sup[empty]
+    return seed / seed.sum(axis=1, keepdims=True)
 
-    The system is: link(i) = mu for i in the support, weights sum to 1,
-    off-support weights zero.  Steps are halved until no weight falls below
-    -1e-9; when 40 halvings do not suffice, the iteration stops there.
-    Vertices left at zero are dropped (active-set style) and the iteration
-    restarts on the smaller support.
-    """
-    sup = np.array(sorted(int(v) for v in support), dtype=np.intp)
-    for _round in range(max(1, len(sup))):
-        if sup.size == 0:
-            return None
-        x = np.zeros(data.n)
-        seed_vals = np.maximum(x0[sup], 0.0)
-        if seed_vals.sum() <= 0:
-            seed_vals = np.ones(sup.size)
-        x[sup] = seed_vals / seed_vals.sum()
-        mu = float(data.grad_one(x)[sup].mean())
-        ok = False
-        for _it in range(NEWTON_ITERS):
-            grad = data.grad_one(x)[sup]
-            res = np.concatenate([grad - mu, [x[sup].sum() - 1.0]])
-            if np.abs(res).max() < 1e-14:
-                ok = True
-                break
-            h = data.pair_matrix(x)[np.ix_(sup, sup)]
-            jac = np.zeros((sup.size + 1, sup.size + 1))
-            jac[: sup.size, : sup.size] = h
-            jac[: sup.size, sup.size] = -1.0
-            jac[sup.size, : sup.size] = 1.0
+
+def _solve_rows(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked linear solve and the mask of rows solved.  One singular matrix
+    makes the stacked call raise, so only then is each row solved alone."""
+    try:
+        return np.linalg.solve(jac, rhs[:, :, None])[:, :, 0], np.ones(len(jac), bool)
+    except np.linalg.LinAlgError:
+        out, ok = np.zeros_like(rhs), np.ones(len(jac), bool)
+        for k in range(len(jac)):
             try:
-                delta = np.linalg.solve(jac, -res)
+                out[k] = np.linalg.solve(jac[k], rhs[k])
             except np.linalg.LinAlgError:
-                return None
-            step = 1.0
-            dx = delta[: sup.size]
-            for _damp in range(40):
-                if (x[sup] + step * dx).min() >= -1e-9:
-                    break
-                step *= 0.5
-            else:  # no step stays on the simplex: drop the vertices at zero
-                break
-            x[sup] = x[sup] + step * dx
-            mu += step * float(delta[sup.size])
-        neg = sup[x[sup] < POSITIVE_EPS]
-        if neg.size == 0:
-            return np.maximum(x, 0.0) if ok else None
-        sup = np.setdiff1d(sup, neg)
-    return None
+                ok[k] = False
+        return out, ok
 
 
-# ---------------------------------------------------------------------------
-# Symmetry classes for left-compressed graphs
-# ---------------------------------------------------------------------------
+def _newton_rows(data: _GraphData, owner: np.ndarray, x0: np.ndarray,
+                 faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve equal link values on each row's face (a boolean mask); returns
+    the points (zero rows where unsolved) and the mask of rows solved.
+
+    A row's system: link(i) = mu on its support, weights sum to 1, weights
+    off it zero; all rows take one stacked Newton step at a time, with
+    identity rows off each support.  A row's round ends when its residual is
+    below 1e-14 (converged), after ``NEWTON_ITERS`` steps, or when no step
+    halved up to 39 times keeps every weight above -1e-9.  Vertices then
+    below ``POSITIVE_EPS`` are dropped (active-set style) and the row
+    restarts on the smaller support, at most once per vertex of its face.  A
+    row is solved when a round converges with nothing to drop; a singular
+    system fails its row."""
+    n = data.n
+    out, solved = np.zeros_like(x0), np.zeros(len(x0), bool)
+    # the rows still iterating: index, support, rounds left, point, mu, steps
+    row, sup = np.arange(len(x0)), faces.copy()
+    rounds, x = np.maximum(1, sup.sum(axis=1)), _seed_rows(x0, sup)
+    mu, steps = np.zeros(len(x)), np.zeros(len(x), dtype=np.intp)
+    fresh = np.ones(len(x), bool)  # rounds that start: mu is the mean link
+    block = data.rows(owner, sup)
+    while row.size:
+        grad, sf = block.grad(x), sup.astype(float)
+        mu = np.where(fresh, (grad * sf).sum(axis=1) / sf.sum(axis=1), mu)
+        fresh[:] = False
+        res, gap = (grad - mu[:, None]) * sf, x.sum(axis=1) - 1.0
+        conv = np.maximum(np.abs(res).max(axis=1), np.abs(gap)) < 1e-14
+        go = np.flatnonzero(~conv)
+        s, jac = sf[go], np.zeros((go.size, n + 1, n + 1))
+        jac[:, :n, :n] = block.pair(x)[go] * (s[:, :, None] * s[:, None, :])
+        jac[:, np.arange(n), np.arange(n)] += 1.0 - s
+        jac[:, :n, n], jac[:, n, :n] = -s, s
+        delta, ok = _solve_rows(jac, -np.concatenate([res[go], gap[go, None]], axis=1))
+        dx, step = delta[:, :n] * s, np.ones(go.size)
+        blocked = ok & ((x[go] + dx).min(axis=1) < -1e-9)
+        if blocked.any():  # the longest halved step that stays on the simplex
+            b = np.flatnonzero(blocked)
+            fits = (x[go[b], None, :] + _HALVINGS[:, None] * dx[b, None, :]
+                    ).min(axis=2) >= -1e-9
+            step[b], blocked[b] = _HALVINGS[fits.argmax(axis=1)], ~fits.any(axis=1)
+        moved = ok & ~blocked
+        x[go[moved]] += step[moved, None] * dx[moved]
+        mu[go[moved]] += step[moved] * delta[moved, n]
+        steps[go[moved]] += 1
+        ended = conv | (steps >= NEWTON_ITERS)
+        ended[go[blocked]] = True
+        rounds[go[~ok]] = 0  # a singular system fails its row
+        if not ended.any() and ok.all():
+            continue
+
+        # rounds that ended: solved, failed, or restarted on a smaller support
+        drop = ended[:, None] & sup & (x < POSITIVE_EPS)
+        restart = drop.any(axis=1)
+        won = conv & ~restart
+        out[row[won]], solved[row[won]] = np.maximum(x[won], 0.0), True
+        rounds -= restart
+        sup &= ~drop
+        restart &= (rounds > 0) & sup.any(axis=1)
+        x[restart] = _seed_rows(x0[row[restart]], sup[restart])
+        steps[restart], fresh[restart] = 0, True
+        keep = (~ended | restart) & (rounds > 0)
+        row, sup, rounds, x, mu, steps, fresh = (
+            a[keep] for a in (row, sup, rounds, x, mu, steps, fresh))
+        block = block.subset(keep)  # restarted rows keep edges that now add zeros
+    return out, solved
+
 
 def symmetry_classes(g: RGraph) -> list[list[int]]:
     """Group consecutive vertices with empty difference link into classes.
@@ -266,16 +324,12 @@ def symmetry_classes(g: RGraph) -> list[list[int]]:
     """
     if not is_left_compressed(g):
         raise ValueError("symmetry classes require a left-compressed graph")
-    classes: list[list[int]] = []
-    current = [1] if g.n >= 1 else []
+    classes = [[1]] if g.n else []
     for i in range(1, g.n):
         if difference_link(g, i, i + 1):
-            classes.append(current)
-            current = [i + 1]
+            classes.append([i + 1])
         else:
-            current.append(i + 1)
-    if current:
-        classes.append(current)
+            classes[-1].append(i + 1)
     return classes
 
 
@@ -307,12 +361,13 @@ class _Stationarity(NamedTuple):
         return ""
 
 
-def _stationarity(data: _GraphData, x: np.ndarray, value: float) -> _Stationarity:
-    """The one stationarity computation: certification on every route and
-    :func:`kkt_check` read it, so they agree on support and residual."""
-    grad = data.grad_one(x)
+def _stationarity(r: int, grad: np.ndarray, x: np.ndarray,
+                  value: float) -> _Stationarity:
+    """The one stationarity computation, from the gradient at x: certification
+    on every route and :func:`kkt_check` read it, so they agree on support and
+    residual."""
     sup = np.flatnonzero(x > POSITIVE_EPS)
-    target = data.r * value
+    target = r * value
     residual = float(np.abs(grad[sup] - target).max()) if sup.size else 0.0
     return _Stationarity(grad, sup, residual, float(grad.max() - target))
 
@@ -323,22 +378,17 @@ def kkt_check(g: RGraph, x, value: float) -> KKTReport:
     certification tests, whether an edge covers every pair of the support,
     and (for left-compressed graphs) the difference-link identity residual."""
     arr = check_legal_weighting(_as_vector(g, x))
-    data = _GraphData(g)
-    st = _stationarity(data, arr, value)
+    one = _GraphData([g]).rows()
+    st = _stationarity(g.r, one.grad(arr), arr, value)
     support = tuple(int(i) + 1 for i in st.support)
-    cover = data.pair_cover()
+    cover = one.pair(np.ones(g.n))[0] > 0  # some edge holds both vertices
     eq2 = None
     if is_left_compressed(g):
         eq2 = 0.0
-        pm = data.pair_matrix(arr)
+        pm = one.pair(arr)[0]
         for i, j in combinations(support, 2):
             lhs = (arr[i - 1] - arr[j - 1]) * pm[i - 1, j - 1]
-            rhs = 0.0
-            for a in difference_link(g, i, j):
-                p = 1.0
-                for v in a:
-                    p *= arr[v - 1]
-                rhs += p
+            rhs = sum(np.prod([arr[v - 1] for v in a]) for a in difference_link(g, i, j))
             eq2 = max(eq2, abs(lhs - rhs))
     return KKTReport(
         residual=st.residual,
@@ -354,14 +404,15 @@ def kkt_check(g: RGraph, x, value: float) -> KKTReport:
 # The main solver
 # ---------------------------------------------------------------------------
 
-def _empty_result(g: RGraph) -> LagrangianResult:
+def _empty_result(g: RGraph, method: str) -> LagrangianResult:
+    """Value 0 at the uniform weighting; support counted as :func:`kkt_check` does."""
     weighting = tuple([1.0 / g.n] * g.n) if g.n else ()
     return LagrangianResult(
         value=0.0,
         weighting=weighting,
-        support=0,
+        support=sum(w > POSITIVE_EPS for w in weighting),
         kkt_residual=0.0,
-        method=METHOD_MULTISTART,
+        method=method,
         certified=True,
         notes=("empty graph",),
     )
@@ -377,42 +428,49 @@ def _candidate_supports(x: np.ndarray) -> list[tuple[int, ...]]:
 
 
 def _multistart(data: _GraphData, opts: SolverOptions) -> np.ndarray:
-    """Best point of the multistart route.
-
-    The uniform point of the active vertices and ``opts.starts`` Dirichlet
-    random points on them climb by multiplicative ascent; the candidate
-    supports of the two best end points go to :func:`_best_on_faces`.  The
-    best end point itself is returned when no face yields a point or when it
-    lies more than ``TIE_TOL`` above the face solution (a flat optimal set
-    can leave Newton's Jacobian singular on the face that holds it).
-    """
+    """Best point of the multistart route: the uniform point of the active
+    vertices and ``opts.starts`` Dirichlet random points on them climb by
+    multiplicative ascent, and the candidate supports of the two best end
+    points go to :func:`_best_on_faces`.  The best end point itself is
+    returned when no face yields a point or when it lies more than
+    ``TIE_TOL`` above the face solution (a flat optimal set can leave
+    Newton's Jacobian singular on the face that holds it)."""
     rng = np.random.default_rng(
-        [opts.seed & 0xFFFFFFFFFFFFFFFF, data.graph.canonical_hash()]
+        [opts.seed & 0xFFFFFFFFFFFFFFFF, data.graphs[0].canonical_hash()]
     )
-    act = data.active
+    act = data.active[0]
     starts = np.zeros((opts.starts + 1, data.n))
     starts[0, act] = 1.0 / act.size
     starts[1:, act] = rng.dirichlet(np.ones(act.size), size=opts.starts)
-    ends = _replicator_rows(data, starts)
-    end_vals = data.eval_rows(ends)
+    owner = np.zeros(len(starts), dtype=np.intp)
+    ends = _replicator_rows(data, owner, starts)
+    end_vals = data.rows(owner).eval(ends)
     order = np.argsort(-end_vals, kind="stable")
     faces = list(dict.fromkeys(
         face for idx in order[:2] for face in _candidate_supports(ends[idx])
     ))
-    found = _best_on_faces(data, faces, opts.kkt_tol)
+    found = _best_on_faces(data, [faces], opts.kkt_tol)[0]
     if found is None or end_vals[order[0]] > found[0] + TIE_TOL:
         return ends[order[0]]
     return found[1]
 
 
 def lagrangian(g: RGraph, opts: SolverOptions | None = None) -> LagrangianResult:
-    """Maximize the edge polynomial of g over the simplex.
+    """Maximize the edge polynomial of g over the simplex: :func:`lagrangians`
+    on the one graph."""
+    return lagrangians([g], opts)[0]
+
+
+def lagrangians(graphs: list[RGraph],
+                opts: SolverOptions | None = None) -> list[LagrangianResult]:
+    """Maximize the edge polynomial of each of ``graphs`` (which share r, n
+    and m: one cell) over the simplex; each result equals :func:`lagrangian`
+    of its graph alone.
 
     A left-compressed graph has a non-increasing optimal weighting, so its
-    prefix faces [r], [r+1], ... up to the active vertices are solved by
-    :func:`_best_on_faces` (method ``symmetry_reduced``).  Other graphs go
-    through :func:`_multistart` (method ``multistart_gradient``), which
-    picks its faces from random starts and solves them the same way.
+    prefix faces [r], [r+1], ... up to the active vertices are solved, for
+    all graphs by one :func:`_best_on_faces` (method ``symmetry_reduced``).
+    Other graphs go through :func:`_multistart` (``multistart_gradient``).
     ``certified`` requires the first-order conditions of
     :meth:`_Stationarity.failure` within ``opts.kkt_tol`` and (for graphs
     with at most ``CROSS_CHECK_MAX_ACTIVE`` active vertices, when
@@ -420,36 +478,43 @@ def lagrangian(g: RGraph, opts: SolverOptions | None = None) -> LagrangianResult
     within 1e-8.
     """
     opts = opts or SolverOptions()
-    data = _GraphData(g)
-    if data.m == 0:
-        return _empty_result(g)
+    if not graphs:
+        return []
+    data = _GraphData(list(graphs))
+    if data.m == 0:  # an empty graph is left-compressed
+        return [_empty_result(g, METHOD_SYMMETRY) for g in data.graphs]
 
-    if is_left_compressed(g):
-        # the active vertices form a prefix and [r] is an edge, whose face
-        # always has a solution
-        faces = [tuple(range(1, k + 1)) for k in range(g.r, data.active.size + 1)]
-        x_best = _best_on_faces(data, faces, opts.kkt_tol)[1]
-        method = METHOD_SYMMETRY
-    else:
-        x_best = _multistart(data, opts)
-        method = METHOD_MULTISTART
+    prefix = [is_left_compressed(g) for g in data.graphs]
+    # the active vertices of a left-compressed graph form a prefix and [r] is
+    # an edge, whose face always has a solution
+    found = _best_on_faces(data, [
+        [tuple(range(1, k + 1)) for k in range(data.r, act.size + 1)] if lc else []
+        for lc, act in zip(prefix, data.active)], opts.kkt_tol)
+    results = []
+    for k, g in enumerate(data.graphs):
+        if prefix[k]:
+            res = _result(data, k, found[k][1], METHOD_SYMMETRY, opts.kkt_tol)
+        else:
+            one = _GraphData([g])
+            res = _result(one, 0, _multistart(one, opts), METHOD_MULTISTART, opts.kkt_tol)
+        if (res.certified and opts.cross_check
+                and data.active[k].size <= CROSS_CHECK_MAX_ACTIVE):
+            se = support_enumeration(g, opts=opts)
+            if abs(se.value - res.value) > 1e-8:
+                res = replace(res, certified=False, notes=(
+                    f"support enumeration disagrees: {se.value!r} vs {res.value!r}",))
+        results.append(res)
+    return results
 
-    res = _result(data, x_best, method, opts.kkt_tol)
-    if res.certified and opts.cross_check and data.active.size <= CROSS_CHECK_MAX_ACTIVE:
-        se = support_enumeration(g, opts=opts)
-        if abs(se.value - res.value) > 1e-8:
-            res = replace(res, certified=False, notes=(
-                f"support enumeration disagrees: {se.value!r} vs {res.value!r}",))
-    return res
 
-
-def _result(data: _GraphData, x: np.ndarray, method: str, kkt_tol: float,
+def _result(data: _GraphData, k: int, x: np.ndarray, method: str, kkt_tol: float,
             notes: tuple[str, ...] = ()) -> LagrangianResult:
-    """The result at x from its stationarity report: certified when x meets
-    the first-order conditions within ``kkt_tol`` and the route adds no
-    ``notes`` of its own."""
-    value = data.eval_one(x)
-    st = _stationarity(data, x, value)
+    """The result of graph ``k`` at x from its stationarity report: certified
+    when x meets the first-order conditions within ``kkt_tol`` and the route
+    adds no ``notes`` of its own."""
+    one = data.rows([k])
+    value = float(one.eval(x)[0])
+    st = _stationarity(data.r, one.grad(x), x, value)
     failure = st.failure(kkt_tol)
     notes = ((failure,) if failure else ()) + notes
     return LagrangianResult(
@@ -524,90 +589,91 @@ def support_enumeration(g: RGraph, opts: SolverOptions | None = None) -> Lagrang
     ``SUPPORT_BUDGET`` vertex subsets had to be inspected.
     """
     opts = opts or SolverOptions()
-    data = _GraphData(g)
+    data = _GraphData([g])
     if data.m == 0:
-        return _empty_result(g)
-    act = [int(v) + 1 for v in data.active]
+        return _empty_result(g, METHOD_SUPPORT_ENUM)
+    act = [int(v) + 1 for v in data.active[0]]
 
-    cover = data.pair_cover()
-    supports = []
-    budget_hit = False
-    count = 0
-    for size in range(g.r, len(act) + 1):
-        for sup in combinations(act, size):
-            count += 1
-            if count > SUPPORT_BUDGET:
-                budget_hit = True
-                break
-            if not all(cover[i - 1, j - 1] for i, j in combinations(sup, 2)):
-                continue
-            sup_set = set(sup)
-            inside = [e for e in g.edges if set(e) <= sup_set]
-            if set(v for e in inside for v in e) != sup_set:
-                continue
-            supports.append(sup)
-        if budget_hit:
-            break
+    cover = data.rows().pair(np.ones(g.n))[0] > 0
+    subsets = list(islice((sup for size in range(g.r, len(act) + 1)
+                           for sup in combinations(act, size)), SUPPORT_BUDGET + 1))
+    budget_hit = len(subsets) > SUPPORT_BUDGET
+    supports = [
+        sup for sup in subsets[:SUPPORT_BUDGET]
+        if all(cover[i - 1, j - 1] for i, j in combinations(sup, 2))
+        and {v for e in g.edges if set(e) <= set(sup) for v in e} == set(sup)]
 
-    found = _best_on_faces(data, supports, opts.kkt_tol)
+    found = _best_on_faces(data, [supports], opts.kkt_tol)[0]
     if found is None:
-        return replace(_empty_result(g), certified=False,
+        return replace(_empty_result(g, METHOD_SUPPORT_ENUM), certified=False,
                        notes=("no feasible stationary support found",))
-    return _result(data, found[1], METHOD_SUPPORT_ENUM, opts.kkt_tol,
+    return _result(data, 0, found[1], METHOD_SUPPORT_ENUM, opts.kkt_tol,
                    ("support budget exceeded; partial result",) if budget_hit else ())
 
 
-def _best_on_faces(data: _GraphData, supports: list[tuple[int, ...]],
-                   kkt_tol: float) -> tuple[float, np.ndarray] | None:
-    """Best stationary point over the faces spanned by ``supports`` (tuples
-    of 1-based vertices); None when no face yields one.
+def _best_on_faces(data: _GraphData, faces: list[list[tuple[int, ...]]],
+                   kkt_tol: float) -> list[tuple[float, np.ndarray] | None]:
+    """Per graph k of ``data``, the best stationary point (value, x) over the
+    faces spanned by ``faces[k]`` (tuples of 1-based vertices); None when no
+    face yields one.
 
     Each face gets a monotone multiplicative ascent from its uniform point,
-    batched across faces, then a Newton solve of its equal-link system; plain
-    Newton from the uniform point can land on a saddle, ascent cannot go
-    below its start.  The highest value wins; among values within
-    ``TIE_TOL`` of it, a point that meets the first-order conditions of
-    :meth:`_Stationarity.failure` within ``kkt_tol`` comes first, then the smaller
+    then a Newton solve of its equal-link system; plain Newton from the
+    uniform point can land on a saddle, ascent cannot go below its start.
+    Each (graph, face) pair is one row; graphs whose first row falls in one
+    window of ``CHUNK_ROWS`` rows go through together.  The highest value
+    wins; among values within ``TIE_TOL`` of it, a point that meets the
+    first-order conditions within ``kkt_tol`` comes first, then the smaller
     support, then the lexicographically largest weighting.
     """
-    rows = np.zeros((len(supports), data.n))
-    for k, sup in enumerate(supports):
-        rows[k, [v - 1 for v in sup]] = 1.0 / len(sup)
-    ascended = _replicator_rows(data, rows)
+    best: list[tuple[float, tuple, np.ndarray] | None] = [None] * len(faces)  # (value, key, x)
+    sizes = np.array([len(f) for f in faces])
+    window = (np.cumsum(sizes) - sizes) // CHUNK_ROWS
+    for w in dict.fromkeys(window[sizes > 0].tolist()):
+        chunk = np.flatnonzero((window == w) & (sizes > 0))
+        owner = np.repeat(chunk, sizes[chunk])
+        mask = np.zeros((owner.size, data.n), dtype=bool)
+        for row, face in enumerate(face for k in chunk for face in faces[k]):
+            mask[row, [v - 1 for v in face]] = True
+        ascended = _replicator_rows(data, owner, mask / mask.sum(axis=1, keepdims=True))
+        xs, solved = _newton_rows(data, owner, ascended, mask)
+        rows = np.flatnonzero(solved)
+        block = data.rows(owner[rows])
+        for row, val, grad in zip(rows, block.eval(xs[rows]), block.grad(xs[rows])):
+            k, x, val = owner[row], xs[row], float(val)
+            st = _stationarity(data.r, grad, x, val)
+            key = (bool(st.failure(kkt_tol)), st.support.size, [-w for w in x])
+            if (best[k] is None or val > best[k][0] + TIE_TOL
+                    or (val >= best[k][0] - TIE_TOL and key < best[k][1])):
+                best[k] = (val, key, x)
+    return [None if b is None else (b[0], b[2]) for b in best]
 
-    best: tuple[float, tuple, np.ndarray] | None = None  # (value, key, x)
-    for k, sup in enumerate(supports):
-        xs = _newton_on_support(data, ascended[k], np.array(sup) - 1)
-        if xs is None:
-            continue
-        val = data.eval_one(xs)
-        st = _stationarity(data, xs, val)
-        key = (bool(st.failure(kkt_tol)), st.support.size, [-w for w in xs])
-        if (best is None or val > best[0] + TIE_TOL
-                or (val >= best[0] - TIE_TOL and key < best[1])):
-            best = (val, key, xs)
-    return None if best is None else (best[0], best[2])
 
-
-def _replicator_rows(data: _GraphData, rows: np.ndarray) -> np.ndarray:
+def _replicator_rows(data: _GraphData, owner: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Batched multiplicative-update ascent x <- x * grad / (r * value).
 
     Supports are invariant under the update and the value never decreases,
     so each row climbs within its own face of the simplex.  Rows whose value
-    hits zero are left unchanged.
+    hits zero are left unchanged.  The rows of one graph (consecutive in
+    ``owner``) stop together, after the first step that moves none of them
+    by 1e-13 or more.
     """
     x = rows.copy()
+    live, xl = np.arange(len(x)), x  # rows still climbing
+    block = data.rows(owner, x > 0)
+    first = np.flatnonzero(np.diff(owner, prepend=-1))  # each graph's first row
     for _ in range(ASCENT_ITERS):
-        grad = data.grad_rows(x)
-        new = x * grad
+        new = xl * block.grad(xl)
         totals = new.sum(axis=1, keepdims=True)
-        alive = totals[:, 0] > 0
-        if not alive.any():
-            break
-        new[alive] /= totals[alive]
-        new[~alive] = x[~alive]
-        if np.abs(new - x).max() < 1e-13:
-            x = new
-            break
-        x = new
+        new = np.divide(new, totals, out=xl.copy(), where=totals > 0)
+        moved = np.maximum.reduceat(np.abs(new - xl).max(axis=1), first) >= 1e-13
+        xl = new
+        if not moved.all():
+            x[live] = xl
+            keep = np.repeat(moved, np.diff(first, append=live.size))
+            live, xl, block = live[keep], xl[keep], block.subset(keep)
+            if not live.size:
+                break
+            first = np.flatnonzero(np.diff(owner[live], prepend=-1))
+    x[live] = xl
     return x

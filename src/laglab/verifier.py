@@ -2,10 +2,10 @@
 
 A cell (t, m) enumerates every left-compressed 3-graph on [t] with m edges
 (compression preserves the extremal value, so the class maximum equals the
-maximum over all m-edge 3-graphs), solves each Lagrangian with certification,
-and compares the class maximum against the colex-initial graph.  Known
-extremal configurations from the literature are reproducible as named
-families and checked one by one.
+maximum over all m-edge 3-graphs), solves their Lagrangians together with
+certification, and compares the class maximum against the colex-initial
+graph.  Known extremal configurations from the literature are reproducible
+as named families and checked one by one.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from laglab.hypergraph import (
     parse_edge_list,
     serialize_edge_list,
 )
-from laglab.solver import SolverOptions, lagrangian
+from laglab.solver import SolverOptions, lagrangian, lagrangians
 
 INEQ_TOL = 1e-7
 WITNESS_TIE = 1e-9
-T_MAX = 10  # largest t that a sweep or an enumeration accepts
+T_MAX = 11  # largest t that a sweep or an enumeration accepts
 
 
 class ConfigurationError(ValueError):
@@ -317,9 +317,10 @@ def verify_cell(t: int, m: int, opts: VerifierOptions | None = None) -> Verifica
             f"C({t},3)={comb(t, 3)} for t={t}"
         )
     colex_edges = build_colex_graph(3, m).edges
-    results = [(g, lagrangian(g, opts.solver)) for g in enumerate_left_compressed(t, m)]
-    if not results:
+    graphs = list(enumerate_left_compressed(t, m))
+    if not graphs:
         raise ValueError(f"no graphs enumerated at (t={t}, m={m})")
+    results = list(zip(graphs, lagrangians(graphs, opts.solver)))
 
     max_value = max(res.value for _g, res in results)
     colex_value = None

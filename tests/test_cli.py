@@ -134,9 +134,9 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--t", "9", "--m", "77")
         assert code == 0
         assert out.splitlines()[0] == "9"
-        code, _, err = run(capsys, "enumerate", "--t", "11", "--m", "120")
+        code, _, err = run(capsys, "enumerate", "--t", "12", "--m", "200")
         assert code == 1
-        assert "3..10" in err
+        assert "3..11" in err
 
 
 class TestSweep:
@@ -163,7 +163,7 @@ class TestSweep:
         assert len(lines) == 5
 
     def test_bad_t_max_exit_1(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "sweep", "--t-max", "11",
+        code, _, _ = run(capsys, "sweep", "--t-max", "12",
                          "--out", str(tmp_path / "s"))
         assert code == 1
 

@@ -17,6 +17,7 @@ from laglab.solver import (
     kkt_check,
     lagrangian,
     lagrangian_2graph_oracle,
+    lagrangians,
     link_value,
     link_values,
     support_enumeration,
@@ -92,11 +93,16 @@ class TestLagrangianKnownValues:
         assert res.value == pytest.approx(1 / 3, abs=1e-10)
 
     def test_empty_graph(self):
-        res = lagrangian(RGraph(3, 4, frozenset()))
+        g = RGraph(3, 4, frozenset())
+        res = lagrangian(g)
         assert res.value == 0.0
-        assert res.support == 0
+        # the support counts the weights above POSITIVE_EPS, as kkt_check does
+        assert res.support == 4 == len(kkt_check(g, res.weighting, 0.0).support)
         assert res.certified
         assert res.weighting == (0.25, 0.25, 0.25, 0.25)
+        assert res.method == "symmetry_reduced"
+        se = support_enumeration(g)
+        assert (se.method, se.support, se.certified) == ("support_enumeration", 4, True)
 
     def test_result_value_matches_weighting(self):
         rng = np.random.default_rng(5)
@@ -223,7 +229,8 @@ class TestPrefixRoute:
         best_on_faces = solver._best_on_faces
         monkeypatch.setattr(
             solver, "_best_on_faces",
-            lambda data, faces, kkt_tol: best_on_faces(data, faces[:1], kkt_tol))
+            lambda data, faces, kkt_tol: best_on_faces(
+                data, [f[:1] for f in faces], kkt_tol))
         res = lagrangian(RGraph.complete(3, 4), SolverOptions(cross_check=False))
         assert res.value == pytest.approx(1 / 27, abs=1e-15)
         assert res.kkt_residual <= 1e-14
@@ -302,7 +309,7 @@ class TestMultistartRoute:
         monkeypatch.setattr(
             solver, "_best_on_faces",
             lambda data, faces, *rest: best_on_faces(
-                data, [f for f in faces if f != (3, 6, 7)], *rest))
+                data, [[f for f in fs if f != (3, 6, 7)] for fs in faces], *rest))
         g = graph_from_words(2, 7, "12 13 15 24 26 27 34 36 37 46 67")
         res = lagrangian(g, SolverOptions(cross_check=False))
         assert res.certified
@@ -328,11 +335,59 @@ class TestMultistartRoute:
         g = graph_from_words(4, 8, "1235 1236 1237 1238 1245 1247 1248 1257 1267 "
                                    "1356 1357 1578 2345 2346 2378 2456 2678 3467 "
                                    "3468 3567 3578 4567 4578 4678")
-        found = solver._best_on_faces(solver._GraphData(g), [tuple(range(1, 9))], 1e-8)
+        found, = solver._best_on_faces(solver._GraphData([g]), [[tuple(range(1, 9))]], 1e-8)
         se = support_enumeration(g)
         assert found is not None
         assert abs(found[0] - se.value) <= 1e-12
         assert found[1][7] == 0.0
+
+
+class TestBatchedSolve:
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 10**6])
+    def test_cell_solve_equals_one_graph_solves(self, monkeypatch, chunk_rows):
+        # every result field, exactly: this keeps reports byte-identical
+        # whatever graphs a worker happens to solve together
+        cells = [(7, m) for m in cell_window(7)] + [(9, 77)]
+        alone = {cell: [lagrangian(g) for g in enumerate_left_compressed(*cell)]
+                 for cell in cells}
+        monkeypatch.setattr(solver, "CHUNK_ROWS", chunk_rows)
+        for cell in cells:
+            assert lagrangians(list(enumerate_left_compressed(*cell))) == alone[cell], cell
+
+    def test_mixed_routes_and_empty_input(self):
+        graphs = [build_colex_graph(3, 7).with_n(6),
+                  graph_from_words(3, 6, "123 124 135 146 236 245 256")]
+        assert [res.method for res in lagrangians(graphs)] == [
+            "symmetry_reduced", "multistart_gradient"]
+        assert lagrangians(graphs) == [lagrangian(g) for g in graphs]
+        assert lagrangians([]) == []
+        with pytest.raises(ValueError):
+            lagrangians([build_colex_graph(3, 7), build_colex_graph(3, 8)])
+
+    def test_singular_face_fails_alone(self, monkeypatch):
+        # vertices 4 and 5 lie in no edge, so the Jacobian on the face [5]
+        # has two equal rows; the stacked solve raises for the whole stack
+        g = RGraph.from_edges(3, [(1, 2, 3)], n=5)
+        data = solver._GraphData([g])
+        faces = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=bool)
+        x0 = np.array([[0.2] * 5, [0.5, 0.3, 0.2, 0, 0]])  # both rows take steps
+        solve, raised = np.linalg.solve, []
+
+        def spy(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                raised.append(a.shape)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        xs, solved = solver._newton_rows(data, np.zeros(2, np.intp), x0, faces)
+        assert (2, 6, 6) in raised
+        xs_alone, solved_alone = solver._newton_rows(
+            data, np.zeros(1, np.intp), x0[1:], faces[1:])
+        assert solved.tolist() == [False, True] and solved_alone.tolist() == [True]
+        assert np.array_equal(xs[1], xs_alone[0])
+        assert np.allclose(xs[1], [1 / 3, 1 / 3, 1 / 3, 0, 0], rtol=0, atol=1e-13)
 
 
 class TestStructuralInvariants:

@@ -220,7 +220,7 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(3)
         with pytest.raises(ValueError):
-            sweep(11)
+            sweep(12)
 
     def test_corollary_m_range_at_t6(self, sweep6_reports):
         # all left-compressed graphs with C(6,3)-6 <= m <= C(6,3)-3 stay below
