@@ -300,21 +300,24 @@ def cmd_verify_config(args) -> int:
 def cmd_enumerate(args) -> int:
     try:
         check_t(args.t, 3, "--t")
-        count = count_left_compressed(args.t, args.m)
+        if args.list:
+            # one search: the count is the number of graphs listed
+            texts = [serialize_edge_list(g)
+                     for g in enumerate_left_compressed(args.t, args.m)]
+            count = len(texts)
+        else:
+            count = count_left_compressed(args.t, args.m)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(count)
-    if args.list:
-        if args.out is not None:
-            args.out.mkdir(parents=True, exist_ok=True)
-            for idx, g in enumerate(enumerate_left_compressed(args.t, args.m)):
-                (args.out / f"graph_{idx:06d}.edges").write_text(
-                    serialize_edge_list(g)
-                )
-        else:
-            for g in enumerate_left_compressed(args.t, args.m):
-                sys.stdout.write(serialize_edge_list(g) + "\n")
+    if args.list and args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
+        for idx, text in enumerate(texts):
+            (args.out / f"graph_{idx:06d}.edges").write_text(text)
+    elif args.list:
+        for text in texts:
+            sys.stdout.write(text + "\n")
     return EXIT_OK
 
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress as select
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 Edge = tuple[int, ...]
@@ -90,6 +91,12 @@ def colex_unrank(r: int, rank: int) -> Edge:
 # RGraph
 # ---------------------------------------------------------------------------
 
+# Each distinct edge that has passed :func:`as_edge`, with its edge-list line:
+# known edges skip the per-vertex checks, and serializing looks lines up.
+_EDGE_TEXT: dict[Edge, str] = {}
+_REVERSED = itemgetter(slice(None, None, -1))
+
+
 @dataclass(frozen=True)
 class RGraph:
     """An r-uniform hypergraph on vertex set [n] with an immutable edge set."""
@@ -106,10 +113,17 @@ class RGraph:
         for e in self.edges:
             if len(e) != self.r:
                 raise UniformityError(f"edge {e} has size {len(e)}, expected {self.r}")
-            if e != as_edge(e):
-                raise ValueError(f"edge {e} is not strictly increasing")
+            if e not in _EDGE_TEXT:
+                f = as_edge(e)
+                if e != f:
+                    raise ValueError(f"edge {e} is not strictly increasing")
+                _EDGE_TEXT[f] = " ".join(map(str, f))
             if e[-1] > self.n:
                 raise ValueError(f"edge {e} exceeds vertex bound n={self.n}")
+
+    def __reduce__(self):
+        # copies and unpickled graphs pass through __post_init__ too
+        return type(self), (self.r, self.n, self.edges)
 
     @classmethod
     def from_edges(cls, r: int, edges: Iterable[Iterable[int]], n: int | None = None) -> "RGraph":
@@ -128,8 +142,8 @@ class RGraph:
         return len(self.edges)
 
     def sorted_edges(self) -> list[Edge]:
-        """Edges in canonical (colex) order."""
-        return sorted(self.edges, key=colex_rank)
+        """Edges in canonical (colex) order: by their reversed tuples."""
+        return sorted(self.edges, key=_REVERSED)
 
     def with_n(self, n: int) -> "RGraph":
         """Same edge set viewed on vertex set [n] (n may only grow or stay tight)."""
@@ -314,18 +328,20 @@ def is_down_closed(g: RGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 class _TriplePoset:
-    """Direct-descendant structure of all triples on [t], indexed by colex rank."""
+    """All triples on [t] indexed by colex rank, with the up-set of each."""
 
     _cache: dict[int, "_TriplePoset"] = {}
 
     def __init__(self, t: int):
-        self.t = t
         self.total = comb(t, 3)
         self.triples = [colex_unrank(3, k) for k in range(self.total)]
         rank_of = {e: k for k, e in enumerate(self.triples)}
-        self.dd_mask = [
-            sum(1 << rank_of[d] for d in direct_descendants(e)) for e in self.triples
-        ]
+        # the ranks of all triples above each triple; an ancestor has the larger
+        # rank, so in falling rank order each mask is whole before it passes down
+        self.ancestor_mask = [0] * self.total
+        for k in range(self.total - 1, -1, -1):
+            for d in direct_descendants(self.triples[k]):
+                self.ancestor_mask[rank_of[d]] |= self.ancestor_mask[k] | 1 << k
 
     @classmethod
     def get(cls, t: int) -> "_TriplePoset":
@@ -334,53 +350,55 @@ class _TriplePoset:
         return cls._cache[t]
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def _downset_masks(t: int, m: int) -> Iterator[int]:
     """Yield each size-m down-set of the triple poset on [t] as a rank bitmask.
 
-    Down-sets are grown in colex rank order; since colex order extends the
-    descendant order, every prefix of a down-set is itself a down-set and
-    each set is produced exactly once.
-    """
-    poset = _TriplePoset.get(t)
-    total, dd = poset.total, poset.dd_mask
-    if m == 0:
-        yield 0
-        return
-    if m > total:
-        return
+    Down-sets are grown in colex rank order; colex order extends the
+    descendant order, so every rank-order prefix of a down-set is one too,
+    and each set is produced exactly once, in colex-prefix order.
 
-    def rec(mask: int, count: int, last: int) -> Iterator[int]:
-        if count == m:
+    Every branch yields a set.  A rank that a branch passes over, and every
+    ancestor of it, stays out of all sets below: ``blocked`` gathers those
+    ancestors, and a rank can be taken iff it is not blocked.  After taking
+    k, the unblocked ranks above k, or any rank-order prefix of them, extend
+    the set to a down-set, so the branch reaches m iff ``need - 1`` of them
+    are left.  That count never grows along the loop: its first failure ends it.
+    """
+    if t < 3:
+        raise ValueError(f"need t >= 3, got {t}")
+    if not 0 <= m <= comb(t, 3):
+        raise ValueError(f"need 0 <= m <= C({t},3)={comb(t, 3)}, got {m}")
+    poset = _TriplePoset.get(t)
+    total, above = poset.total, poset.ancestor_mask
+
+    def rec(mask: int, need: int, last: int, blocked: int) -> Iterator[int]:
+        if need == 0:
             yield mask
             return
-        # not enough ranks left to reach m edges
-        for k in range(last + 1, total - (m - count) + 1):
-            if dd[k] & ~mask == 0:
-                yield from rec(mask | (1 << k), count + 1, k)
+        for k in range(last + 1, total):
+            if blocked >> k & 1:
+                continue
+            if total - k - 1 - (blocked >> (k + 1)).bit_count() < need - 1:
+                return
+            yield from rec(mask | 1 << k, need - 1, k, blocked)
+            blocked |= above[k]
 
-    yield from rec(0, 0, -1)
+    yield from rec(0, m, -1, 0)
 
 
 def enumerate_left_compressed(t: int, m: int) -> Iterator[RGraph]:
     """All left-compressed 3-graphs on [t] with m edges, each exactly once."""
-    if t < 3:
-        raise ValueError(f"need t >= 3, got {t}")
-    if not 0 <= m <= comb(t, 3):
-        raise ValueError(f"need 0 <= m <= C({t},3)={comb(t, 3)}, got {m}")
-    poset = _TriplePoset.get(t)
     for mask in _downset_masks(t, m):
-        edges = frozenset(
-            poset.triples[k] for k in range(poset.total) if mask >> k & 1
-        )
-        yield RGraph(3, t, edges)
+        # the mask's binary digits as 0/1 bytes, lowest rank first, pick the triples
+        bits = format(mask, "b").encode().translate(_BIT_BYTES)[::-1]
+        yield RGraph(3, t, frozenset(select(_TriplePoset.get(t).triples, bits)))
 
 
 def count_left_compressed(t: int, m: int) -> int:
     """Number of left-compressed 3-graphs on [t] with m edges."""
-    if t < 3:
-        raise ValueError(f"need t >= 3, got {t}")
-    if not 0 <= m <= comb(t, 3):
-        raise ValueError(f"need 0 <= m <= C({t},3)={comb(t, 3)}, got {m}")
     return sum(1 for _ in _downset_masks(t, m))
 
 
@@ -390,10 +408,8 @@ def count_left_compressed(t: int, m: int) -> int:
 
 def serialize_edge_list(g: RGraph) -> str:
     """Canonical text form: header ``r n m`` then one edge per line, colex order."""
-    lines = [f"{g.r} {g.n} {g.m}"]
-    for e in g.sorted_edges():
-        lines.append(" ".join(str(v) for v in e))
-    return "\n".join(lines) + "\n"
+    lines = map(_EDGE_TEXT.__getitem__, g.sorted_edges())
+    return "\n".join([f"{g.r} {g.n} {g.m}", *lines, ""])
 
 
 def parse_edge_list(text: str) -> RGraph:

@@ -1,8 +1,9 @@
 """Independent oracles the test suite checks the library against.
 
 Everything here is deliberately brute force and stays independent of the
-code paths it validates: subset filtering instead of poset DFS, dense grid
-scans instead of ascent, itertools cliques instead of branch and bound.
+code paths it validates: subset filtering or an unpruned search instead of
+the pruned poset DFS, dense grid scans instead of ascent, itertools cliques
+instead of branch and bound.
 """
 
 from __future__ import annotations
@@ -34,6 +35,30 @@ def _descendants_in(e, chosen) -> bool:
         if all(c <= v for c, v in zip(cand, e)) and sum(cand) < sum(e):
             return False
     return True
+
+
+def downset_masks_unpruned(t: int, m: int):
+    """Yield each m-edge down-set of the triples on [t] as a colex-rank
+    bitmask, by depth-first search in rank order whose only bound is that
+    enough ranks are left to reach m."""
+    triples = sorted(combinations(range(1, t + 1), 3), key=lambda e: e[::-1])
+    rank = {e: k for k, e in enumerate(triples)}
+    below = [
+        sum(1 << rank[e[:i] + (e[i] - 1,) + e[i + 1:]]
+            for i in range(3) if e[i] - 1 > (e[i - 1] if i else 0))
+        for e in triples
+    ]
+    total = len(triples)
+
+    def rec(mask, count, last):
+        if count == m:
+            yield mask
+            return
+        for k in range(last + 1, total - (m - count) + 1):
+            if below[k] & ~mask == 0:
+                yield from rec(mask | 1 << k, count + 1, k)
+
+    yield from rec(0, 0, -1)
 
 
 def simplex_grid(n: int, resolution: int) -> np.ndarray:

@@ -115,6 +115,17 @@ class TestEnumerate:
         blocks = [b for b in out.split("\n\n") if b.strip() and not b.strip().isdigit()]
         assert len(blocks) == 2
 
+    def test_list_searches_once(self, capsys, monkeypatch):
+        # the count line comes from the listing, not from a second search
+        def no_second_search(t, m):
+            raise AssertionError("count_left_compressed called by --list")
+
+        monkeypatch.setattr("laglab.cli.count_left_compressed", no_second_search)
+        code, out, _ = run(capsys, "enumerate", "--t", "5", "--m", "5", "--list")
+        assert code == 0
+        assert out == ("2\n3 5 5\n1 2 3\n1 2 4\n1 3 4\n2 3 4\n1 2 5\n\n"
+                       "3 5 5\n1 2 3\n1 2 4\n1 3 4\n1 2 5\n1 3 5\n\n")
+
     def test_list_roundtrip_through_compute(self, capsys, tmp_path):
         out_dir = tmp_path / "graphs"
         code, out, _ = run(capsys, "enumerate", "--t", "5", "--m", "6",

@@ -1,16 +1,25 @@
 """Combinatorial core: colex order, graphs, links, compression, poset."""
 
+import copy
+import json
+import os
+import pickle
+import subprocess
+import sys
 from functools import cmp_to_key
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import laglab
 from laglab.hypergraph import (
     EdgeListParseError,
     RGraph,
     UniformityError,
+    _downset_masks,
     ancestors,
     as_edge,
     build_colex_graph,
@@ -31,7 +40,11 @@ from laglab.hypergraph import (
     parse_edge_list,
     serialize_edge_list,
 )
-from oracles import downset_filter_count, random_rgraph
+from laglab.verifier import cell_window
+from oracles import downset_filter_count, downset_masks_unpruned, random_rgraph
+
+SRC = str(Path(laglab.__file__).resolve().parent.parent)
+DIGEST = json.loads((Path(__file__).parent / "cell_digest.json").read_text())["cells"]
 
 # the first 21 triples in colex order
 COLEX_LISTING = [
@@ -100,6 +113,36 @@ class TestRGraph:
             as_edge((2, 2, 3))
         with pytest.raises(ValueError):
             RGraph(1, 4)
+
+    def test_known_edge_is_still_checked(self):
+        # (1, 2, 5) passes on n = 5, then must still fail where it is invalid
+        assert RGraph(3, 5, frozenset({(1, 2, 5)})).m == 1
+        with pytest.raises(ValueError, match="exceeds vertex bound"):
+            RGraph(3, 4, frozenset({(1, 2, 5)}))
+        with pytest.raises(UniformityError):
+            RGraph(4, 5, frozenset({(1, 2, 5)}))
+
+    @pytest.mark.parametrize("bad", [(2, 1, 3), (0, 1, 2), (1, 1, 2)])
+    def test_malformed_edges_rejected_before_and_after_valid_graphs(self, bad):
+        with pytest.raises(ValueError):
+            RGraph(3, 5, frozenset({bad}))
+        RGraph(3, 5, frozenset(combinations(range(1, 6), 3)))
+        with pytest.raises(ValueError):
+            RGraph(3, 5, frozenset({bad, (1, 2, 3)}))
+        with pytest.raises(ValueError):
+            RGraph(3, 5, frozenset({bad}))
+
+    def test_unpickled_graph_serializes_in_a_fresh_process(self, tmp_path):
+        g = RGraph.from_edges(3, [(1, 2, 3), (2, 5, 9)])
+        path = tmp_path / "g.pickle"
+        path.write_bytes(pickle.dumps(g))
+        code = ("import pickle, sys; from laglab.hypergraph import serialize_edge_list; "
+                "sys.stdout.write(serialize_edge_list(pickle.loads(open(sys.argv[1], 'rb').read())))")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        out = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out == serialize_edge_list(g) == "3 9 2\n1 2 3\n2 5 9\n"
+        assert copy.deepcopy(g) == g
 
     def test_from_edges_infers_n(self):
         g = RGraph.from_edges(3, [(1, 2, 5)])
@@ -278,6 +321,20 @@ class TestEnumeration:
                     smaller = RGraph(3, 5, g.edges - {e})
                     assert is_left_compressed(smaller)
                     assert smaller.m == m - 1
+
+    @pytest.mark.parametrize("t", range(3, 9))
+    def test_pruned_search_matches_unpruned_order(self, t):
+        for m in range(comb(t, 3) + 1):
+            assert list(_downset_masks(t, m)) == list(downset_masks_unpruned(t, m))
+
+    @pytest.mark.parametrize("t", [9, 10])
+    def test_counts_match_digest(self, t):
+        for m in cell_window(t):
+            assert count_left_compressed(t, m) == DIGEST[f"{t},{m}"]["graph_count"]
+
+    @pytest.mark.slow
+    def test_t11_window_total(self):
+        assert sum(count_left_compressed(11, m) for m in cell_window(11)) == 102_278
 
     @pytest.mark.parametrize("t", [4, 5, 6])
     def test_colex_graph_enumerated(self, t):

@@ -6,6 +6,7 @@ draws the same graphs and the suite stays reproducible.
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,9 +25,10 @@ SMALL = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 @st.composite
-def graphs(draw, min_edges=0):
-    """An r-graph on [n], 2 <= r <= 4 and r <= n <= 7, with any edge set."""
-    r = draw(st.integers(2, 4))
+def graphs(draw, min_edges=0, r=None):
+    """An r-graph on [n], 2 <= r <= 4 unless r is given and r <= n <= 7,
+    with any edge set."""
+    r = draw(st.integers(2, 4)) if r is None else r
     n = draw(st.integers(r, 7))
     edges = draw(st.lists(st.sampled_from(list(combinations(range(1, n + 1), r))),
                           min_size=min_edges, unique=True))
@@ -48,6 +50,14 @@ def test_canonical_text_round_trips(g):
 def test_colex_unrank_inverts_rank(vertices):
     e = tuple(sorted(vertices))
     assert colex_unrank(len(e), colex_rank(e)) == e
+
+
+@SMALL
+@pytest.mark.parametrize("r", [2, 3, 4])
+@given(data=st.data())
+def test_sorted_edges_is_colex_rank_order(r, data):
+    g = data.draw(graphs(r=r))
+    assert g.sorted_edges() == sorted(g.edges, key=colex_rank)
 
 
 @SMALL
