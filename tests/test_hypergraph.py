@@ -136,8 +136,9 @@ class TestRGraph:
         g = RGraph.from_edges(3, [(1, 2, 3), (2, 5, 9)])
         path = tmp_path / "g.pickle"
         path.write_bytes(pickle.dumps(g))
-        code = ("import pickle, sys; from laglab.hypergraph import serialize_edge_list; "
-                "sys.stdout.write(serialize_edge_list(pickle.loads(open(sys.argv[1], 'rb').read())))")
+        code = ("import pickle, sys; from pathlib import Path; "
+                "from laglab.hypergraph import serialize_edge_list; "
+                "sys.stdout.write(serialize_edge_list(pickle.loads(Path(sys.argv[1]).read_bytes())))")
         env = dict(os.environ, PYTHONPATH=SRC)
         out = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
                              capture_output=True, text=True, check=True).stdout
