@@ -12,7 +12,6 @@ import re
 from dataclasses import dataclass, field
 from itertools import combinations, compress as select
 from math import comb
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 Edge = tuple[int, ...]
@@ -91,10 +90,11 @@ def colex_unrank(r: int, rank: int) -> Edge:
 # RGraph
 # ---------------------------------------------------------------------------
 
-# Each distinct edge that has passed :func:`as_edge`, with its edge-list line:
-# known edges skip the per-vertex checks, and serializing looks lines up.
+# Each distinct edge that has passed :func:`as_edge`, with its edge-list line
+# and colex rank: known edges skip the per-vertex checks, serializing looks
+# lines up, and sorting compares ranks.
 _EDGE_TEXT: dict[Edge, str] = {}
-_REVERSED = itemgetter(slice(None, None, -1))
+_EDGE_RANK: dict[Edge, int] = {}
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ class RGraph:
                 f = as_edge(e)
                 if e != f:
                     raise ValueError(f"edge {e} is not strictly increasing")
-                _EDGE_TEXT[f] = " ".join(map(str, f))
+                _EDGE_TEXT[f], _EDGE_RANK[f] = " ".join(map(str, f)), colex_rank(f)
             if e[-1] > self.n:
                 raise ValueError(f"edge {e} exceeds vertex bound n={self.n}")
 
@@ -142,8 +142,8 @@ class RGraph:
         return len(self.edges)
 
     def sorted_edges(self) -> list[Edge]:
-        """Edges in canonical (colex) order: by their reversed tuples."""
-        return sorted(self.edges, key=_REVERSED)
+        """Edges in canonical (colex) order: by :func:`colex_rank`."""
+        return sorted(self.edges, key=_EDGE_RANK.__getitem__)
 
     def with_n(self, n: int) -> "RGraph":
         """Same edge set viewed on vertex set [n] (n may only grow or stay tight)."""

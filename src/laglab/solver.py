@@ -10,10 +10,11 @@ support-enumeration path, again through the face solve, provides a
 cross-check for small graphs.
 
 The face solve is batched: graphs that share r, n and m (one cell) stack
-their edges, each (graph, face) pair is one weight row, and each ascent or
-Newton step is one numpy call over all rows.  No row's arithmetic depends on
-the rows beside it, so :func:`lagrangians` on a cell gives exactly what
-:func:`lagrangian` gives on each graph alone.
+their edges, (graph, face) pairs that share the face and the edges inside it
+share one weight row, and each ascent or Newton step is one numpy call over
+all rows.  No row's arithmetic depends on the rows beside it, so
+:func:`lagrangians` on a cell gives exactly what :func:`lagrangian` gives on
+each graph alone.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ CROSS_CHECK_MAX_ACTIVE = 6  # largest active vertex count given the cross-check
 SUPPORT_BUDGET = 20_000  # vertex subsets support enumeration may inspect
 NEWTON_ITERS = 60  # Newton steps per support round
 ASCENT_ITERS = 300  # multiplicative ascent steps per start or face
-CHUNK_ROWS = 256  # weight rows per batched face solve, in whole graphs
-_HALVINGS = 0.5 ** np.arange(40)  # damped Newton step lengths, longest first
+CHUNK_ROWS = 256  # distinct weight rows per batched face solve
 
 # route names kept from earlier solvers for report and benchmark compatibility
 METHOD_SYMMETRY = "symmetry_reduced"
@@ -255,9 +255,10 @@ def _newton_rows(data: _GraphData, owner: np.ndarray, x0: np.ndarray,
     A row's system: link(i) = mu on its support, weights sum to 1, weights
     off it zero; all rows take one stacked Newton step at a time, with
     identity rows off each support.  A row's round ends when its residual is
-    below 1e-14 (converged), after ``NEWTON_ITERS`` steps, or when no step
-    halved up to 39 times keeps every weight above -1e-9.  Vertices then
-    below ``POSITIVE_EPS`` are dropped (active-set style) and the row
+    below 1e-14 (converged), after ``NEWTON_ITERS`` steps, or when the full
+    step would take a weight below -1e-9; that step is not taken, and the
+    vertex it drives to zero first (least x_v / -dx_v) is dropped.  Vertices
+    below ``POSITIVE_EPS`` are dropped too (active-set style), and the row
     restarts on the smaller support, at most once per vertex of its face.  A
     row is solved when a round converges with nothing to drop; a singular
     system fails its row."""
@@ -281,16 +282,11 @@ def _newton_rows(data: _GraphData, owner: np.ndarray, x0: np.ndarray,
         jac[:, np.arange(n), np.arange(n)] += 1.0 - s
         jac[:, :n, n], jac[:, n, :n] = -s, s
         delta, ok = _solve_rows(jac, -np.concatenate([res[go], gap[go, None]], axis=1))
-        dx, step = delta[:, :n] * s, np.ones(go.size)
+        dx = delta[:, :n] * s
         blocked = ok & ((x[go] + dx).min(axis=1) < -1e-9)
-        if blocked.any():  # the longest halved step that stays on the simplex
-            b = np.flatnonzero(blocked)
-            fits = (x[go[b], None, :] + _HALVINGS[:, None] * dx[b, None, :]
-                    ).min(axis=2) >= -1e-9
-            step[b], blocked[b] = _HALVINGS[fits.argmax(axis=1)], ~fits.any(axis=1)
         moved = ok & ~blocked
-        x[go[moved]] += step[moved, None] * dx[moved]
-        mu[go[moved]] += step[moved] * delta[moved, n]
+        x[go[moved]] += dx[moved]
+        mu[go[moved]] += delta[moved, n]
         steps[go[moved]] += 1
         ended = conv | (steps >= NEWTON_ITERS)
         ended[go[blocked]] = True
@@ -300,6 +296,9 @@ def _newton_rows(data: _GraphData, owner: np.ndarray, x0: np.ndarray,
 
         # rounds that ended: solved, failed, or restarted on a smaller support
         drop = ended[:, None] & sup & (x < POSITIVE_EPS)
+        b, db = go[blocked], dx[blocked]  # ratio test: the first weight to reach zero
+        reach = np.divide(x[b], -db, out=np.full(db.shape, np.inf), where=db < 0)
+        drop[b, reach.argmin(axis=1)] = True
         restart = drop.any(axis=1)
         won = conv & ~restart
         out[row[won]], solved[row[won]] = np.maximum(x[won], 0.0), True
@@ -620,29 +619,45 @@ def _best_on_faces(data: _GraphData, faces: list[list[tuple[int, ...]]],
     Each face gets a monotone multiplicative ascent from its uniform point,
     then a Newton solve of its equal-link system; plain Newton from the
     uniform point can land on a saddle, ascent cannot go below its start.
-    Each (graph, face) pair is one row; graphs whose first row falls in one
-    window of ``CHUNK_ROWS`` rows go through together.  The highest value
-    wins; among values within ``TIE_TOL`` of it, a point that meets the
+    A row's solve reads only the edges inside its face, so (graph, face)
+    pairs that share the face and the graph's edges up to the face's largest
+    vertex (for a prefix face, exactly the edges inside it) share one row,
+    solved once; ``CHUNK_ROWS`` such rows go through together.  Each graph
+    then judges the shared point on all its edges: the highest value wins;
+    among values within ``TIE_TOL`` of it, a point that meets the
     first-order conditions within ``kkt_tol`` comes first, then the smaller
-    support, then the lexicographically largest weighting.
+    support, then the lexicographically first support (a prefix, when one
+    ties), then the lexicographically largest weighting.
     """
+    owner = np.repeat(np.arange(len(faces)), [len(f) for f in faces])
+    pairs = [face for fs in faces for face in fs]
+    # colex order puts a graph's edges up to vertex j first
+    ends = [np.searchsorted(data.vert[-1, k], max(face) - 1, "right")
+            for k, face in zip(owner, pairs)]
+    keys: dict[tuple, int] = {}
+    which = np.array([keys.setdefault((face, data.vert[:, k, :e].tobytes()), len(keys))
+                      for k, face, e in zip(owner, pairs, ends)], dtype=np.intp)
+    first = np.unique(which, return_index=True)[1]  # each row's first pair
+    xs, solved = np.zeros((first.size, data.n)), np.zeros(first.size, bool)
+    for lo in range(0, first.size, CHUNK_ROWS):
+        part = first[lo:lo + CHUNK_ROWS]
+        mask = np.zeros((part.size, data.n), dtype=bool)
+        for row, i in enumerate(part):
+            mask[row, [v - 1 for v in pairs[i]]] = True
+        ascended = _replicator_rows(data, owner[part], mask / mask.sum(axis=1, keepdims=True))
+        xs[lo:lo + part.size], solved[lo:lo + part.size] = _newton_rows(
+            data, owner[part], ascended, mask)
+
     best: list[tuple[float, tuple, np.ndarray] | None] = [None] * len(faces)  # (value, key, x)
-    sizes = np.array([len(f) for f in faces])
-    window = (np.cumsum(sizes) - sizes) // CHUNK_ROWS
-    for w in dict.fromkeys(window[sizes > 0].tolist()):
-        chunk = np.flatnonzero((window == w) & (sizes > 0))
-        owner = np.repeat(chunk, sizes[chunk])
-        mask = np.zeros((owner.size, data.n), dtype=bool)
-        for row, face in enumerate(face for k in chunk for face in faces[k]):
-            mask[row, [v - 1 for v in face]] = True
-        ascended = _replicator_rows(data, owner, mask / mask.sum(axis=1, keepdims=True))
-        xs, solved = _newton_rows(data, owner, ascended, mask)
-        rows = np.flatnonzero(solved)
-        block = data.rows(owner[rows])
-        for row, val, grad in zip(rows, block.eval(xs[rows]), block.grad(xs[rows])):
-            k, x, val = owner[row], xs[row], float(val)
+    done = np.flatnonzero(solved[which])
+    for lo in range(0, done.size, CHUNK_ROWS):
+        part = done[lo:lo + CHUNK_ROWS]
+        block, at = data.rows(owner[part]), xs[which[part]]
+        for k, x, val, grad in zip(owner[part], at, block.eval(at), block.grad(at)):
+            val = float(val)
             st = _stationarity(data.r, grad, x, val)
-            key = (bool(st.failure(kkt_tol)), st.support.size, [-w for w in x])
+            key = (bool(st.failure(kkt_tol)), st.support.size, st.support.tolist(),
+                   [-w for w in x])
             if (best[k] is None or val > best[k][0] + TIE_TOL
                     or (val >= best[k][0] - TIE_TOL and key < best[k][1])):
                 best[k] = (val, key, x)
@@ -654,26 +669,23 @@ def _replicator_rows(data: _GraphData, owner: np.ndarray, rows: np.ndarray) -> n
 
     Supports are invariant under the update and the value never decreases,
     so each row climbs within its own face of the simplex.  Rows whose value
-    hits zero are left unchanged.  The rows of one graph (consecutive in
-    ``owner``) stop together, after the first step that moves none of them
-    by 1e-13 or more.
+    hits zero are left unchanged.  Each row stops on its own, after its first
+    step that moves no weight by 1e-13 or more, so its path depends only on
+    its start and the edges inside its face.
     """
     x = rows.copy()
     live, xl = np.arange(len(x)), x  # rows still climbing
     block = data.rows(owner, x > 0)
-    first = np.flatnonzero(np.diff(owner, prepend=-1))  # each graph's first row
     for _ in range(ASCENT_ITERS):
         new = xl * block.grad(xl)
         totals = new.sum(axis=1, keepdims=True)
         new = np.divide(new, totals, out=xl.copy(), where=totals > 0)
-        moved = np.maximum.reduceat(np.abs(new - xl).max(axis=1), first) >= 1e-13
+        moved = np.abs(new - xl).max(axis=1) >= 1e-13
         xl = new
         if not moved.all():
             x[live] = xl
-            keep = np.repeat(moved, np.diff(first, append=live.size))
-            live, xl, block = live[keep], xl[keep], block.subset(keep)
+            live, xl, block = live[moved], xl[moved], block.subset(moved)
             if not live.size:
                 break
-            first = np.flatnonzero(np.diff(owner[live], prepend=-1))
     x[live] = xl
     return x

@@ -1,17 +1,26 @@
-"""Record the per-cell result digest that ``tests/test_digest.py`` checks.
+"""Record, or check against, the per-cell result digest that
+``tests/test_digest.py`` checks.
 
     python3 tests/record_digest.py
+    python3 tests/record_digest.py --check 8 9 10
 
-Solves every (t, m) cell with 4 <= t <= 10 under laglab's default options,
-on two worker processes, and writes ``tests/cell_digest.json``: per cell the
-graph count, verdict, uncertified count, witness supports and values, colex
-and maximum values, and a SHA-256 of the witness texts.  Record it at the
-commit whose results a solver change must keep; the t = 10 window takes
-about four minutes on two cores.
+Without ``--check``: solves every (t, m) cell with 4 <= t <= 10 under
+laglab's default options, on two worker processes, and writes
+``tests/cell_digest.json``: per cell the graph count, verdict, uncertified
+count, witness supports and values, colex and maximum values, and a SHA-256
+of the witness texts.  Record it at the commit whose results a solver change
+must keep; the whole run takes about 15 s on two cores, 12 s of it the
+t = 10 window.
+
+With ``--check T ...``: solves the windows of the given t, on two worker
+processes, and compares every cell with the stored digest, values within
+1e-12 and every other field exactly.  It rewrites nothing, prints one line
+per mismatch and exits 1 if there is any.
 """
 
 from __future__ import annotations
 
+import argparse
 import concurrent.futures as cf
 import hashlib
 import json
@@ -22,6 +31,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+DIGEST_PATH = HERE / "cell_digest.json"
 sys.path.insert(0, str(ROOT / "src"))
 
 import laglab.solver as solver  # noqa: E402
@@ -29,6 +39,8 @@ import laglab.verifier as verifier  # noqa: E402
 
 T_MAX = 10
 WORKERS = 2
+VALUE_FIELDS = ("witness_values", "colex_value", "max_value")
+VALUE_TOL = 1e-12
 
 
 def witness_sha256(witnesses) -> str:
@@ -49,22 +61,56 @@ def cell_entry(rep) -> dict:
     }
 
 
+def mismatches(rep, digest: dict) -> list[str]:
+    """One line per field of a cell report that differs from its entry in
+    ``digest``: values by more than ``VALUE_TOL``, other fields at all."""
+    where = f"cell ({rep.t}, {rep.m})"
+    want = digest.get(f"{rep.t},{rep.m}")
+    if want is None:
+        return [f"{where}: not in the digest"]
+    return [f"{where}: {key} is {got!r}, digest has {want[key]!r}"
+            for key, got in cell_entry(rep).items()
+            if not (_close(got, want[key]) if key in VALUE_FIELDS else got == want[key])]
+
+
+def _close(got, want) -> bool:
+    if isinstance(got, list):
+        return len(got) == len(want) and all(map(_close, got, want))
+    return abs(got - want) <= VALUE_TOL
+
+
 def git_sha() -> str:
     out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
                          capture_output=True, text=True)
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
-def main() -> int:
-    cells = [(t, m) for t in range(4, T_MAX + 1) for m in verifier.cell_window(t)]
+def solve_windows(ts) -> list:
+    cells = [(t, m) for t in ts for m in verifier.cell_window(t)]
     ctx = multiprocessing.get_context("spawn")
     with cf.ProcessPoolExecutor(max_workers=WORKERS, mp_context=ctx) as pool:
-        reports = list(pool.map(verifier.verify_cell, *zip(*cells)))
+        return list(pool.map(verifier.verify_cell, *zip(*cells)))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", type=int, nargs="+", metavar="T",
+                        help="compare the windows of these t with the digest; write nothing")
+    args = parser.parse_args(argv)
+    if args.check:
+        digest = json.loads(DIGEST_PATH.read_text())["cells"]
+        reports = solve_windows(args.check)
+        bad = [line for rep in reports for line in mismatches(rep, digest)]
+        for line in bad:
+            print(line)
+        print(f"{len(reports)} cells, {len(bad)} mismatches")
+        return 1 if bad else 0
+    reports = solve_windows(range(4, T_MAX + 1))
     doc = {
         "recorded_at": {"git_sha": git_sha(), "seed": solver.DEFAULT_SEED, "t_max": T_MAX},
         "cells": {f"{rep.t},{rep.m}": cell_entry(rep) for rep in reports},
     }
-    (HERE / "cell_digest.json").write_text(json.dumps(doc, indent=1) + "\n")
+    DIGEST_PATH.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"{len(reports)} cells, {sum(r.graph_count for r in reports)} graphs")
     return 0
 

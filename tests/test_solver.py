@@ -237,6 +237,17 @@ class TestPrefixRoute:
         assert not res.certified
         assert res.notes
 
+    def test_tie_between_supports_keeps_the_prefix(self):
+        # K_5^(3) sits on [5] and on {1, 2, 3, 4, 6}; the face [7] reaches the
+        # second with weights a few ulps above 0.2, which comparing weightings
+        # alone would prefer to the prefix point
+        g = graph_from_words(3, 7, "123 124 134 234 125 135 235 145 245 345 126 136 "
+                                   "236 146 246 346 127 137 237 147 247")
+        assert g in set(enumerate_left_compressed(7, 21))
+        res = lagrangian(g)
+        assert res.certified and res.support == 5
+        assert res.weighting == pytest.approx([0.2] * 5 + [0, 0], rel=0, abs=1e-15)
+
     @pytest.mark.parametrize("r, n, words, value", [
         (4, 7, "1234 1235 1245 1345 1236 1246 1256 1237 1247 1257 1267",
          0.006629242030811546),
@@ -347,12 +358,43 @@ class TestBatchedSolve:
     def test_cell_solve_equals_one_graph_solves(self, monkeypatch, chunk_rows):
         # every result field, exactly: this keeps reports byte-identical
         # whatever graphs a worker happens to solve together
-        cells = [(7, m) for m in cell_window(7)] + [(9, 77)]
+        cells = [(7, m) for m in cell_window(7)] + [(8, 35), (9, 77)]
         alone = {cell: [lagrangian(g) for g in enumerate_left_compressed(*cell)]
                  for cell in cells}
         monkeypatch.setattr(solver, "CHUNK_ROWS", chunk_rows)
         for cell in cells:
             assert lagrangians(list(enumerate_left_compressed(*cell))) == alone[cell], cell
+
+    def test_one_row_per_face_and_edges_inside(self, monkeypatch):
+        # (8, 35), a plateau cell: 79 graphs give 473 (graph, prefix face)
+        # pairs, but a row's solve reads only the face and the edges inside it
+        graphs = list(enumerate_left_compressed(8, 35))
+        keys = {(k, frozenset(e for e in g.edges if e[-1] <= k))
+                for g in graphs for k in range(3, max(e[-1] for e in g.edges) + 1)}
+        rows, newton = [], solver._newton_rows
+
+        def spy(data, owner, x0, faces):
+            rows.append(len(x0))
+            return newton(data, owner, x0, faces)
+
+        monkeypatch.setattr(solver, "_newton_rows", spy)
+        lagrangians(graphs)
+        assert sum(rows) == len(keys) == 121
+
+    def test_blocked_newton_steps_do_not_crawl(self, monkeypatch):
+        # many faces of (8, 35) have their optimum on their boundary; a step
+        # that leaves the simplex drops the vertex it drives to zero first, so
+        # the face solve takes few stacked Newton steps (halving the step
+        # toward the boundary took 148)
+        calls, solve = [], solver._solve_rows
+
+        def spy(jac, rhs):
+            calls.append(len(jac))
+            return solve(jac, rhs)
+
+        monkeypatch.setattr(solver, "_solve_rows", spy)
+        lagrangians(list(enumerate_left_compressed(8, 35)))
+        assert len(calls) <= 20
 
     def test_mixed_routes_and_empty_input(self):
         graphs = [build_colex_graph(3, 7).with_n(6),
