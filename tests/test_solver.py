@@ -384,8 +384,8 @@ class TestBatchedSolve:
     def test_blocked_newton_steps_do_not_crawl(self, monkeypatch):
         # many faces of (8, 35) have their optimum on their boundary; a step
         # that leaves the simplex drops the vertex it drives to zero first, so
-        # the face solve takes few stacked Newton steps (halving the step
-        # toward the boundary took 148)
+        # the face solve takes few stacked Newton steps instead of crawling
+        # toward that boundary
         calls, solve = [], solver._solve_rows
 
         def spy(jac, rhs):
