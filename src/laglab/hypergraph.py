@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from itertools import combinations, compress as select
+from itertools import chain, combinations, compress as select
 from math import comb
 from typing import Iterable, Iterator
 
@@ -224,17 +224,20 @@ def difference_link(g: RGraph, i: int, j: int) -> frozenset[Edge]:
 # Left compression
 # ---------------------------------------------------------------------------
 
+# The direct descendants of each edge :func:`is_left_compressed` has seen.
+_DIRECT_DOWN: dict[Edge, frozenset[Edge]] = {}
+
+
 def is_left_compressed(g: RGraph) -> bool:
     """True iff replacing any edge entry by any smaller unused label stays an edge.
 
     Lowering one entry by one, where that label is unused, reaches all of
-    those replacements step by step, so only those steps are checked."""
+    those replacements step by step, so only those steps (the
+    :func:`direct_descendants`) are checked."""
     for e in g.edges:
-        for pos, w in enumerate(e):
-            if w > 1 and (pos == 0 or e[pos - 1] != w - 1):
-                if e[:pos] + (w - 1,) + e[pos + 1:] not in g.edges:
-                    return False
-    return True
+        if e not in _DIRECT_DOWN:
+            _DIRECT_DOWN[e] = direct_descendants(e)
+    return g.edges.issuperset(chain.from_iterable(map(_DIRECT_DOWN.__getitem__, g.edges)))
 
 
 def compress(g: RGraph) -> RGraph:

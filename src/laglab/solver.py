@@ -2,10 +2,12 @@
 
 A left-compressed graph has a non-increasing optimal weighting, so its
 optimal support is a prefix [k] of the vertices: each prefix face is solved
-by multiplicative ascent from its uniform point and Newton iteration on the
-equal-link stationarity system.  Other graphs run the same multiplicative
-ascent from many starts and hand the supports it reveals to the same face
-solve.  Results carry a KKT residual and a certification flag; an exhaustive
+by multiplicative ascent from its uniform point, stopped once no weight
+moves by ``FACE_ASCENT_STOP``, and Newton iteration on the equal-link
+stationarity system.  Other graphs run the same multiplicative ascent from
+many starts, to the much finer ``START_ASCENT_STOP`` because the end points
+choose the faces, and hand the supports it reveals to the same face solve.
+Results carry a KKT residual and a certification flag; an exhaustive
 support-enumeration path, again through the face solve, provides a
 cross-check for small graphs.
 
@@ -35,6 +37,8 @@ CROSS_CHECK_MAX_ACTIVE = 6  # largest active vertex count given the cross-check
 SUPPORT_BUDGET = 20_000  # vertex subsets support enumeration may inspect
 NEWTON_ITERS = 60  # Newton steps per support round
 ASCENT_ITERS = 300  # multiplicative ascent steps per start or face
+FACE_ASCENT_STOP = 1e-4  # a face row's ascent hands off to Newton below this movement
+START_ASCENT_STOP = 1e-13  # a multistart start's ascent ends below this movement
 CHUNK_ROWS = 256  # distinct weight rows per batched face solve
 
 # route names kept from earlier solvers for report and benchmark compatibility
@@ -337,38 +341,44 @@ def symmetry_classes(g: RGraph) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 class _Stationarity(NamedTuple):
-    """First-order quantities of a point x at a value, from one gradient."""
+    """First-order quantities of weight rows x (P, n) at their values, from
+    one gradient per row."""
 
-    grad: np.ndarray
-    support: np.ndarray  # 0-based vertices whose weight exceeds POSITIVE_EPS
-    residual: float  # max |link_i - r * value| over the support (0 if empty)
-    link_excess: float  # max_i link_i - r * value over every vertex
+    grad: np.ndarray  # (P, n) links
+    support: np.ndarray  # (P, n) mask of the weights above POSITIVE_EPS
+    residual: np.ndarray  # (P,) max |link_i - r * value| over the support (0 if empty)
+    link_excess: np.ndarray  # (P,) max_i link_i - r * value over every vertex
 
-    def failure(self, kkt_tol: float) -> str:
-        """The first-order condition x fails within ``kkt_tol`` ('' when it
-        fails none).
+    def fails(self, kkt_tol: float) -> np.ndarray:
+        """Per row, whether it fails a first-order condition within ``kkt_tol``.
 
         A maximum of the edge polynomial on the simplex has every link on its
         support equal to r * value and no link above it; these two conditions
         certify a result on every route.
         """
-        if self.residual > kkt_tol:
-            return f"equal-link residual {self.residual:.3g} on the support exceeds kkt_tol"
-        if self.link_excess > kkt_tol:
-            return (f"link of vertex {int(self.grad.argmax()) + 1} exceeds "
-                    f"r * value by {self.link_excess:.3g} (first-order condition)")
+        return (self.residual > kkt_tol) | (self.link_excess > kkt_tol)
+
+    def failure(self, kkt_tol: float, row: int = 0) -> str:
+        """The first-order condition that ``row`` fails within ``kkt_tol``
+        ('' when it fails none), as a note."""
+        if self.residual[row] > kkt_tol:
+            return f"equal-link residual {self.residual[row]:.3g} on the support exceeds kkt_tol"
+        if self.link_excess[row] > kkt_tol:
+            return (f"link of vertex {int(self.grad[row].argmax()) + 1} exceeds "
+                    f"r * value by {self.link_excess[row]:.3g} (first-order condition)")
         return ""
 
 
 def _stationarity(r: int, grad: np.ndarray, x: np.ndarray,
-                  value: float) -> _Stationarity:
-    """The one stationarity computation, from the gradient at x: certification
-    on every route and :func:`kkt_check` read it, so they agree on support and
-    residual."""
-    sup = np.flatnonzero(x > POSITIVE_EPS)
-    target = r * value
-    residual = float(np.abs(grad[sup] - target).max()) if sup.size else 0.0
-    return _Stationarity(grad, sup, residual, float(grad.max() - target))
+                  value: np.ndarray) -> _Stationarity:
+    """The one stationarity computation, from the gradients (P, n) at the
+    rows x (P, n) with their values (P,): certification on every route, the
+    face solve's judging and :func:`kkt_check` read it, so they agree on
+    support and residual."""
+    sup = x > POSITIVE_EPS
+    target = r * value[:, None]
+    residual = np.where(sup, np.abs(grad - target), 0.0).max(axis=1)
+    return _Stationarity(grad, sup, residual, grad.max(axis=1) - target[:, 0])
 
 
 def kkt_check(g: RGraph, x, value: float) -> KKTReport:
@@ -378,8 +388,8 @@ def kkt_check(g: RGraph, x, value: float) -> KKTReport:
     and (for left-compressed graphs) the difference-link identity residual."""
     arr = check_legal_weighting(_as_vector(g, x))
     one = _GraphData([g]).rows()
-    st = _stationarity(g.r, one.grad(arr), arr, value)
-    support = tuple(int(i) + 1 for i in st.support)
+    st = _stationarity(g.r, one.grad(arr[None]), arr[None], np.array([float(value)]))
+    support = tuple(int(i) + 1 for i in np.flatnonzero(st.support[0]))
     cover = one.pair(np.ones(g.n))[0] > 0  # some edge holds both vertices
     eq2 = None
     if is_left_compressed(g):
@@ -390,12 +400,12 @@ def kkt_check(g: RGraph, x, value: float) -> KKTReport:
             rhs = sum(np.prod([arr[v - 1] for v in a]) for a in difference_link(g, i, j))
             eq2 = max(eq2, abs(lhs - rhs))
     return KKTReport(
-        residual=st.residual,
+        residual=float(st.residual[0]),
         support=support,
-        link_excess=st.link_excess,
+        link_excess=float(st.link_excess[0]),
         pair_cover_ok=all(cover[i - 1, j - 1] for i, j in combinations(support, 2)),
         eq2_residual=eq2,
-        link_values=tuple(float(v) for v in st.grad),
+        link_values=tuple(st.grad[0].tolist()),
     )
 
 
@@ -442,7 +452,7 @@ def _multistart(data: _GraphData, opts: SolverOptions) -> np.ndarray:
     starts[0, act] = 1.0 / act.size
     starts[1:, act] = rng.dirichlet(np.ones(act.size), size=opts.starts)
     owner = np.zeros(len(starts), dtype=np.intp)
-    ends = _replicator_rows(data, owner, starts)
+    ends = _replicator_rows(data, owner, starts, START_ASCENT_STOP)
     end_vals = data.rows(owner).eval(ends)
     order = np.argsort(-end_vals, kind="stable")
     faces = list(dict.fromkeys(
@@ -511,16 +521,16 @@ def _result(data: _GraphData, k: int, x: np.ndarray, method: str, kkt_tol: float
     """The result of graph ``k`` at x from its stationarity report: certified
     when x meets the first-order conditions within ``kkt_tol`` and the route
     adds no ``notes`` of its own."""
-    one = data.rows([k])
-    value = float(one.eval(x)[0])
-    st = _stationarity(data.r, one.grad(x), x, value)
+    one, xs = data.rows([k]), x[None]
+    value = one.eval(xs)
+    st = _stationarity(data.r, one.grad(xs), xs, value)
     failure = st.failure(kkt_tol)
     notes = ((failure,) if failure else ()) + notes
     return LagrangianResult(
-        value=value,
-        weighting=tuple(float(w) for w in x),
-        support=int(st.support.size),
-        kkt_residual=st.residual,
+        value=float(value[0]),
+        weighting=tuple(x.tolist()),
+        support=int(st.support[0].sum()),
+        kkt_residual=float(st.residual[0]),
         method=method,
         certified=not notes,
         notes=notes,
@@ -619,6 +629,10 @@ def _best_on_faces(data: _GraphData, faces: list[list[tuple[int, ...]]],
     Each face gets a monotone multiplicative ascent from its uniform point,
     then a Newton solve of its equal-link system; plain Newton from the
     uniform point can land on a saddle, ascent cannot go below its start.
+    The ascent hands a row to Newton once no weight moves by
+    ``FACE_ASCENT_STOP``: Newton and its ratio-test drops finish the row,
+    and a prefix face whose optimum lies on its boundary has that optimum
+    on a smaller prefix face, which is its own row.
     A row's solve reads only the edges inside its face, so (graph, face)
     pairs that share the face and the graph's edges up to the face's largest
     vertex (for a prefix face, exactly the edges inside it) share one row,
@@ -644,34 +658,46 @@ def _best_on_faces(data: _GraphData, faces: list[list[tuple[int, ...]]],
         mask = np.zeros((part.size, data.n), dtype=bool)
         for row, i in enumerate(part):
             mask[row, [v - 1 for v in pairs[i]]] = True
-        ascended = _replicator_rows(data, owner[part], mask / mask.sum(axis=1, keepdims=True))
+        ascended = _replicator_rows(data, owner[part], mask / mask.sum(axis=1, keepdims=True),
+                                    FACE_ASCENT_STOP)
         xs[lo:lo + part.size], solved[lo:lo + part.size] = _newton_rows(
             data, owner[part], ascended, mask)
 
-    best: list[tuple[float, tuple, np.ndarray] | None] = [None] * len(faces)  # (value, key, x)
+    best: list[tuple[float, bool, np.ndarray] | None] = [None] * len(faces)  # (value, fails, x)
     done = np.flatnonzero(solved[which])
     for lo in range(0, done.size, CHUNK_ROWS):
         part = done[lo:lo + CHUNK_ROWS]
         block, at = data.rows(owner[part]), xs[which[part]]
-        for k, x, val, grad in zip(owner[part], at, block.eval(at), block.grad(at)):
-            val = float(val)
-            st = _stationarity(data.r, grad, x, val)
-            key = (bool(st.failure(kkt_tol)), st.support.size, st.support.tolist(),
-                   [-w for w in x])
-            if (best[k] is None or val > best[k][0] + TIE_TOL
-                    or (val >= best[k][0] - TIE_TOL and key < best[k][1])):
-                best[k] = (val, key, x)
+        vals = block.eval(at)
+        fails = _stationarity(data.r, block.grad(at), at, vals).fails(kkt_tol)
+        for k, val, fail, x in zip(owner[part].tolist(), vals.tolist(), fails.tolist(), at):
+            b = best[k]
+            if (b is None or val > b[0] + TIE_TOL
+                    or (val >= b[0] - TIE_TOL and _tie_key(fail, x) < _tie_key(b[1], b[2]))):
+                best[k] = (val, fail, x)
     return [None if b is None else (b[0], b[2]) for b in best]
 
 
-def _replicator_rows(data: _GraphData, owner: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _tie_key(fails: bool, x: np.ndarray) -> tuple:
+    """Order of tied points in :func:`_best_on_faces`: first-order conditions
+    met, then support size, then support vertices, then weights falling."""
+    sup = np.flatnonzero(x > POSITIVE_EPS)
+    return fails, sup.size, sup.tolist(), (-x).tolist()
+
+
+def _replicator_rows(data: _GraphData, owner: np.ndarray, rows: np.ndarray,
+                     stop: float) -> np.ndarray:
     """Batched multiplicative-update ascent x <- x * grad / (r * value).
 
     Supports are invariant under the update and the value never decreases,
     so each row climbs within its own face of the simplex.  Rows whose value
     hits zero are left unchanged.  Each row stops on its own, after its first
-    step that moves no weight by 1e-13 or more, so its path depends only on
-    its start and the edges inside its face.
+    step that moves no weight by ``stop`` or more, or after ``ASCENT_ITERS``
+    steps, so its path depends only on its start and the edges inside its
+    face.  Face rows stop at ``FACE_ASCENT_STOP`` (1e-4), since Newton
+    finishes them; multistart starts stop at ``START_ASCENT_STOP`` (1e-13),
+    since their end points choose the candidate faces and a coarse stop there
+    leaves some general graphs on a lower face, uncertified.
     """
     x = rows.copy()
     live, xl = np.arange(len(x)), x  # rows still climbing
@@ -680,7 +706,7 @@ def _replicator_rows(data: _GraphData, owner: np.ndarray, rows: np.ndarray) -> n
         new = xl * block.grad(xl)
         totals = new.sum(axis=1, keepdims=True)
         new = np.divide(new, totals, out=xl.copy(), where=totals > 0)
-        moved = np.abs(new - xl).max(axis=1) >= 1e-13
+        moved = np.abs(new - xl).max(axis=1) >= stop
         xl = new
         if not moved.all():
             x[live] = xl

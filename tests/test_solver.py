@@ -396,6 +396,28 @@ class TestBatchedSolve:
         lagrangians(list(enumerate_left_compressed(8, 35)))
         assert len(calls) <= 20
 
+    def test_face_ascent_hands_off_to_newton(self, monkeypatch):
+        # Newton and its ratio-test drops finish a face row, so the ascent
+        # stops at FACE_ASCENT_STOP instead of climbing (8, 35)'s faces to
+        # the ASCENT_ITERS cap
+        grads, steps = [], []
+        grad, ascend = solver._Rows.grad, solver._replicator_rows
+
+        def count_grad(block, x):
+            grads.append(len(x))
+            return grad(block, x)
+
+        def count_steps(*args):
+            start = len(grads)
+            out = ascend(*args)
+            steps.append(len(grads) - start)
+            return out
+
+        monkeypatch.setattr(solver._Rows, "grad", count_grad)
+        monkeypatch.setattr(solver, "_replicator_rows", count_steps)
+        lagrangians(list(enumerate_left_compressed(8, 35)))
+        assert sum(steps) <= 150
+
     def test_mixed_routes_and_empty_input(self):
         graphs = [build_colex_graph(3, 7).with_n(6),
                   graph_from_words(3, 6, "123 124 135 146 236 245 256")]
