@@ -358,14 +358,14 @@ class _Stationarity(NamedTuple):
         """
         return (self.residual > kkt_tol) | (self.link_excess > kkt_tol)
 
-    def failure(self, kkt_tol: float, row: int = 0) -> str:
-        """The first-order condition that ``row`` fails within ``kkt_tol``
-        ('' when it fails none), as a note."""
-        if self.residual[row] > kkt_tol:
-            return f"equal-link residual {self.residual[row]:.3g} on the support exceeds kkt_tol"
-        if self.link_excess[row] > kkt_tol:
-            return (f"link of vertex {int(self.grad[row].argmax()) + 1} exceeds "
-                    f"r * value by {self.link_excess[row]:.3g} (first-order condition)")
+    def failure(self, kkt_tol: float) -> str:
+        """The first-order condition that the first row fails within
+        ``kkt_tol`` ('' when it fails none), as a result's note."""
+        if self.residual[0] > kkt_tol:
+            return f"equal-link residual {self.residual[0]:.3g} on the support exceeds kkt_tol"
+        if self.link_excess[0] > kkt_tol:
+            return (f"link of vertex {int(self.grad[0].argmax()) + 1} exceeds "
+                    f"r * value by {self.link_excess[0]:.3g} (first-order condition)")
         return ""
 
 
