@@ -213,6 +213,7 @@ def cmd_compute(args) -> int:
             f"kkt_residual: {fmt_float(res.kkt_residual)}",
             f"method: {res.method}",
             f"certified: {'true' if res.certified else 'false'}",
+            *(f"note: {note}" for note in res.notes),
         ]
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if res.certified else EXIT_UNCERTIFIED

@@ -11,10 +11,11 @@ Results carry a KKT residual and a certification flag; an exhaustive
 support-enumeration path, again through the face solve, provides a
 cross-check for small graphs.
 
-The face solve is batched: graphs that share r, n and m (one cell) stack
-their edges, (graph, face) pairs that share the face and the edges inside it
-share one weight row, and each ascent or Newton step is one numpy call over
-all rows.  No row's arithmetic depends on the rows beside it, so
+The face solve is batched: graphs that share r, n and m (a block of one
+cell) stack their edges, (graph, face) pairs that share the face and the
+edges inside it share one weight row, each ascent or Newton step is one
+numpy call over all rows, and one stationarity report gives every result of
+the block.  No row's arithmetic depends on the rows beside it, so
 :func:`lagrangians` on a cell gives exactly what :func:`lagrangian` gives on
 each graph alone.
 """
@@ -22,7 +23,7 @@ each graph alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -82,6 +83,7 @@ class LagrangianResult:
             "kkt_residual": self.kkt_residual,
             "method": self.method,
             "certified": self.certified,
+            "notes": list(self.notes),
         }
 
 
@@ -105,8 +107,9 @@ class KKTReport:
 
 class _GraphData:
     """Edges of graphs that share r, n and m, stacked as one (r, G, m) array
-    of 0-based vertices, one (G, m) layer per edge position; kernels run on
-    weight rows through :meth:`rows`."""
+    of 0-based vertices, one (G, m) layer per edge position, and the (G, n)
+    mask of each graph's active vertices; kernels run on weight rows through
+    :meth:`rows`."""
 
     def __init__(self, graphs: list[RGraph]):
         g = graphs[0]
@@ -114,10 +117,11 @@ class _GraphData:
             raise ValueError("stacked graphs must share r, n and m")
         self.graphs = graphs
         self.r, self.n, self.m = g.r, g.n, g.m
-        edges = np.array([h.sorted_edges() for h in graphs], dtype=np.intp)
+        edges = np.fromiter(chain.from_iterable(chain.from_iterable(
+            h.sorted_edges() for h in graphs)), np.intp, len(graphs) * g.m * g.r)
         self.vert = edges.reshape(len(graphs), g.m, g.r).transpose(2, 0, 1).copy() - 1
-        self.active = [np.flatnonzero(np.bincount(self.vert[:, k].ravel(), minlength=g.n))
-                       for k in range(len(graphs))]
+        self.active = np.zeros((len(graphs), g.n), bool)
+        self.active[np.arange(len(graphs))[:, None], self.vert] = True
 
     def rows(self, owner=(0,), support: np.ndarray | None = None) -> _Rows:
         return _Rows(self, np.asarray(owner, dtype=np.intp), support)
@@ -238,17 +242,21 @@ def _seed_rows(x0: np.ndarray, sup: np.ndarray) -> np.ndarray:
 
 def _solve_rows(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked linear solve and the mask of rows solved.  One singular matrix
-    makes the stacked call raise, so only then is each row solved alone."""
-    try:
-        return np.linalg.solve(jac, rhs[:, :, None])[:, :, 0], np.ones(len(jac), bool)
-    except np.linalg.LinAlgError:
-        out, ok = np.zeros_like(rhs), np.ones(len(jac), bool)
-        for k in range(len(jac)):
-            try:
-                out[k] = np.linalg.solve(jac[k], rhs[k])
-            except np.linalg.LinAlgError:
-                ok[k] = False
-        return out, ok
+    makes a stacked call raise; then each half of the stack is solved, and so
+    on down to single rows, so one singular row among R costs about
+    2 log2(R) calls."""
+    out, ok = np.zeros_like(rhs), np.ones(len(jac), bool)
+    todo = [(0, len(jac))]
+    while todo:
+        lo, hi = todo.pop()
+        try:
+            out[lo:hi] = np.linalg.solve(jac[lo:hi], rhs[lo:hi, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            if hi - lo == 1:
+                ok[lo] = False
+            else:
+                todo += [(lo, (lo + hi) // 2), ((lo + hi) // 2, hi)]
+    return out, ok
 
 
 def _newton_rows(data: _GraphData, owner: np.ndarray, x0: np.ndarray,
@@ -358,14 +366,14 @@ class _Stationarity(NamedTuple):
         """
         return (self.residual > kkt_tol) | (self.link_excess > kkt_tol)
 
-    def failure(self, kkt_tol: float) -> str:
-        """The first-order condition that the first row fails within
-        ``kkt_tol`` ('' when it fails none), as a result's note."""
-        if self.residual[0] > kkt_tol:
-            return f"equal-link residual {self.residual[0]:.3g} on the support exceeds kkt_tol"
-        if self.link_excess[0] > kkt_tol:
-            return (f"link of vertex {int(self.grad[0].argmax()) + 1} exceeds "
-                    f"r * value by {self.link_excess[0]:.3g} (first-order condition)")
+    def failure(self, i: int, kkt_tol: float) -> str:
+        """The first-order condition that row i fails within ``kkt_tol`` ('' when
+        it fails none), as a result's note."""
+        if self.residual[i] > kkt_tol:
+            return f"equal-link residual {self.residual[i]:.3g} on the support exceeds kkt_tol"
+        if self.link_excess[i] > kkt_tol:
+            return (f"link of vertex {int(self.grad[i].argmax()) + 1} exceeds "
+                    f"r * value by {self.link_excess[i]:.3g} (first-order condition)")
         return ""
 
 
@@ -447,7 +455,7 @@ def _multistart(data: _GraphData, opts: SolverOptions) -> np.ndarray:
     rng = np.random.default_rng(
         [opts.seed & 0xFFFFFFFFFFFFFFFF, data.graphs[0].canonical_hash()]
     )
-    act = data.active[0]
+    act = np.flatnonzero(data.active[0])
     starts = np.zeros((opts.starts + 1, data.n))
     starts[0, act] = 1.0 / act.size
     starts[1:, act] = rng.dirichlet(np.ones(act.size), size=opts.starts)
@@ -493,48 +501,49 @@ def lagrangians(graphs: list[RGraph],
     if data.m == 0:  # an empty graph is left-compressed
         return [_empty_result(g, METHOD_SYMMETRY) for g in data.graphs]
 
-    prefix = [is_left_compressed(g) for g in data.graphs]
+    prefix = np.array([is_left_compressed(g) for g in data.graphs])
+    active = data.active.sum(axis=1)
     # the active vertices of a left-compressed graph form a prefix and [r] is
     # an edge, whose face always has a solution
     found = _best_on_faces(data, [
-        [tuple(range(1, k + 1)) for k in range(data.r, act.size + 1)] if lc else []
-        for lc, act in zip(prefix, data.active)], opts.kkt_tol)
-    results = []
-    for k, g in enumerate(data.graphs):
-        if prefix[k]:
-            res = _result(data, k, found[k][1], METHOD_SYMMETRY, opts.kkt_tol)
-        else:
-            one = _GraphData([g])
-            res = _result(one, 0, _multistart(one, opts), METHOD_MULTISTART, opts.kkt_tol)
-        if (res.certified and opts.cross_check
-                and data.active[k].size <= CROSS_CHECK_MAX_ACTIVE):
-            se = support_enumeration(g, opts=opts)
+        [tuple(range(1, k + 1)) for k in range(data.r, int(act) + 1)] if lc else []
+        for lc, act in zip(prefix, active)], opts.kkt_tol)
+    lc = np.flatnonzero(prefix)
+    results = dict(zip(lc.tolist(), _results(
+        data, lc, np.array([found[k][1] for k in lc]).reshape(lc.size, data.n),
+        METHOD_SYMMETRY, opts.kkt_tol)))
+    for k in np.flatnonzero(~prefix).tolist():
+        one = _GraphData([data.graphs[k]])
+        results[k], = _results(one, [0], _multistart(one, opts)[None], METHOD_MULTISTART,
+                               opts.kkt_tol)
+    for k in np.flatnonzero(active <= CROSS_CHECK_MAX_ACTIVE).tolist():
+        res = results[k]
+        if res.certified and opts.cross_check:
+            se = support_enumeration(data.graphs[k], opts=opts)
             if abs(se.value - res.value) > 1e-8:
-                res = replace(res, certified=False, notes=(
+                results[k] = replace(res, certified=False, notes=(
                     f"support enumeration disagrees: {se.value!r} vs {res.value!r}",))
-        results.append(res)
-    return results
+    return [results[k] for k in range(len(data.graphs))]
 
 
-def _result(data: _GraphData, k: int, x: np.ndarray, method: str, kkt_tol: float,
-            notes: tuple[str, ...] = ()) -> LagrangianResult:
-    """The result of graph ``k`` at x from its stationarity report: certified
-    when x meets the first-order conditions within ``kkt_tol`` and the route
-    adds no ``notes`` of its own."""
-    one, xs = data.rows([k]), x[None]
-    value = one.eval(xs)
-    st = _stationarity(data.r, one.grad(xs), xs, value)
-    failure = st.failure(kkt_tol)
-    notes = ((failure,) if failure else ()) + notes
-    return LagrangianResult(
-        value=float(value[0]),
-        weighting=tuple(x.tolist()),
-        support=int(st.support[0].sum()),
-        kkt_residual=float(st.residual[0]),
-        method=method,
-        certified=not notes,
-        notes=notes,
-    )
+def _results(data: _GraphData, owner, xs: np.ndarray, method: str, kkt_tol: float,
+             notes: tuple[str, ...] = ()) -> list[LagrangianResult]:
+    """The result of graph ``owner[i]`` at ``xs[i]`` for each row, from one
+    batched stationarity report: certified when the row meets the
+    first-order conditions within ``kkt_tol`` and the route adds no
+    ``notes`` of its own."""
+    block = data.rows(owner)
+    values = block.eval(xs)
+    st = _stationarity(data.r, block.grad(xs), xs, values)
+    fails = st.fails(kkt_tol)
+    out = []
+    for i, (value, x, support, residual) in enumerate(zip(
+            values.tolist(), xs.tolist(), st.support.sum(axis=1).tolist(),
+            st.residual.tolist())):
+        why = ((st.failure(i, kkt_tol),) if fails[i] else ()) + notes
+        out.append(LagrangianResult(value, tuple(x), support, residual, method,
+                                    not why, why))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +610,7 @@ def support_enumeration(g: RGraph, opts: SolverOptions | None = None) -> Lagrang
     data = _GraphData([g])
     if data.m == 0:
         return _empty_result(g, METHOD_SUPPORT_ENUM)
-    act = [int(v) + 1 for v in data.active[0]]
+    act = [int(v) + 1 for v in np.flatnonzero(data.active[0])]
 
     cover = data.rows().pair(np.ones(g.n))[0] > 0
     subsets = list(islice((sup for size in range(g.r, len(act) + 1)
@@ -616,8 +625,8 @@ def support_enumeration(g: RGraph, opts: SolverOptions | None = None) -> Lagrang
     if found is None:
         return replace(_empty_result(g, METHOD_SUPPORT_ENUM), certified=False,
                        notes=("no feasible stationary support found",))
-    return _result(data, 0, found[1], METHOD_SUPPORT_ENUM, opts.kkt_tol,
-                   ("support budget exceeded; partial result",) if budget_hit else ())
+    return _results(data, [0], found[1][None], METHOD_SUPPORT_ENUM, opts.kkt_tol,
+                    ("support budget exceeded; partial result",) if budget_hit else ())[0]
 
 
 def _best_on_faces(data: _GraphData, faces: list[list[tuple[int, ...]]],
@@ -643,21 +652,28 @@ def _best_on_faces(data: _GraphData, faces: list[list[tuple[int, ...]]],
     support, then the lexicographically first support (a prefix, when one
     ties), then the lexicographically largest weighting.
     """
-    owner = np.repeat(np.arange(len(faces)), [len(f) for f in faces])
-    pairs = [face for fs in faces for face in fs]
-    # colex order puts a graph's edges up to vertex j first
-    ends = [np.searchsorted(data.vert[-1, k], max(face) - 1, "right")
-            for k, face in zip(owner, pairs)]
-    keys: dict[tuple, int] = {}
-    which = np.array([keys.setdefault((face, data.vert[:, k, :e].tobytes()), len(keys))
-                      for k, face, e in zip(owner, pairs, ends)], dtype=np.intp)
+    g, n = len(faces), data.n
+    owner = np.repeat(np.arange(g), [len(f) for f in faces])
+    ids: dict[tuple[int, ...], int] = {}  # each distinct face, its mask and top vertex
+    face = np.fromiter((ids.setdefault(f, len(ids)) for fs in faces for f in fs),
+                       np.intp, owner.size)
+    masks, top = np.zeros((len(ids), n), bool), np.zeros(len(ids), np.intp)
+    for f, i in ids.items():
+        masks[i, [v - 1 for v in f]], top[i] = True, max(f) - 1
+    # colex order puts a graph's edges up to vertex j first: below[k, j] of them
+    below = np.bincount((data.vert[-1] + n * np.arange(g)[:, None]).ravel(),
+                        minlength=g * n).reshape(g, n).cumsum(axis=1)
+    code = data.vert.transpose(1, 2, 0).astype(np.min_scalar_type(n))  # (G, m, r)
+    ends = below[owner, top[face]] * (data.r * code.itemsize)
+    code = [c.tobytes() for c in code]
+    keys: dict[tuple[int, bytes], int] = {}
+    which = np.fromiter((keys.setdefault((f, code[k][:e]), len(keys)) for k, f, e in zip(
+        owner.tolist(), face.tolist(), ends.tolist())), np.intp, owner.size)
     first = np.unique(which, return_index=True)[1]  # each row's first pair
-    xs, solved = np.zeros((first.size, data.n)), np.zeros(first.size, bool)
+    xs, solved = np.zeros((first.size, n)), np.zeros(first.size, bool)
     for lo in range(0, first.size, CHUNK_ROWS):
         part = first[lo:lo + CHUNK_ROWS]
-        mask = np.zeros((part.size, data.n), dtype=bool)
-        for row, i in enumerate(part):
-            mask[row, [v - 1 for v in pairs[i]]] = True
+        mask = masks[face[part]]
         ascended = _replicator_rows(data, owner[part], mask / mask.sum(axis=1, keepdims=True),
                                     FACE_ASCENT_STOP)
         xs[lo:lo + part.size], solved[lo:lo + part.size] = _newton_rows(

@@ -2,15 +2,17 @@
 
 A cell (t, m) enumerates every left-compressed 3-graph on [t] with m edges
 (compression preserves the extremal value, so the class maximum equals the
-maximum over all m-edge 3-graphs), solves their Lagrangians together with
-certification, and compares the class maximum against the colex-initial
-graph.  Known extremal configurations from the literature are reproducible
-as named families and checked one by one.
+maximum over all m-edge 3-graphs), solves their Lagrangians with
+certification in blocks as the enumeration yields them, and compares the
+class maximum against the colex-initial graph.  Known extremal
+configurations from the literature are reproducible as named families and
+checked one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from math import comb
 
 from laglab.hypergraph import (
@@ -27,7 +29,8 @@ from laglab.solver import SolverOptions, lagrangian, lagrangians
 
 INEQ_TOL = 1e-7
 WITNESS_TIE = 1e-9
-T_MAX = 11  # largest t that a sweep or an enumeration accepts
+T_MAX = 12  # largest t that a sweep or an enumeration accepts
+CELL_BLOCK = 1024  # graphs that verify_cell hands lagrangians at a time
 
 
 class ConfigurationError(ValueError):
@@ -307,7 +310,14 @@ def cell_window(t: int) -> range:
 
 
 def verify_cell(t: int, m: int, opts: VerifierOptions | None = None) -> VerificationReport:
-    """Enumerate the left-compressed class at (t, m) and compare Lagrangians."""
+    """Enumerate the left-compressed class at (t, m) and compare Lagrangians.
+
+    The enumeration streams through :func:`lagrangians` in blocks of
+    ``CELL_BLOCK`` graphs; only the colex result, the running maximum, the
+    graphs within ``WITNESS_TIE`` of it and the counts are kept, so memory
+    does not grow with the cell.  No result depends on the graphs solved
+    beside it, so the report does not depend on the block size.
+    """
     opts = opts or VerifierOptions()
     if t < 4:
         raise ValueError(f"cells need t >= 4, got t={t}")
@@ -317,43 +327,41 @@ def verify_cell(t: int, m: int, opts: VerifierOptions | None = None) -> Verifica
             f"C({t},3)={comb(t, 3)} for t={t}"
         )
     colex_edges = build_colex_graph(3, m).edges
-    graphs = list(enumerate_left_compressed(t, m))
-    if not graphs:
+    graphs = enumerate_left_compressed(t, m)
+    colex, max_value, witnesses, count, uncertified = None, -float("inf"), [], 0, 0
+    while block := list(islice(graphs, CELL_BLOCK)):
+        results = lagrangians(block, opts.solver)
+        count += len(block)
+        uncertified += sum(not res.certified for res in results)
+        colex = colex or next(
+            (res for g, res in zip(block, results) if g.edges == colex_edges), None)
+        max_value = max(max_value, max(res.value for res in results))
+        # a graph within WITNESS_TIE of the final maximum is within it of
+        # every running maximum, so dropping the others loses no witness
+        witnesses = [(g, res) for g, res in witnesses + list(zip(block, results))
+                     if res.value >= max_value - WITNESS_TIE]
+    if not count:
         raise ValueError(f"no graphs enumerated at (t={t}, m={m})")
-    results = list(zip(graphs, lagrangians(graphs, opts.solver)))
-
-    max_value = max(res.value for _g, res in results)
-    colex_value = None
-    colex_certified = False
-    for g, res in results:
-        if g.edges == colex_edges:
-            colex_value = res.value
-            colex_certified = res.certified
-            break
-    if colex_value is None:
+    if colex is None:
         raise RuntimeError(
             f"colex graph missing from enumeration at (t={t}, m={m})"
         )
 
-    witnesses = [
-        (g, res) for g, res in results if res.value >= max_value - WITNESS_TIE
-    ]
     witnesses.sort(key=lambda pair: tuple(colex_rank(e) for e in pair[0].sorted_edges()))
-    uncertified = sum(1 for _g, res in results if not res.certified)
-    gap = colex_value - max_value
+    gap = colex.value - max_value
     all_pass = (
         gap >= -INEQ_TOL
-        and colex_certified
+        and colex.certified
         and all(res.certified for _g, res in witnesses)
     )
     return VerificationReport(
         t=t,
         m=m,
         a=comb(t, 3) - m,
-        colex_value=colex_value,
+        colex_value=colex.value,
         max_value=max_value,
         gap=gap,
-        graph_count=len(results),
+        graph_count=count,
         witnesses=tuple(serialize_edge_list(g) for g, _res in witnesses),
         all_pass=bool(all_pass),
         witness_supports=tuple(res.support for _g, res in witnesses),

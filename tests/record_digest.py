@@ -2,15 +2,15 @@
 ``tests/test_digest.py`` checks.
 
     python3 tests/record_digest.py
-    python3 tests/record_digest.py --check 8 9 10
+    python3 tests/record_digest.py --check 8 9 10 11
 
-Without ``--check``: solves every (t, m) cell with 4 <= t <= 10 under
+Without ``--check``: solves every (t, m) cell with 4 <= t <= 11 under
 laglab's default options, on two worker processes, and writes
 ``tests/cell_digest.json``: per cell the graph count, verdict, uncertified
 count, witness supports and values, colex and maximum values, and a SHA-256
 of the witness texts.  Record it at the commit whose results a solver change
-must keep; the whole run takes about 15 s on two cores, 12 s of it the
-t = 10 window.
+must keep; the whole run takes about 40 s on two cores, 28 s of it the
+t = 11 window.
 
 With ``--check T ...``: solves the windows of the given t, on two worker
 processes, and compares every cell with the stored digest, values within
@@ -37,7 +37,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import laglab.solver as solver  # noqa: E402
 import laglab.verifier as verifier  # noqa: E402
 
-T_MAX = 10
+T_MAX = 11
 WORKERS = 2
 VALUE_FIELDS = ("witness_values", "colex_value", "max_value")
 VALUE_TOL = 1e-12

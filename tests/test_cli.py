@@ -47,6 +47,17 @@ class TestCompute:
         assert doc["support"] == 4
         assert doc["certified"] is True
 
+    def test_uncertified_result_carries_its_note(self, capsys):
+        code, out, _ = run(capsys, "compute", "complete:r=3,t=5", "--kkt-tol=-1",
+                           "--format", "json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["certified"] is False
+        assert len(doc["notes"]) == 1 and "exceeds kkt_tol" in doc["notes"][0]
+        code, out, _ = run(capsys, "compute", "complete:r=3,t=5", "--kkt-tol=-1")
+        assert code == 2
+        assert f"note: {doc['notes'][0]}" in out.splitlines()
+
     def test_parse_error_exit_1(self, capsys, tmp_path):
         path = tmp_path / "bad.edges"
         path.write_text("3 5 1\n1 q 3\n")
@@ -145,9 +156,9 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--t", "9", "--m", "77")
         assert code == 0
         assert out.splitlines()[0] == "9"
-        code, _, err = run(capsys, "enumerate", "--t", "12", "--m", "200")
+        code, _, err = run(capsys, "enumerate", "--t", "13", "--m", "200")
         assert code == 1
-        assert "3..11" in err
+        assert "3..12" in err
 
 
 class TestSweep:
@@ -174,7 +185,7 @@ class TestSweep:
         assert len(lines) == 5
 
     def test_bad_t_max_exit_1(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "sweep", "--t-max", "12",
+        code, _, _ = run(capsys, "sweep", "--t-max", "13",
                          "--out", str(tmp_path / "s"))
         assert code == 1
 

@@ -20,9 +20,9 @@ def assert_matches_digest(reports):
     assert not bad, bad
 
 
-def test_digest_covers_t_up_to_10():
+def test_digest_covers_t_up_to_11():
     assert sorted(DIGEST) == sorted(
-        f"{t},{m}" for t in range(4, 11) for m in cell_window(t))
+        f"{t},{m}" for t in range(4, 12) for m in cell_window(t))
 
 
 def test_cells_up_to_t7_match_digest(sweep6_reports):

@@ -428,6 +428,24 @@ class TestBatchedSolve:
         with pytest.raises(ValueError):
             lagrangians([build_colex_graph(3, 7), build_colex_graph(3, 8)])
 
+    def test_singular_row_halves_the_stack(self, monkeypatch):
+        # one singular system among 64: halving around it takes 1 + 2 * 6
+        # stacked solves, where solving every row alone would take 65
+        rng = np.random.default_rng(11)
+        jac, rhs = rng.random((64, 6, 6)) + 6 * np.eye(6), rng.random((64, 6))
+        jac[37, 4] = jac[37, 2]
+        solve, calls = np.linalg.solve, []
+
+        def spy(a, b):
+            calls.append(len(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        out, ok = solver._solve_rows(jac, rhs)
+        assert len(calls) <= 13
+        assert ok.tolist() == [k != 37 for k in range(64)]
+        assert all(np.array_equal(out[k], solve(jac[k], rhs[k])) for k in range(64) if k != 37)
+
     def test_singular_face_fails_alone(self, monkeypatch):
         # vertices 4 and 5 lie in no edge, so the Jacobian on the face [5]
         # has two equal rows; the stacked solve raises for the whole stack
@@ -599,5 +617,5 @@ class TestOptionsAndDeterminism:
     def test_json_fields(self):
         doc = lagrangian(RGraph.complete(3, 4)).as_json_dict()
         assert set(doc) == {
-            "value", "weighting", "support", "kkt_residual", "method", "certified",
+            "value", "weighting", "support", "kkt_residual", "method", "certified", "notes",
         }

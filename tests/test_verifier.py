@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from laglab import verifier
 from laglab.hypergraph import (
     RGraph,
     build_colex_graph,
@@ -201,6 +202,31 @@ class TestCells:
             verify_cell(3, 1)
 
 
+class TestStreamedCells:
+    @pytest.mark.parametrize("cell_block", [1, 7, 10**6])
+    def test_report_does_not_depend_on_block_size(self, monkeypatch, cell_block):
+        # every report field, exactly: the cells fit one block of the
+        # default size, and (8, 35) is a plateau cell whose 79 graphs hold
+        # many witnesses tied with colex
+        cells = [(7, m) for m in cell_window(7)] + [(8, 35)]
+        whole = {cell: verify_cell(*cell) for cell in cells}
+        monkeypatch.setattr(verifier, "CELL_BLOCK", cell_block)
+        for cell in cells:
+            assert verify_cell(*cell) == whole[cell], cell
+
+    def test_no_solve_exceeds_the_block(self, monkeypatch):
+        sizes, solve = [], verifier.lagrangians
+
+        def spy(graphs, opts=None):
+            sizes.append(len(graphs))
+            return solve(graphs, opts)
+
+        monkeypatch.setattr(verifier, "lagrangians", spy)
+        monkeypatch.setattr(verifier, "CELL_BLOCK", 16)
+        assert verify_cell(8, 35).graph_count == sum(sizes) == 79
+        assert max(sizes) <= 16
+
+
 class TestSweep:
     def test_window_arithmetic(self):
         assert list(cell_window(4)) == [1, 2, 3, 4]
@@ -220,7 +246,7 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(3)
         with pytest.raises(ValueError):
-            sweep(12)
+            sweep(13)
 
     def test_corollary_m_range_at_t6(self, sweep6_reports):
         # all left-compressed graphs with C(6,3)-6 <= m <= C(6,3)-3 stay below
