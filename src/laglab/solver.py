@@ -23,6 +23,7 @@ each graph alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import chain, combinations, islice
 from typing import NamedTuple
 
@@ -127,15 +128,24 @@ class _GraphData:
         return _Rows(self, np.asarray(owner, dtype=np.intp), support)
 
 
+@cache
+def _factors(r: int, k: int) -> list[np.ndarray]:
+    """Factor j of :func:`_products`: for each k-set of the r edge positions,
+    in :func:`combinations` order, the j-th position outside it."""
+    return [np.array(col, dtype=np.intp) for col in zip(
+        *([p for p in range(r) if p not in skip] for skip in combinations(range(r), k)))]
+
+
 def _products(cols: np.ndarray, k: int) -> np.ndarray:
     """For each k-set of edge positions, in :func:`combinations` order, the
-    elementwise product of the gathered positions ``cols[p]`` outside it."""
-    skips = list(combinations(range(len(cols)), k))
-    out = np.ones((len(skips),) + cols.shape[1:])
-    for row, skip in zip(out, skips):
-        for p in range(len(cols)):
-            if p not in skip:
-                row *= cols[p]
+    elementwise product of the gathered positions ``cols[p]`` outside it,
+    multiplied in increasing p."""
+    factors = _factors(len(cols), k)
+    if not factors:
+        return np.ones((1,) + cols.shape[1:])
+    out = cols[factors[0]]
+    for idx in factors[1:]:
+        out *= cols[idx]
     return out
 
 
@@ -242,9 +252,8 @@ def _seed_rows(x0: np.ndarray, sup: np.ndarray) -> np.ndarray:
 
 def _solve_rows(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked linear solve and the mask of rows solved.  One singular matrix
-    makes a stacked call raise; then each half of the stack is solved, and so
-    on down to single rows, so one singular row among R costs about
-    2 log2(R) calls."""
+    makes a stacked call raise; then each half is solved, down to single
+    rows, so one singular row among R costs about 2 log2(R) calls."""
     out, ok = np.zeros_like(rhs), np.ones(len(jac), bool)
     todo = [(0, len(jac))]
     while todo:
@@ -366,15 +375,16 @@ class _Stationarity(NamedTuple):
         """
         return (self.residual > kkt_tol) | (self.link_excess > kkt_tol)
 
-    def failure(self, i: int, kkt_tol: float) -> str:
-        """The first-order condition that row i fails within ``kkt_tol`` ('' when
-        it fails none), as a result's note."""
+    def failure(self, i: int, kkt_tol: float) -> tuple[str, ...]:
+        """The first-order condition that row i fails within ``kkt_tol``, as
+        a result's note (no note when it fails none)."""
         if self.residual[i] > kkt_tol:
-            return f"equal-link residual {self.residual[i]:.3g} on the support exceeds kkt_tol"
+            return (f"equal-link residual {self.residual[i]:.3g} on the support "
+                    "exceeds kkt_tol",)
         if self.link_excess[i] > kkt_tol:
             return (f"link of vertex {int(self.grad[i].argmax()) + 1} exceeds "
-                    f"r * value by {self.link_excess[i]:.3g} (first-order condition)")
-        return ""
+                    f"r * value by {self.link_excess[i]:.3g} (first-order condition)",)
+        return ()
 
 
 def _stationarity(r: int, grad: np.ndarray, x: np.ndarray,
@@ -481,8 +491,8 @@ def lagrangian(g: RGraph, opts: SolverOptions | None = None) -> LagrangianResult
 def lagrangians(graphs: list[RGraph],
                 opts: SolverOptions | None = None) -> list[LagrangianResult]:
     """Maximize the edge polynomial of each of ``graphs`` (which share r, n
-    and m: one cell) over the simplex; each result equals :func:`lagrangian`
-    of its graph alone.
+    and m: one cell, or a block of one) over the simplex; each result equals
+    :func:`lagrangian` of its graph alone.
 
     A left-compressed graph has a non-increasing optimal weighting, so its
     prefix faces [r], [r+1], ... up to the active vertices are solved, for
@@ -535,15 +545,11 @@ def _results(data: _GraphData, owner, xs: np.ndarray, method: str, kkt_tol: floa
     block = data.rows(owner)
     values = block.eval(xs)
     st = _stationarity(data.r, block.grad(xs), xs, values)
-    fails = st.fails(kkt_tol)
-    out = []
-    for i, (value, x, support, residual) in enumerate(zip(
-            values.tolist(), xs.tolist(), st.support.sum(axis=1).tolist(),
-            st.residual.tolist())):
-        why = ((st.failure(i, kkt_tol),) if fails[i] else ()) + notes
-        out.append(LagrangianResult(value, tuple(x), support, residual, method,
-                                    not why, why))
-    return out
+    why = [st.failure(i, kkt_tol) + notes for i in range(len(xs))]
+    return [LagrangianResult(value, tuple(x), support, residual, method, not w, w)
+            for value, x, support, residual, w in zip(
+                values.tolist(), xs.tolist(), st.support.sum(axis=1).tolist(),
+                st.residual.tolist(), why)]
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +685,7 @@ def _best_on_faces(data: _GraphData, faces: list[list[tuple[int, ...]]],
         xs[lo:lo + part.size], solved[lo:lo + part.size] = _newton_rows(
             data, owner[part], ascended, mask)
 
-    best: list[tuple[float, bool, np.ndarray] | None] = [None] * len(faces)  # (value, fails, x)
+    best: list[tuple[float, bool, np.ndarray] | None] = [None] * g  # (value, fails, x)
     done = np.flatnonzero(solved[which])
     for lo in range(0, done.size, CHUNK_ROWS):
         part = done[lo:lo + CHUNK_ROWS]
