@@ -202,17 +202,22 @@ class TestCells:
             verify_cell(3, 1)
 
 
+@pytest.fixture(scope="module")
+def one_block_reports():
+    """Reports of the t = 7 cells and of (8, 35), each solved as one block at
+    the default ``CELL_BLOCK``; (8, 35) is a plateau cell whose 79 graphs
+    hold many witnesses tied with colex."""
+    return {cell: verify_cell(*cell) for cell in [(7, m) for m in cell_window(7)] + [(8, 35)]}
+
+
 class TestStreamedCells:
     @pytest.mark.parametrize("cell_block", [1, 7, 10**6])
-    def test_report_does_not_depend_on_block_size(self, monkeypatch, cell_block):
-        # every report field, exactly: the cells fit one block of the
-        # default size, and (8, 35) is a plateau cell whose 79 graphs hold
-        # many witnesses tied with colex
-        cells = [(7, m) for m in cell_window(7)] + [(8, 35)]
-        whole = {cell: verify_cell(*cell) for cell in cells}
+    def test_report_does_not_depend_on_block_size(self, monkeypatch, cell_block,
+                                                  one_block_reports):
+        # every report field, exactly
         monkeypatch.setattr(verifier, "CELL_BLOCK", cell_block)
-        for cell in cells:
-            assert verify_cell(*cell) == whole[cell], cell
+        for cell, report in one_block_reports.items():
+            assert verify_cell(*cell) == report, cell
 
     def test_no_solve_exceeds_the_block(self, monkeypatch):
         sizes, solve = [], verifier.lagrangians
