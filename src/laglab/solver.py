@@ -1,15 +1,19 @@
 """Lagrangian computation for r-graphs over the probability simplex.
 
 A left-compressed graph has a non-increasing optimal weighting, so its
-optimal support is a prefix [k] of the vertices: each prefix face is solved
-by multiplicative ascent from its uniform point, stopped once no weight
-moves by ``FACE_ASCENT_STOP``, and Newton iteration on the equal-link
-stationarity system.  Other graphs run the same multiplicative ascent from
-many starts, to the much finer ``START_ASCENT_STOP`` because the end points
-choose the faces, and hand the supports it reveals to the same face solve.
-Results carry a KKT residual and a certification flag; an exhaustive
-support-enumeration path, again through the face solve, provides a
-cross-check for small graphs.
+optimal support is a prefix [k] of the vertices.  Some optimal weighting of
+least support has every pair of its support in an edge (Frankl-Rodl);
+sorted, it is optimal on a prefix [k], and the edge through the two largest
+vertices of its support dominates {1, ..., r-2, k-1, k}, which
+left-compression then puts in the graph.  The prefix faces from [r] up to
+the largest such k are solved, each by multiplicative ascent from its
+uniform point, stopped once no weight moves by ``FACE_ASCENT_STOP``, and
+Newton iteration on the equal-link stationarity system.  Other graphs run
+the same multiplicative ascent from many starts, to the much finer
+``START_ASCENT_STOP`` because the end points choose the faces, and hand the
+supports it reveals to the same face solve.  Results carry a KKT residual
+and a certification flag; an exhaustive support-enumeration path, again
+through the face solve, provides a cross-check for small graphs.
 
 The face solve is batched: graphs that share r, n and m (a block of one
 cell) stack their edges, (graph, face) pairs that share the face and the
@@ -495,8 +499,15 @@ def lagrangians(graphs: list[RGraph],
     :func:`lagrangian` of its graph alone.
 
     A left-compressed graph has a non-increasing optimal weighting, so its
-    prefix faces [r], [r+1], ... up to the active vertices are solved, for
-    all graphs by one :func:`_best_on_faces` (method ``symmetry_reduced``).
+    optimum lies on a prefix face [k].  Some optimal weighting of least
+    support covers every pair of its support with an edge (Frankl-Rodl,
+    "Hypergraphs do not jump"); sorted, it stays optimal on a prefix [k],
+    and the edge through the two largest vertices of its unsorted support
+    dominates {1, ..., r-2, k-1, k}, which left-compression then puts in the
+    graph.  So the prefix faces [r] ... [K] are solved, K the largest k with
+    that edge (the covered k form an initial segment, and [r] is always an
+    edge), for all graphs by one :func:`_best_on_faces` (method
+    ``symmetry_reduced``); the faces above [K] hold a pair in no edge.
     Other graphs go through :func:`_multistart` (``multistart_gradient``).
     ``certified`` requires the first-order conditions of
     :meth:`_Stationarity.failure` within ``opts.kkt_tol`` and (for graphs
@@ -513,11 +524,15 @@ def lagrangians(graphs: list[RGraph],
 
     prefix = np.array([is_left_compressed(g) for g in data.graphs])
     active = data.active.sum(axis=1)
-    # the active vertices of a left-compressed graph form a prefix and [r] is
-    # an edge, whose face always has a solution
+    # K per graph: the largest top vertex of an edge {1, ..., r-2, k-1, k};
+    # [r] is such an edge of every left-compressed graph, and its face
+    # always has a solution
+    v = data.vert
+    covers = (v[-1] == v[-2] + 1) & (v[:-2] == np.arange(data.r - 2)[:, None, None]).all(axis=0)
+    top = np.where(covers, v[-1] + 1, data.r).max(axis=1)
     found = _best_on_faces(data, [
-        [tuple(range(1, k + 1)) for k in range(data.r, int(act) + 1)] if lc else []
-        for lc, act in zip(prefix, active)], opts.kkt_tol)
+        [tuple(range(1, k + 1)) for k in range(data.r, int(k_max) + 1)] if lc else []
+        for lc, k_max in zip(prefix, top)], opts.kkt_tol)
     lc = np.flatnonzero(prefix)
     results = dict(zip(lc.tolist(), _results(
         data, lc, np.array([found[k][1] for k in lc]).reshape(lc.size, data.n),

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from laglab import solver
-from laglab.hypergraph import RGraph, build_colex_graph, enumerate_left_compressed
+from laglab.hypergraph import (
+    RGraph,
+    build_colex_graph,
+    enumerate_left_compressed,
+    is_left_compressed,
+)
 from laglab.solver import (
     SolverOptions,
     check_legal_weighting,
@@ -366,11 +371,13 @@ class TestBatchedSolve:
             assert lagrangians(list(enumerate_left_compressed(*cell))) == alone[cell], cell
 
     def test_one_row_per_face_and_edges_inside(self, monkeypatch):
-        # (8, 35), a plateau cell: 79 graphs give 473 (graph, prefix face)
-        # pairs, but a row's solve reads only the face and the edges inside it
+        # (8, 35), a plateau cell: its 79 graphs solve the covered prefix
+        # faces [3] ... [K], where {1, K-1, K} is an edge, but a row's solve
+        # reads only the face and the edges inside it
         graphs = list(enumerate_left_compressed(8, 35))
         keys = {(k, frozenset(e for e in g.edges if e[-1] <= k))
-                for g in graphs for k in range(3, max(e[-1] for e in g.edges) + 1)}
+                for g in graphs
+                for k in range(3, max(e[2] for e in g.edges if e[:2] == (1, e[2] - 1)) + 1)}
         rows, newton = [], solver._newton_rows
 
         def spy(data, owner, x0, faces):
@@ -379,7 +386,7 @@ class TestBatchedSolve:
 
         monkeypatch.setattr(solver, "_newton_rows", spy)
         lagrangians(graphs)
-        assert sum(rows) == len(keys) == 121
+        assert sum(rows) == len(keys) == 56
 
     def test_blocked_newton_steps_do_not_crawl(self, monkeypatch):
         # many faces of (8, 35) have their optimum on their boundary; a step
@@ -470,6 +477,101 @@ class TestBatchedSolve:
         assert solved.tolist() == [False, True] and solved_alone.tolist() == [True]
         assert np.array_equal(xs[1], xs_alone[0])
         assert np.allclose(xs[1], [1 / 3, 1 / 3, 1 / 3, 0, 0], rtol=0, atol=1e-13)
+
+
+class TestCoveredPrefixes:
+    """A left-compressed graph solves only the prefix faces [r] ... [K], K
+    the largest k for which {1, ..., r-2, k-1, k} is an edge: some optimal
+    weighting has a support whose pairs all lie in edges (Frankl-Rodl), and
+    sorted it is a prefix [k] that holds that edge."""
+
+    @staticmethod
+    def spy_faces(monkeypatch) -> list:
+        seen, best_on_faces = [], solver._best_on_faces
+
+        def spy(data, faces, kkt_tol):
+            seen.append(faces)
+            return best_on_faces(data, faces, kkt_tol)
+
+        monkeypatch.setattr(solver, "_best_on_faces", spy)
+        return seen
+
+    def top_face(self, seen, g) -> int:
+        seen.clear()
+        lagrangian(g, SolverOptions(cross_check=False))
+        faces, = seen[0]
+        k = len(faces[-1])
+        assert faces == [tuple(range(1, j + 1)) for j in range(g.r, k + 1)]
+        return k
+
+    @pytest.mark.parametrize("t", [6, 8])
+    def test_colex_reaches_the_top_face_with_its_pair(self, monkeypatch, t):
+        # the colex edges through t run {1,2,t}, {1,3,t}, {2,3,t}, ...; the
+        # edge {1, t-1, t} comes after the C(t-2, 2) pairs inside [t-2]
+        seen = self.spy_faces(monkeypatch)
+        for j in range(1, comb(t - 2, 2) + 2):
+            g = build_colex_graph(3, comb(t - 1, 3) + j)
+            assert g.n == t
+            assert self.top_face(seen, g) == (t - 1 if j <= comb(t - 2, 2) else t), j
+        assert self.top_face(seen, RGraph.complete(3, t)) == t
+
+    @pytest.mark.parametrize("r, n, words, top", [
+        (2, 5, "12 13 23 14 24 15", 3),  # {3, 4} and {4, 5} are not edges
+        (4, 6, "1234 1235 1245 1345 2345 1236 1246 1346", 5),  # {1, 2, 5, 6} is not
+    ])
+    def test_hand_picked_top_face(self, monkeypatch, r, n, words, top):
+        g = graph_from_words(r, n, words)
+        assert is_left_compressed(g)
+        seen = self.spy_faces(monkeypatch)
+        assert self.top_face(seen, g) == top
+        res = lagrangian(g)
+        assert res.certified and res.support <= top
+        if r == 2:
+            assert res.value == pytest.approx(lagrangian_2graph_oracle(g), abs=1e-15)
+
+    def test_uncovered_faces_hold_no_higher_point(self):
+        # the oracle solves every prefix face [r] ... [active], as the solver
+        # did before it skipped the uncovered ones
+        from laglab.hypergraph import compress
+
+        rng = np.random.default_rng(12)
+        cells = [list(enumerate_left_compressed(t, m))
+                 for t in range(4, 8) for m in cell_window(t)]
+        cells.append(list(enumerate_left_compressed(8, 35)))
+        for r in (2, 4):
+            for _ in range(40):
+                n = int(rng.integers(r + 1, 9))
+                g = compress(random_rgraph(rng, r, n, float(rng.uniform(0.2, 0.8))))
+                if g.m:
+                    cells.append([g])
+        for graphs in cells:
+            data = solver._GraphData(graphs)
+            every = [[tuple(range(1, k + 1)) for k in range(data.r, int(act) + 1)]
+                     for act in data.active.sum(axis=1)]
+            found = solver._best_on_faces(data, every, SolverOptions().kkt_tol)
+            results = lagrangians(graphs, SolverOptions(cross_check=False))
+            for g, res, (value, x) in zip(graphs, results, found):
+                assert value <= res.value + 1e-15, sorted(g.edges)
+                assert res.support == int((x > solver.POSITIVE_EPS).sum()), sorted(g.edges)
+                assert kkt_check(g, res.weighting, res.value).pair_cover_ok
+                w = np.array(res.weighting)
+                assert (w[:res.support] > solver.POSITIVE_EPS).all()  # a prefix support
+
+    def test_no_singular_newton_row(self, monkeypatch):
+        # the faces above [K] hold a pair that no edge covers; solving them
+        # left 15 singular Newton rows on the t = 7 window and 9 on (8, 35)
+        unsolved, solve = [], solver._solve_rows
+
+        def spy(jac, rhs):
+            out, ok = solve(jac, rhs)
+            unsolved.append(int((~ok).sum()))
+            return out, ok
+
+        monkeypatch.setattr(solver, "_solve_rows", spy)
+        for m in cell_window(7):
+            lagrangians(list(enumerate_left_compressed(7, m)))
+        lagrangians(list(enumerate_left_compressed(8, 35)))
+        assert unsolved and sum(unsolved) == 0
 
 
 class TestStructuralInvariants:
