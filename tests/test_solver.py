@@ -530,8 +530,8 @@ class TestCoveredPrefixes:
             assert res.value == pytest.approx(lagrangian_2graph_oracle(g), abs=1e-15)
 
     def test_uncovered_faces_hold_no_higher_point(self):
-        # the oracle solves every prefix face [r] ... [active], as the solver
-        # did before it skipped the uncovered ones
+        # the oracle solves every prefix face [r] ... [active], the uncovered
+        # ones included
         from laglab.hypergraph import compress
 
         rng = np.random.default_rng(12)
