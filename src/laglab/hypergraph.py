@@ -10,8 +10,10 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain, combinations, compress as select
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 Edge = tuple[int, ...]
@@ -91,10 +93,10 @@ def colex_unrank(r: int, rank: int) -> Edge:
 # ---------------------------------------------------------------------------
 
 # Each distinct edge that has passed :func:`as_edge`, with its edge-list line
-# and colex rank: known edges skip the per-vertex checks, serializing looks
-# lines up, and sorting compares ranks.
+# and, per uniformity, its colex rank: a graph of known edges skips the
+# per-edge checks, serializing looks lines up, and sorting compares ranks.
 _EDGE_TEXT: dict[Edge, str] = {}
-_EDGE_RANK: dict[Edge, int] = {}
+_EDGE_RANK: dict[int, dict[Edge, int]] = {}
 
 
 @dataclass(frozen=True)
@@ -110,14 +112,18 @@ class RGraph:
             raise ValueError(f"uniformity must be >= 2, got {self.r}")
         if self.n < 0:
             raise ValueError(f"vertex bound must be >= 0, got {self.n}")
+        known = _EDGE_RANK.setdefault(self.r, {})
+        if (known.keys() >= self.edges
+                and max(map(itemgetter(-1), self.edges), default=0) <= self.n):
+            return
         for e in self.edges:
             if len(e) != self.r:
                 raise UniformityError(f"edge {e} has size {len(e)}, expected {self.r}")
-            if e not in _EDGE_TEXT:
+            if e not in known:
                 f = as_edge(e)
                 if e != f:
                     raise ValueError(f"edge {e} is not strictly increasing")
-                _EDGE_TEXT[f], _EDGE_RANK[f] = " ".join(map(str, f)), colex_rank(f)
+                _EDGE_TEXT[f], known[f] = " ".join(map(str, f)), colex_rank(f)
             if e[-1] > self.n:
                 raise ValueError(f"edge {e} exceeds vertex bound n={self.n}")
 
@@ -143,7 +149,11 @@ class RGraph:
 
     def sorted_edges(self) -> list[Edge]:
         """Edges in canonical (colex) order: by :func:`colex_rank`."""
-        return sorted(self.edges, key=_EDGE_RANK.__getitem__)
+        return sorted(self.edges, key=_EDGE_RANK[self.r].__getitem__)
+
+    def colex_ranks(self) -> list[int]:
+        """The :func:`colex_rank` of every edge, ascending."""
+        return sorted(map(_EDGE_RANK[self.r].__getitem__, self.edges))
 
     def with_n(self, n: int) -> "RGraph":
         """Same edge set viewed on vertex set [n] (n may only grow or stay tight)."""
@@ -156,9 +166,7 @@ class RGraph:
         )
 
     def canonical_bytes(self) -> bytes:
-        ranks = sorted(colex_rank(e) for e in self.edges)
-        head = f"{self.r} {self.n} {len(ranks)}:".encode()
-        return head + b",".join(str(k).encode() for k in ranks)
+        return f"{self.r} {self.n} {self.m}:{','.join(map(str, self.colex_ranks()))}".encode()
 
     def canonical_hash(self) -> int:
         """Stable 64-bit content hash (independent of process hash seed)."""
@@ -330,27 +338,19 @@ def is_down_closed(g: RGraph) -> bool:
 # Enumeration of left-compressed 3-graphs (down-sets of the triple poset)
 # ---------------------------------------------------------------------------
 
-class _TriplePoset:
-    """All triples on [t] indexed by colex rank, with the up-set of each."""
-
-    _cache: dict[int, "_TriplePoset"] = {}
-
-    def __init__(self, t: int):
-        self.total = comb(t, 3)
-        self.triples = [colex_unrank(3, k) for k in range(self.total)]
-        rank_of = {e: k for k, e in enumerate(self.triples)}
-        # the ranks of all triples above each triple; an ancestor has the larger
-        # rank, so in falling rank order each mask is whole before it passes down
-        self.ancestor_mask = [0] * self.total
-        for k in range(self.total - 1, -1, -1):
-            for d in direct_descendants(self.triples[k]):
-                self.ancestor_mask[rank_of[d]] |= self.ancestor_mask[k] | 1 << k
-
-    @classmethod
-    def get(cls, t: int) -> "_TriplePoset":
-        if t not in cls._cache:
-            cls._cache[t] = cls(t)
-        return cls._cache[t]
+@cache
+def _triple_poset(t: int) -> tuple[list[Edge], list[int]]:
+    """All triples on [t] in colex rank order, and the up-set of each as a
+    rank bitmask (the triple and all its ancestors)."""
+    triples = [colex_unrank(3, k) for k in range(comb(t, 3))]
+    rank_of = {e: k for k, e in enumerate(triples)}
+    # an ancestor has the larger rank, so in falling rank order each mask is
+    # whole before it passes down
+    up = [1 << k for k in range(len(triples))]
+    for k in range(len(triples) - 1, -1, -1):
+        for d in direct_descendants(triples[k]):
+            up[rank_of[d]] |= up[k]
+    return triples, up
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -359,45 +359,52 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 def _downset_masks(t: int, m: int) -> Iterator[int]:
     """Yield each size-m down-set of the triple poset on [t] as a rank bitmask.
 
-    Down-sets are grown in colex rank order; colex order extends the
-    descendant order, so every rank-order prefix of a down-set is one too,
-    and each set is produced exactly once, in colex-prefix order.
+    A down-set is the complement of an up-set U of a = C(t,3) - m ranks,
+    and U is the up-set of its minimal triples.  Each level of the search
+    picks the next minimal triple, the next rank to skip, above the last
+    one; every rank in between that U does not hold yet is taken.  Skipping
+    s puts the up-set of s into U, and the search yields at |U| = a.
+    Colex order extends the descendant order, so where two sets first
+    differ, the set that skips that rank has it as its next skip; trying
+    next skips in falling rank order yields the sets in colex-prefix order
+    (the set that takes the rank first), each exactly once.
 
-    Every branch yields a set.  A rank that a branch passes over, and every
-    ancestor of it, stays out of all sets below: ``blocked`` gathers those
-    ancestors, and a rank can be taken iff it is not blocked.  After taking
-    k, the unblocked ranks above k, or any rank-order prefix of them, extend
-    the set to a down-set, so the branch reaches m iff ``need - 1`` of them
-    are left.  That count never grows along the loop: its first failure ends it.
+    Every branch yields a set.  With b ranks of U left to fill, a skip at s
+    is tried only if the c ranks it adds fit (c <= b) and at least b - 1
+    free ranks lie above s.  The top b - c free ranks above s then complete
+    U, since an ancestor of one of them is in U already or free and higher.
+    Only ranks whose up-set has at most a ranks are ever tried.
     """
     if t < 3:
         raise ValueError(f"need t >= 3, got {t}")
     if not 0 <= m <= comb(t, 3):
         raise ValueError(f"need 0 <= m <= C({t},3)={comb(t, 3)}, got {m}")
-    poset = _TriplePoset.get(t)
-    total, above = poset.total, poset.ancestor_mask
+    closure = _triple_poset(t)[1]
+    total, a = len(closure), len(closure) - m
+    candidates = sum(1 << k for k in range(total) if closure[k].bit_count() <= a)
 
-    def rec(mask: int, need: int, last: int, blocked: int) -> Iterator[int]:
-        if need == 0:
-            yield mask
+    def rec(up: int, floor: int) -> Iterator[int]:
+        left = a - up.bit_count()
+        if left == 0:
+            yield (1 << total) - 1 ^ up
             return
-        for k in range(last + 1, total):
-            if blocked >> k & 1:
-                continue
-            if total - k - 1 - (blocked >> (k + 1)).bit_count() < need - 1:
-                return
-            yield from rec(mask | 1 << k, need - 1, k, blocked)
-            blocked |= above[k]
+        options = (candidates & ~up) >> floor << floor
+        while options:
+            s = options.bit_length() - 1
+            options ^= 1 << s
+            if total - s - (up >> s).bit_count() >= left and (up | closure[s]).bit_count() <= a:
+                yield from rec(up | closure[s], s + 1)
 
-    yield from rec(0, m, -1, 0)
+    return rec(0, 0)
 
 
 def enumerate_left_compressed(t: int, m: int) -> Iterator[RGraph]:
     """All left-compressed 3-graphs on [t] with m edges, each exactly once."""
-    for mask in _downset_masks(t, m):
+    masks, triples = _downset_masks(t, m), _triple_poset(t)[0]
+    for mask in masks:
         # the mask's binary digits as 0/1 bytes, lowest rank first, pick the triples
         bits = format(mask, "b").encode().translate(_BIT_BYTES)[::-1]
-        yield RGraph(3, t, frozenset(select(_TriplePoset.get(t).triples, bits)))
+        yield RGraph(3, t, frozenset(select(triples, bits)))
 
 
 def count_left_compressed(t: int, m: int) -> int:

@@ -18,7 +18,6 @@ from math import comb
 from laglab.hypergraph import (
     RGraph,
     build_colex_graph,
-    colex_rank,
     complement,
     enumerate_left_compressed,
     is_left_compressed,
@@ -345,7 +344,7 @@ def verify_cell(t: int, m: int, opts: VerifierOptions | None = None) -> Verifica
             f"colex graph missing from enumeration at (t={t}, m={m})"
         )
 
-    witnesses.sort(key=lambda pair: tuple(colex_rank(e) for e in pair[0].sorted_edges()))
+    witnesses.sort(key=lambda pair: pair[0].colex_ranks())
     gap = colex.value - max_value
     all_pass = (
         gap >= -INEQ_TOL

@@ -122,6 +122,13 @@ class TestRGraph:
         with pytest.raises(UniformityError):
             RGraph(4, 5, frozenset({(1, 2, 5)}))
 
+    def test_graph_of_known_edges_still_checks_the_vertex_bound(self):
+        # every edge of K_6^(3) is known, so only the bound can reject it
+        edges = RGraph.complete(3, 6).edges
+        assert RGraph(3, 6, edges).m == 20
+        with pytest.raises(ValueError, match="exceeds vertex bound n=5"):
+            RGraph(3, 5, edges)
+
     @pytest.mark.parametrize("bad", [(2, 1, 3), (0, 1, 2), (1, 1, 2)])
     def test_malformed_edges_rejected_before_and_after_valid_graphs(self, bad):
         with pytest.raises(ValueError):
@@ -153,6 +160,20 @@ class TestRGraph:
         g1 = RGraph.from_edges(3, [(1, 2, 3), (1, 2, 4)])
         g2 = RGraph.from_edges(3, [(1, 2, 4), (1, 2, 3)])
         assert g1.canonical_hash() == g2.canonical_hash()
+
+    @pytest.mark.parametrize("g, text, digest", [
+        (build_colex_graph(3, 10), b"3 5 10:0,1,2,3,4,5,6,7,8,9", 0x98CCD3FE9DB1FCCC),
+        (RGraph.from_edges(3, [(1, 2, 3), (2, 5, 9), (4, 6, 7)], n=10),
+         b"3 10 3:0,33,63", 0xD970D020EE68F96E),
+        (RGraph.complete(2, 4).with_n(6), b"2 6 6:0,1,2,3,4,5", 0x20364AABB80241C2),
+        (RGraph.from_edges(4, [(1, 2, 3, 4), (1, 2, 3, 5), (2, 3, 4, 5)]),
+         b"4 5 3:0,1,4", 0x5896210B24D38616),
+        (RGraph(3, 0, frozenset()), b"3 0 0:", 0x5819490DCF2D3EFF),
+    ])
+    def test_canonical_hash_is_pinned(self, g, text, digest):
+        # the hash seeds the multistart generator, so it must never move
+        assert g.canonical_bytes() == text
+        assert g.canonical_hash() == digest
 
 
 class TestColexGraphs:
@@ -333,9 +354,12 @@ class TestEnumeration:
         for m in cell_window(t):
             assert count_left_compressed(t, m) == DIGEST[f"{t},{m}"]["graph_count"]
 
-    @pytest.mark.slow
     def test_t11_window_total(self):
         assert sum(count_left_compressed(11, m) for m in cell_window(11)) == 102_278
+
+    @pytest.mark.slow
+    def test_t12_window_total(self):
+        assert sum(count_left_compressed(12, m) for m in cell_window(12)) == 691_348
 
     @pytest.mark.parametrize("t", [4, 5, 6])
     def test_colex_graph_enumerated(self, t):

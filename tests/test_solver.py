@@ -1,6 +1,7 @@
 """Lagrangian solver: values, stationarity, oracles, invariances."""
 
 import warnings
+from dataclasses import replace
 from itertools import combinations
 from math import comb
 
@@ -206,6 +207,47 @@ class TestSupportEnumeration:
             a = lagrangian(g, opts)
             b = support_enumeration(g)
             assert abs(a.value - b.value) <= 1e-8, sorted(g.edges)
+
+
+class TestCrossCheck:
+    @staticmethod
+    def shift_support_enumeration(monkeypatch, shift) -> list:
+        calls = []
+
+        def shifted(g, opts=None):
+            calls.append(g)
+            se = support_enumeration(g, opts=opts)
+            return replace(se, value=se.value + shift)
+
+        monkeypatch.setattr(solver, "support_enumeration", shifted)
+        return calls
+
+    # one graph per route, both with at most CROSS_CHECK_MAX_ACTIVE vertices
+    GRAPHS = [RGraph.complete(3, 5), FIVE_CYCLE]
+
+    @pytest.mark.parametrize("g", GRAPHS)
+    def test_disagreement_uncertifies(self, monkeypatch, g):
+        value = lagrangian(g, SolverOptions(cross_check=False)).value
+        calls = self.shift_support_enumeration(monkeypatch, 1e-6)
+        res = lagrangian(g)
+        assert calls == [g]
+        assert not res.certified and res.value == value
+        note, = res.notes
+        assert note.startswith("support enumeration disagrees: ")
+        assert note.endswith(f" vs {value!r}")
+
+    @pytest.mark.parametrize("g", GRAPHS)
+    def test_agreement_within_tolerance_stays_certified(self, monkeypatch, g):
+        calls = self.shift_support_enumeration(monkeypatch, 1e-10)
+        res = lagrangian(g)
+        assert calls == [g]
+        assert res.certified and res.notes == ()
+
+    @pytest.mark.parametrize("g", GRAPHS)
+    def test_switched_off_never_runs(self, monkeypatch, g):
+        calls = self.shift_support_enumeration(monkeypatch, 1e-6)
+        assert lagrangian(g, SolverOptions(cross_check=False)).certified
+        assert calls == []
 
 
 class TestPrefixRoute:
