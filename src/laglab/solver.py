@@ -12,22 +12,27 @@ Newton iteration on the equal-link stationarity system.  Other graphs run
 the same multiplicative ascent from many starts, to the much finer
 ``START_ASCENT_STOP`` because the end points choose the faces, and hand the
 supports it reveals to the same face solve.  Results carry a KKT residual
-and a certification flag; an exhaustive support-enumeration path, again
-through the face solve, provides a cross-check for small graphs.
+and a certification flag.  Graphs with at most ``CROSS_CHECK_MAX_ACTIVE``
+active vertices also get a support-enumeration cross-check: every support
+whose pairs lie in edges, solved by the same face solve.  On the prefix
+faces it reads the very rows the prefix route solved, so it adds
+information only through its other supports.
 
 The face solve is batched: graphs that share r, n and m (a block of one
 cell) stack their edges, (graph, face) pairs that share the face and the
 edges inside it share one weight row, each ascent or Newton step is one
 numpy call over all rows, and one stationarity report gives every result of
-the block.  No row's arithmetic depends on the rows beside it, so
-:func:`lagrangians` on a cell gives exactly what :func:`lagrangian` gives on
-each graph alone.
+the block.  A block takes one face solve: its graphs' route faces, plus the
+cross-checked graphs listed a second time with their supports.  No row's
+arithmetic depends on the rows beside it, so :func:`lagrangians` on a cell
+gives exactly what :func:`lagrangian` gives on each graph alone, and each
+cross-check exactly what :func:`support_enumeration` gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, reduce
 from itertools import chain, combinations, islice
 from typing import NamedTuple
 
@@ -458,32 +463,31 @@ def _candidate_supports(x: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(sorted(v + 1 for v in base[k:])) for k in range(min(3, len(base)))]
 
 
-def _multistart(data: _GraphData, opts: SolverOptions) -> np.ndarray:
-    """Best point of the multistart route: the uniform point of the active
-    vertices and ``opts.starts`` Dirichlet random points on them climb by
-    multiplicative ascent, and the candidate supports of the two best end
-    points go to :func:`_best_on_faces`.  The best end point itself is
-    returned when no face yields a point or when it lies more than
-    ``TIE_TOL`` above the face solution (a flat optimal set can leave
-    Newton's Jacobian singular on the face that holds it)."""
+def _multistart(data: _GraphData, k: int,
+                opts: SolverOptions) -> tuple[list[tuple[int, ...]], float, np.ndarray]:
+    """The multistart route's ascent for graph k of ``data``: the uniform
+    point of its active vertices and ``opts.starts`` Dirichlet random points
+    on them climb by multiplicative ascent.  Returns the candidate supports of
+    the two best end points, the faces it hands :func:`_best_on_faces`, and
+    the best end point's value and point, which :func:`lagrangians` keeps
+    when no face yields a point or when it lies more than ``TIE_TOL`` above
+    the face solution (a flat optimal set can leave Newton's Jacobian
+    singular on the face that holds it)."""
     rng = np.random.default_rng(
-        [opts.seed & 0xFFFFFFFFFFFFFFFF, data.graphs[0].canonical_hash()]
+        [opts.seed & 0xFFFFFFFFFFFFFFFF, data.graphs[k].canonical_hash()]
     )
-    act = np.flatnonzero(data.active[0])
+    act = np.flatnonzero(data.active[k])
     starts = np.zeros((opts.starts + 1, data.n))
     starts[0, act] = 1.0 / act.size
     starts[1:, act] = rng.dirichlet(np.ones(act.size), size=opts.starts)
-    owner = np.zeros(len(starts), dtype=np.intp)
+    owner = np.full(len(starts), k, dtype=np.intp)
     ends = _replicator_rows(data, owner, starts, START_ASCENT_STOP)
     end_vals = data.rows(owner).eval(ends)
     order = np.argsort(-end_vals, kind="stable")
     faces = list(dict.fromkeys(
         face for idx in order[:2] for face in _candidate_supports(ends[idx])
     ))
-    found = _best_on_faces(data, [faces], opts.kkt_tol)[0]
-    if found is None or end_vals[order[0]] > found[0] + TIE_TOL:
-        return ends[order[0]]
-    return found[1]
+    return faces, end_vals[order[0]], ends[order[0]]
 
 
 def lagrangian(g: RGraph, opts: SolverOptions | None = None) -> LagrangianResult:
@@ -506,14 +510,22 @@ def lagrangians(graphs: list[RGraph],
     dominates {1, ..., r-2, k-1, k}, which left-compression then puts in the
     graph.  So the prefix faces [r] ... [K] are solved, K the largest k with
     that edge (the covered k form an initial segment, and [r] is always an
-    edge), for all graphs by one :func:`_best_on_faces` (method
-    ``symmetry_reduced``); the faces above [K] hold a pair in no edge.
-    Other graphs go through :func:`_multistart` (``multistart_gradient``).
+    edge) (method ``symmetry_reduced``); the faces above [K] hold a pair in
+    no edge.  Other graphs hand :func:`_best_on_faces` the faces their
+    :func:`_multistart` ascent reveals (``multistart_gradient``).
     ``certified`` requires the first-order conditions of
     :meth:`_Stationarity.failure` within ``opts.kkt_tol`` and (for graphs
     with at most ``CROSS_CHECK_MAX_ACTIVE`` active vertices, when
     ``opts.cross_check`` is on) agreement with :func:`support_enumeration`
     within 1e-8.
+
+    One :func:`_best_on_faces` call solves the whole block: it lists the
+    cross-checked graphs a second time, with their enumerable supports as
+    faces, so each of them gets its route's search and the cross-check's
+    search, and each cross-check result equals :func:`support_enumeration`
+    of its graph exactly.  On the prefix faces it shares, the cross-check
+    reads the very rows the prefix route solved; it adds information only
+    through its other supports.
     """
     opts = opts or SolverOptions()
     if not graphs:
@@ -522,49 +534,51 @@ def lagrangians(graphs: list[RGraph],
     if data.m == 0:  # an empty graph is left-compressed
         return [_empty_result(g, METHOD_SYMMETRY) for g in data.graphs]
 
+    size = len(data.graphs)
     prefix = np.array([is_left_compressed(g) for g in data.graphs])
-    active = data.active.sum(axis=1)
     # K per graph: the largest top vertex of an edge {1, ..., r-2, k-1, k};
     # [r] is such an edge of every left-compressed graph, and its face
     # always has a solution
     v = data.vert
     covers = (v[-1] == v[-2] + 1) & (v[:-2] == np.arange(data.r - 2)[:, None, None]).all(axis=0)
     top = np.where(covers, v[-1] + 1, data.r).max(axis=1)
-    found = _best_on_faces(data, [
-        [tuple(range(1, k + 1)) for k in range(data.r, int(k_max) + 1)] if lc else []
-        for lc, k_max in zip(prefix, top)], opts.kkt_tol)
-    lc = np.flatnonzero(prefix)
-    results = dict(zip(lc.tolist(), _results(
-        data, lc, np.array([found[k][1] for k in lc]).reshape(lc.size, data.n),
-        METHOD_SYMMETRY, opts.kkt_tol)))
-    for k in np.flatnonzero(~prefix).tolist():
-        one = _GraphData([data.graphs[k]])
-        results[k], = _results(one, [0], _multistart(one, opts)[None], METHOD_MULTISTART,
-                               opts.kkt_tol)
-    for k in np.flatnonzero(active <= CROSS_CHECK_MAX_ACTIVE).tolist():
+    ends = {k: _multistart(data, k, opts) for k in np.flatnonzero(~prefix).tolist()}
+    faces = [ends[k][0] if k in ends else [tuple(range(1, j + 1)) for j in range(data.r, t + 1)]
+             for k, t in enumerate(top.tolist())]
+    checked = np.flatnonzero(opts.cross_check & (data.active.sum(1) <= CROSS_CHECK_MAX_ACTIVE))
+    checks = [_enumerable_supports(data.graphs[k]) for k in checked]
+    data = _GraphData(data.graphs + [data.graphs[k] for k in checked]) if checked.size else data
+    found = _best_on_faces(data, faces + [s for s, _ in checks], opts.kkt_tol)
+    for k, (_, value, x) in ends.items():
+        if found[k] is None or value > found[k][0] + TIE_TOL:
+            found[k] = (value, x)
+    results = _results(data, range(size), np.array([x for _, x in found[:size]]),
+                       [METHOD_SYMMETRY if lc else METHOD_MULTISTART for lc in prefix],
+                       opts.kkt_tol)
+    for i, (k, (_, budget_hit)) in enumerate(zip(checked.tolist(), checks)):
         res = results[k]
-        if res.certified and opts.cross_check:
-            se = support_enumeration(data.graphs[k], opts=opts)
+        if res.certified:
+            se = _support_result(data, size + i, found[size + i], budget_hit, opts.kkt_tol)
             if abs(se.value - res.value) > 1e-8:
                 results[k] = replace(res, certified=False, notes=(
                     f"support enumeration disagrees: {se.value!r} vs {res.value!r}",))
-    return [results[k] for k in range(len(data.graphs))]
+    return results
 
 
-def _results(data: _GraphData, owner, xs: np.ndarray, method: str, kkt_tol: float,
+def _results(data: _GraphData, owner, xs: np.ndarray, methods: list[str], kkt_tol: float,
              notes: tuple[str, ...] = ()) -> list[LagrangianResult]:
-    """The result of graph ``owner[i]`` at ``xs[i]`` for each row, from one
-    batched stationarity report: certified when the row meets the
-    first-order conditions within ``kkt_tol`` and the route adds no
-    ``notes`` of its own."""
+    """The result of graph ``owner[i]`` at ``xs[i]``, with method
+    ``methods[i]``, for each row, from one batched stationarity report:
+    certified when the row meets the first-order conditions within
+    ``kkt_tol`` and the route adds no ``notes`` of its own."""
     block = data.rows(owner)
     values = block.eval(xs)
     st = _stationarity(data.r, block.grad(xs), xs, values)
     why = [st.failure(i, kkt_tol) + notes for i in range(len(xs))]
     return [LagrangianResult(value, tuple(x), support, residual, method, not w, w)
-            for value, x, support, residual, w in zip(
+            for value, x, support, residual, method, w in zip(
                 values.tolist(), xs.tolist(), st.support.sum(axis=1).tolist(),
-                st.residual.tolist(), why)]
+                st.residual.tolist(), methods, why)]
 
 
 # ---------------------------------------------------------------------------
@@ -619,34 +633,53 @@ def lagrangian_2graph_oracle(g: RGraph) -> float:
 def support_enumeration(g: RGraph, opts: SolverOptions | None = None) -> LagrangianResult:
     """Best stationary point over all enumerable supports.
 
-    Every candidate support (all pairs covered by an edge, every vertex in
-    an edge inside the support, size at least r) is solved by
-    :func:`_best_on_faces`, the face solve that both routes of
-    :func:`lagrangian` use, so it differs from them only in which faces it
-    tries.  Certified by the first-order conditions of
+    Every candidate support of :func:`_enumerable_supports` (all pairs
+    covered by an edge, every vertex in an edge inside the support, size at
+    least r) is solved by :func:`_best_on_faces`, the face solve that both
+    routes of :func:`lagrangian` use, so it differs from them only in which
+    faces it tries.  Certified by the first-order conditions of
     :meth:`_Stationarity.failure`, and only when no more than
-    ``SUPPORT_BUDGET`` vertex subsets had to be inspected.
+    ``SUPPORT_BUDGET`` vertex subsets had to be inspected.  This is the
+    one-graph case of the cross-check that :func:`lagrangians` solves inside
+    its block's face solve, and gives the same result.
     """
     opts = opts or SolverOptions()
     data = _GraphData([g])
     if data.m == 0:
         return _empty_result(g, METHOD_SUPPORT_ENUM)
-    act = [int(v) + 1 for v in np.flatnonzero(data.active[0])]
+    supports, budget_hit = _enumerable_supports(g)
+    found, = _best_on_faces(data, [supports], opts.kkt_tol)
+    return _support_result(data, 0, found, budget_hit, opts.kkt_tol)
 
-    cover = data.rows().pair(np.ones(g.n))[0] > 0
-    subsets = list(islice((sup for size in range(g.r, len(act) + 1)
-                           for sup in combinations(act, size)), SUPPORT_BUDGET + 1))
-    budget_hit = len(subsets) > SUPPORT_BUDGET
-    supports = [
-        sup for sup in subsets[:SUPPORT_BUDGET]
-        if all(cover[i - 1, j - 1] for i, j in combinations(sup, 2))
-        and {v for e in g.edges if set(e) <= set(sup) for v in e} == set(sup)]
 
-    found = _best_on_faces(data, [supports], opts.kkt_tol)[0]
+def _enumerable_supports(g: RGraph) -> tuple[list[tuple[int, ...]], bool]:
+    """The supports that :func:`support_enumeration` solves for g, and
+    whether ``SUPPORT_BUDGET`` cut them short: among the first
+    ``SUPPORT_BUDGET`` subsets of the active vertices (by size from r up,
+    each size in :func:`combinations` order), those whose pairs all lie in
+    an edge and whose vertices all lie in an edge inside them (vertex
+    bitmasks)."""
+    act = sorted({v for e in g.edges for v in e})
+    subsets = chain.from_iterable(combinations(act, size) for size in range(g.r, len(act) + 1))
+    pairs = {p for e in g.edges for p in combinations(e, 2)}
+    bits = [sum(1 << v for v in e) for e in g.edges]
+    supports = []
+    for sup in islice(subsets, SUPPORT_BUDGET):
+        mask = sum(1 << v for v in sup)
+        if (pairs.issuperset(combinations(sup, 2))
+                and reduce(int.__or__, (b for b in bits if b | mask == mask), 0) == mask):
+            supports.append(sup)
+    return supports, next(subsets, None) is not None
+
+
+def _support_result(data: _GraphData, k: int, found: tuple[float, np.ndarray] | None,
+                    budget_hit: bool, kkt_tol: float) -> LagrangianResult:
+    """The support-enumeration result of graph k of ``data`` from the best
+    point that :func:`_best_on_faces` found on its enumerable supports."""
     if found is None:
-        return replace(_empty_result(g, METHOD_SUPPORT_ENUM), certified=False,
+        return replace(_empty_result(data.graphs[k], METHOD_SUPPORT_ENUM), certified=False,
                        notes=("no feasible stationary support found",))
-    return _results(data, [0], found[1][None], METHOD_SUPPORT_ENUM, opts.kkt_tol,
+    return _results(data, [k], found[1][None], [METHOD_SUPPORT_ENUM], kkt_tol,
                     ("support budget exceeded; partial result",) if budget_hit else ())[0]
 
 

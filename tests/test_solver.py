@@ -212,14 +212,16 @@ class TestSupportEnumeration:
 class TestCrossCheck:
     @staticmethod
     def shift_support_enumeration(monkeypatch, shift) -> list:
-        calls = []
+        # the seam: the cross-check's result, built from the point the
+        # block's face solve found on the graph's enumerable supports
+        calls, support_result = [], solver._support_result
 
-        def shifted(g, opts=None):
-            calls.append(g)
-            se = support_enumeration(g, opts=opts)
+        def shifted(data, k, *rest):
+            calls.append(data.graphs[k])
+            se = support_result(data, k, *rest)
             return replace(se, value=se.value + shift)
 
-        monkeypatch.setattr(solver, "support_enumeration", shifted)
+        monkeypatch.setattr(solver, "_support_result", shifted)
         return calls
 
     # one graph per route, both with at most CROSS_CHECK_MAX_ACTIVE vertices
@@ -248,6 +250,67 @@ class TestCrossCheck:
         calls = self.shift_support_enumeration(monkeypatch, 1e-6)
         assert lagrangian(g, SolverOptions(cross_check=False)).certified
         assert calls == []
+
+    def test_rides_in_the_one_face_solve(self, monkeypatch):
+        # every graph of (6, 15) has at most 6 active vertices: each gets its
+        # prefix faces and its enumerable supports in one call
+        graphs, seen = list(enumerate_left_compressed(6, 15)), []
+        best_on_faces = solver._best_on_faces
+
+        def spy(data, faces, kkt_tol):
+            seen.append(len(faces))
+            return best_on_faces(data, faces, kkt_tol)
+
+        monkeypatch.setattr(solver, "_best_on_faces", spy)
+        lagrangians(graphs)
+        assert seen == [2 * len(graphs)]
+
+    @pytest.mark.parametrize("t", [5, 6])
+    def test_equals_support_enumeration(self, monkeypatch, t):
+        # the in-block cross-check result of each graph is the public
+        # support_enumeration of that graph alone, field for field
+        seen, support_result = [], solver._support_result
+
+        def spy(data, k, *rest):
+            se = support_result(data, k, *rest)
+            seen.append((data.graphs[k], se))
+            return se
+
+        monkeypatch.setattr(solver, "_support_result", spy)
+        graphs = [g for m in cell_window(t) for g in enumerate_left_compressed(t, m)]
+        for m in cell_window(t):
+            lagrangians(list(enumerate_left_compressed(t, m)))
+        monkeypatch.undo()
+        assert [g for g, _ in seen] == graphs
+        assert all(se == support_enumeration(g) for g, se in seen)
+
+
+class TestEnumerableSupports:
+    def test_bitmasks_match_the_definition(self):
+        # every 3-graph on [5]: subsets of the active vertices, size 3 up,
+        # whose pairs all lie in an edge and whose vertices all lie in an
+        # edge inside them, in size-then-combinations order
+        triples = list(combinations(range(1, 6), 3))
+        for mask in range(1, 1 << 10):
+            g = RGraph.from_edges(3, [e for k, e in enumerate(triples) if mask >> k & 1], n=5)
+            act = sorted({v for e in g.edges for v in e})
+            expected = [
+                sup for size in range(3, len(act) + 1) for sup in combinations(act, size)
+                if all(any({i, j} <= set(e) for e in g.edges) for i, j in combinations(sup, 2))
+                and {v for e in g.edges if set(e) <= set(sup) for v in e} == set(sup)]
+            assert solver._enumerable_supports(g) == (expected, False)
+
+    def test_budget_cuts_the_list_short(self, monkeypatch):
+        # K_5^(3) has 16 vertex subsets of size 3 up, every one a support
+        g, subsets = RGraph.complete(3, 5), [
+            sup for size in (3, 4, 5) for sup in combinations(range(1, 6), size)]
+        monkeypatch.setattr(solver, "SUPPORT_BUDGET", 16)
+        assert solver._enumerable_supports(g) == (subsets, False)
+        assert support_enumeration(g).certified
+        monkeypatch.setattr(solver, "SUPPORT_BUDGET", 15)
+        assert solver._enumerable_supports(g) == (subsets[:15], True)
+        se = support_enumeration(g)
+        assert not se.certified and se.notes[-1] == "support budget exceeded; partial result"
 
 
 class TestPrefixRoute:
@@ -405,7 +468,7 @@ class TestBatchedSolve:
     def test_cell_solve_equals_one_graph_solves(self, monkeypatch, chunk_rows):
         # every result field, exactly: this keeps reports byte-identical
         # whatever graphs a worker happens to solve together
-        cells = [(7, m) for m in cell_window(7)] + [(8, 35), (9, 77)]
+        cells = [(t, m) for t in (5, 6, 7) for m in cell_window(t)] + [(8, 35), (9, 77)]
         alone = {cell: [lagrangian(g) for g in enumerate_left_compressed(*cell)]
                  for cell in cells}
         monkeypatch.setattr(solver, "CHUNK_ROWS", chunk_rows)
