@@ -463,8 +463,7 @@ def _candidate_supports(x: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(sorted(v + 1 for v in base[k:])) for k in range(min(3, len(base)))]
 
 
-def _multistart(data: _GraphData, k: int,
-                opts: SolverOptions) -> tuple[list[tuple[int, ...]], float, np.ndarray]:
+def _multistart(data: _GraphData, k: int, opts: SolverOptions) -> tuple[list, float, np.ndarray]:
     """The multistart route's ascent for graph k of ``data``: the uniform
     point of its active vertices and ``opts.starts`` Dirichlet random points
     on them climb by multiplicative ascent.  Returns the candidate supports of
@@ -553,8 +552,7 @@ def lagrangians(graphs: list[RGraph],
         if found[k] is None or value > found[k][0] + TIE_TOL:
             found[k] = (value, x)
     results = _results(data, range(size), np.array([x for _, x in found[:size]]),
-                       [METHOD_SYMMETRY if lc else METHOD_MULTISTART for lc in prefix],
-                       opts.kkt_tol)
+                       np.where(prefix, METHOD_SYMMETRY, METHOD_MULTISTART).tolist(), opts.kkt_tol)
     for i, (k, (_, budget_hit)) in enumerate(zip(checked.tolist(), checks)):
         res = results[k]
         if res.certified:
@@ -663,13 +661,10 @@ def _enumerable_supports(g: RGraph) -> tuple[list[tuple[int, ...]], bool]:
     subsets = chain.from_iterable(combinations(act, size) for size in range(g.r, len(act) + 1))
     pairs = {p for e in g.edges for p in combinations(e, 2)}
     bits = [sum(1 << v for v in e) for e in g.edges]
-    supports = []
-    for sup in islice(subsets, SUPPORT_BUDGET):
-        mask = sum(1 << v for v in sup)
-        if (pairs.issuperset(combinations(sup, 2))
-                and reduce(int.__or__, (b for b in bits if b | mask == mask), 0) == mask):
-            supports.append(sup)
-    return supports, next(subsets, None) is not None
+    masks = ((sup, sum(1 << v for v in sup)) for sup in islice(subsets, SUPPORT_BUDGET))
+    return ([sup for sup, mask in masks if pairs.issuperset(combinations(sup, 2))
+             and reduce(int.__or__, (b for b in bits if b | mask == mask), 0) == mask],
+            next(subsets, None) is not None)
 
 
 def _support_result(data: _GraphData, k: int, found: tuple[float, np.ndarray] | None,

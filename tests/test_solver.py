@@ -277,11 +277,11 @@ class TestCrossCheck:
             return se
 
         monkeypatch.setattr(solver, "_support_result", spy)
-        graphs = [g for m in cell_window(t) for g in enumerate_left_compressed(t, m)]
-        for m in cell_window(t):
-            lagrangians(list(enumerate_left_compressed(t, m)))
+        cells = [list(enumerate_left_compressed(t, m)) for m in cell_window(t)]
+        for cell in cells:
+            lagrangians(cell)
         monkeypatch.undo()
-        assert [g for g, _ in seen] == graphs
+        assert [g for g, _ in seen] == [g for cell in cells for g in cell]
         assert all(se == support_enumeration(g) for g, se in seen)
 
 
