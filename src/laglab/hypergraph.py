@@ -93,7 +93,7 @@ def colex_unrank(r: int, rank: int) -> Edge:
 # ---------------------------------------------------------------------------
 
 # Each distinct edge that has passed :func:`as_edge`, with its edge-list line
-# and, per uniformity, its colex rank: a graph of known edges skips the
+# and, per uniformity, its colex rank: a graph's known edges skip the
 # per-edge checks, serializing looks lines up, and sorting compares ranks.
 _EDGE_TEXT: dict[Edge, str] = {}
 _EDGE_RANK: dict[int, dict[Edge, int]] = {}
@@ -113,19 +113,16 @@ class RGraph:
         if self.n < 0:
             raise ValueError(f"vertex bound must be >= 0, got {self.n}")
         known = _EDGE_RANK.setdefault(self.r, {})
-        if (known.keys() >= self.edges
-                and max(map(itemgetter(-1), self.edges), default=0) <= self.n):
-            return
-        for e in self.edges:
+        for e in self.edges.difference(known):
             if len(e) != self.r:
                 raise UniformityError(f"edge {e} has size {len(e)}, expected {self.r}")
-            if e not in known:
-                f = as_edge(e)
-                if e != f:
-                    raise ValueError(f"edge {e} is not strictly increasing")
-                _EDGE_TEXT[f], known[f] = " ".join(map(str, f)), colex_rank(f)
-            if e[-1] > self.n:
-                raise ValueError(f"edge {e} exceeds vertex bound n={self.n}")
+            f = as_edge(e)
+            if e != f:
+                raise ValueError(f"edge {e} is not strictly increasing")
+            _EDGE_TEXT[f], known[f] = " ".join(map(str, f)), colex_rank(f)
+        top = max(self.edges, key=itemgetter(-1), default=None)
+        if top is not None and top[-1] > self.n:
+            raise ValueError(f"edge {top} exceeds vertex bound n={self.n}")
 
     def __reduce__(self):
         # copies and unpickled graphs pass through __post_init__ too

@@ -8,7 +8,10 @@ vertices of its support dominates {1, ..., r-2, k-1, k}, which
 left-compression then puts in the graph.  The prefix faces from [r] up to
 the largest such k are solved, each by multiplicative ascent from its
 uniform point, stopped once no weight moves by ``FACE_ASCENT_STOP``, and
-Newton iteration on the equal-link stationarity system.  Other graphs run
+Newton iteration on the equal-link stationarity system.  A face whose
+optimum lies on its boundary may yield no point (a Newton step that would
+leave the simplex fails its row): that optimum lies on a smaller prefix
+face, which is solved as its own row.  Other graphs run
 the same multiplicative ascent from many starts, to the much finer
 ``START_ASCENT_STOP`` because the end points choose the faces, and hand the
 supports it reveals to the same face solve.  Results carry a KKT residual
@@ -46,7 +49,7 @@ TIE_TOL = 1e-9  # values within this of the best count as tied
 POSITIVE_EPS = 1e-10  # weights above this are in the support
 CROSS_CHECK_MAX_ACTIVE = 6  # largest active vertex count given the cross-check
 SUPPORT_BUDGET = 20_000  # vertex subsets support enumeration may inspect
-NEWTON_ITERS = 60  # Newton steps per support round
+NEWTON_ITERS = 60  # Newton steps per face row
 ASCENT_ITERS = 300  # multiplicative ascent steps per start or face
 FACE_ASCENT_STOP = 1e-4  # a face row's ascent hands off to Newton below this movement
 START_ASCENT_STOP = 1e-13  # a multistart start's ascent ends below this movement
@@ -250,15 +253,6 @@ def link_values(g: RGraph, x) -> np.ndarray:
 # Newton refinement of the equal-link system, one row per face
 # ---------------------------------------------------------------------------
 
-def _seed_rows(x0: np.ndarray, sup: np.ndarray) -> np.ndarray:
-    """x0 clipped at zero on each row's support and rescaled (uniform there
-    when nothing positive is left): the start of a Newton round."""
-    seed = np.where(sup, np.maximum(x0, 0.0), 0.0)
-    empty = seed.sum(axis=1) <= 0
-    seed[empty] = sup[empty]
-    return seed / seed.sum(axis=1, keepdims=True)
-
-
 def _solve_rows(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked linear solve and the mask of rows solved.  One singular matrix
     makes a stacked call raise; then each half is solved, down to single
@@ -279,31 +273,26 @@ def _solve_rows(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _newton_rows(data: _GraphData, owner: np.ndarray, x0: np.ndarray,
                  faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve equal link values on each row's face (a boolean mask); returns
-    the points (zero rows where unsolved) and the mask of rows solved.
+    """Solve equal link values on each row's face (a boolean mask) from x0,
+    whose rows lie on their faces and sum to 1; returns the points (zero
+    rows where unsolved) and the mask of rows solved.
 
-    A row's system: link(i) = mu on its support, weights sum to 1, weights
-    off it zero; all rows take one stacked Newton step at a time, with
-    identity rows off each support.  A row's round ends when its residual is
-    below 1e-14 (converged), after ``NEWTON_ITERS`` steps, or when the full
-    step would take a weight below -1e-9; that step is not taken, and the
-    vertex it drives to zero first (least x_v / -dx_v) is dropped.  Vertices
-    below ``POSITIVE_EPS`` are dropped too (active-set style), and the row
-    restarts on the smaller support, at most once per vertex of its face.  A
-    row is solved when a round converges with nothing to drop; a singular
-    system fails its row."""
+    A row's system: link(i) = mu on its face, weights sum to 1, weights off
+    it zero; all rows take one stacked Newton step at a time, with identity
+    rows off each face.  A row is solved once its residual is below 1e-14
+    and every weight on its face is at least ``POSITIVE_EPS``.  It fails
+    when the full step would take a weight below -1e-9 (that step is not
+    taken), when its system is singular, or after ``NEWTON_ITERS`` steps.
+    A row whose optimum lies on the boundary of its face may fail: that
+    optimum lies on a smaller face, which is another row's (a smaller
+    prefix, or another enumerable support)."""
     n = data.n
     out, solved = np.zeros_like(x0), np.zeros(len(x0), bool)
-    # the rows still iterating: index, support, rounds left, point, mu, steps
-    row, sup = np.arange(len(x0)), faces.copy()
-    rounds, x = np.maximum(1, sup.sum(axis=1)), _seed_rows(x0, sup)
-    mu, steps = np.zeros(len(x)), np.zeros(len(x), dtype=np.intp)
-    fresh = np.ones(len(x), bool)  # rounds that start: mu is the mean link
+    row, sup, x = np.arange(len(x0)), faces, x0.copy()  # the rows still iterating
     block = data.rows(owner, sup)
-    while row.size:
-        grad, sf = block.grad(x), sup.astype(float)
-        mu = np.where(fresh, (grad * sf).sum(axis=1) / sf.sum(axis=1), mu)
-        fresh[:] = False
+    grad, sf = block.grad(x), sup.astype(float)
+    mu = (grad * sf).sum(axis=1) / sf.sum(axis=1)  # the mean link on the face
+    for _ in range(NEWTON_ITERS):
         res, gap = (grad - mu[:, None]) * sf, x.sum(axis=1) - 1.0
         conv = np.maximum(np.abs(res).max(axis=1), np.abs(gap)) < 1e-14
         go = np.flatnonzero(~conv)
@@ -313,34 +302,20 @@ def _newton_rows(data: _GraphData, owner: np.ndarray, x0: np.ndarray,
         jac[:, :n, n], jac[:, n, :n] = -s, s
         delta, ok = _solve_rows(jac, -np.concatenate([res[go], gap[go, None]], axis=1))
         dx = delta[:, :n] * s
-        blocked = ok & ((x[go] + dx).min(axis=1) < -1e-9)
-        moved = ok & ~blocked
-        x[go[moved]] += dx[moved]
-        mu[go[moved]] += delta[moved, n]
-        steps[go[moved]] += 1
-        ended = conv | (steps >= NEWTON_ITERS)
-        ended[go[blocked]] = True
-        rounds[go[~ok]] = 0  # a singular system fails its row
-        if not ended.any() and ok.all():
-            continue
-
-        # rounds that ended: solved, failed, or restarted on a smaller support
-        drop = ended[:, None] & sup & (x < POSITIVE_EPS)
-        b, db = go[blocked], dx[blocked]  # ratio test: the first weight to reach zero
-        reach = np.divide(x[b], -db, out=np.full(db.shape, np.inf), where=db < 0)
-        drop[b, reach.argmin(axis=1)] = True
-        restart = drop.any(axis=1)
-        won = conv & ~restart
-        out[row[won]], solved[row[won]] = np.maximum(x[won], 0.0), True
-        rounds -= restart
-        sup &= ~drop
-        restart &= (rounds > 0) & sup.any(axis=1)
-        x[restart] = _seed_rows(x0[row[restart]], sup[restart])
-        steps[restart], fresh[restart] = 0, True
-        keep = (~ended | restart) & (rounds > 0)
-        row, sup, rounds, x, mu, steps, fresh = (
-            a[keep] for a in (row, sup, rounds, x, mu, steps, fresh))
-        block = block.subset(keep)  # restarted rows keep edges that now add zeros
+        step = ok & ((x[go] + dx).min(axis=1) >= -1e-9)
+        moved = go[step]
+        x[moved] += dx[step]
+        mu[moved] += delta[step, n]
+        won = conv & (np.where(sup, x, 1.0).min(axis=1) >= POSITIVE_EPS)
+        out[row[won]], solved[row[won]] = x[won], True
+        if moved.size < len(x):  # rows that converged, were blocked or singular end
+            keep = np.zeros(len(x), bool)
+            keep[moved] = True
+            row, sup, sf, x, mu = (a[keep] for a in (row, sup, sf, x, mu))
+            block = block.subset(keep)
+        if not row.size:
+            break
+        grad = block.grad(x)
     return out, solved
 
 
@@ -688,9 +663,13 @@ def _best_on_faces(data: _GraphData, faces: list[list[tuple[int, ...]]],
     then a Newton solve of its equal-link system; plain Newton from the
     uniform point can land on a saddle, ascent cannot go below its start.
     The ascent hands a row to Newton once no weight moves by
-    ``FACE_ASCENT_STOP``: Newton and its ratio-test drops finish the row,
-    and a prefix face whose optimum lies on its boundary has that optimum
-    on a smaller prefix face, which is its own row.
+    ``FACE_ASCENT_STOP``, and Newton finishes the row or fails it
+    (:func:`_newton_rows`).  A row may fail when its face's optimum lies on
+    the face's boundary, since that optimum is another row's: a prefix
+    face's lies on a smaller prefix face, an enumerable support's on a
+    smaller enumerable support, and the multistart route's candidate faces
+    come with the same faces peeled of their smallest weights and with the
+    best end point as a fallback.
     A row's solve reads only the edges inside its face, so (graph, face)
     pairs that share the face and the graph's edges up to the face's largest
     vertex (for a prefix face, exactly the edges inside it) share one row,
@@ -760,9 +739,10 @@ def _replicator_rows(data: _GraphData, owner: np.ndarray, rows: np.ndarray,
     step that moves no weight by ``stop`` or more, or after ``ASCENT_ITERS``
     steps, so its path depends only on its start and the edges inside its
     face.  Face rows stop at ``FACE_ASCENT_STOP`` (1e-4), since Newton
-    finishes them; multistart starts stop at ``START_ASCENT_STOP`` (1e-13),
-    since their end points choose the candidate faces and a coarse stop there
-    leaves some general graphs on a lower face, uncertified.
+    finishes them (or fails a row whose optimum is another row's);
+    multistart starts stop at ``START_ASCENT_STOP`` (1e-13), since their end
+    points choose the candidate faces and a coarse stop there leaves some
+    general graphs on a lower face, uncertified.
     """
     x = rows.copy()
     live, xl = np.arange(len(x)), x  # rows still climbing

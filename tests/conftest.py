@@ -4,14 +4,14 @@ import pytest
 def pytest_addoption(parser):
     parser.addoption(
         "--runslow", action="store_true", default=False,
-        help="run stretch checks (t=7 sweep)",
+        help="run slow checks (the t=12 window total)",
     )
 
 
 def pytest_collection_modifyitems(config, items):
     if config.getoption("--runslow"):
         return
-    skip_slow = pytest.mark.skip(reason="stretch check; use --runslow")
+    skip_slow = pytest.mark.skip(reason="slow check; use --runslow")
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip_slow)

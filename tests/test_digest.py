@@ -7,8 +7,6 @@ must agree exactly.
 import json
 from pathlib import Path
 
-import pytest
-
 from laglab.verifier import cell_window, verify_cell
 from record_digest import mismatches
 
@@ -30,6 +28,9 @@ def test_cells_up_to_t7_match_digest(sweep6_reports):
     assert_matches_digest([verify_cell(7, m) for m in cell_window(7)])
 
 
-@pytest.mark.slow
 def test_cells_t8_match_digest():
     assert_matches_digest([verify_cell(8, m) for m in cell_window(8)])
+
+
+def test_cells_t9_match_digest():
+    assert_matches_digest([verify_cell(9, m) for m in cell_window(9)])

@@ -40,6 +40,13 @@ def graph_from_words(r, n, words):
     return RGraph.from_edges(r, [tuple(int(c) for c in w) for w in words.split()], n=n)
 
 
+# every Newton step on the face [8] of this 4-graph would push the weight of
+# vertex 8 below zero; its optimum lies on [7]
+BLOCKED_ON_8 = graph_from_words(4, 8, "1235 1236 1237 1238 1245 1247 1248 1257 1267 "
+                                      "1356 1357 1578 2345 2346 2378 2456 2678 3467 "
+                                      "3468 3567 3578 4567 4578 4678")
+
+
 class TestEvaluate:
     def test_single_edge(self):
         g = RGraph.from_edges(3, [(1, 2, 3)])
@@ -450,17 +457,18 @@ class TestMultistartRoute:
         assert se.certified and res.certified
         assert abs(res.value - se.value) <= 1e-9
 
-    def test_face_solve_drops_a_vertex_that_blocks_every_step(self):
-        # on the face [8], every damped Newton step would push the weight of
-        # vertex 8 below zero; dropping it leads to the optimum on [7]
-        g = graph_from_words(4, 8, "1235 1236 1237 1238 1245 1247 1248 1257 1267 "
-                                   "1356 1357 1578 2345 2346 2378 2456 2678 3467 "
-                                   "3468 3567 3578 4567 4578 4678")
-        found, = solver._best_on_faces(solver._GraphData([g]), [[tuple(range(1, 9))]], 1e-8)
-        se = support_enumeration(g)
-        assert found is not None
+    def test_blocked_face_yields_nothing_and_the_smaller_face_holds_the_optimum(self):
+        # the face [8] alone yields no point: its row fails at the step that
+        # would leave the simplex; the optimum is the row of the face [7]
+        data, se = solver._GraphData([BLOCKED_ON_8]), support_enumeration(BLOCKED_ON_8)
+        assert solver._best_on_faces(data, [[tuple(range(1, 9))]], 1e-8) == [None]
+        found, = solver._best_on_faces(data, [[tuple(range(1, 8)), tuple(range(1, 9))]], 1e-8)
         assert abs(found[0] - se.value) <= 1e-12
         assert found[1][7] == 0.0
+        res = lagrangian(BLOCKED_ON_8)
+        assert res.certified and se.certified
+        assert abs(res.value - se.value) <= 1e-12
+        assert res.support == se.support == 7
 
 
 class TestBatchedSolve:
@@ -495,9 +503,9 @@ class TestBatchedSolve:
 
     def test_blocked_newton_steps_do_not_crawl(self, monkeypatch):
         # many faces of (8, 35) have their optimum on their boundary; a step
-        # that leaves the simplex drops the vertex it drives to zero first, so
-        # the face solve takes few stacked Newton steps instead of crawling
-        # toward that boundary
+        # that leaves the simplex fails its row, whose optimum lies on a
+        # smaller prefix face, another row, so the face solve takes few
+        # stacked Newton steps instead of crawling toward that boundary
         calls, solve = [], solver._solve_rows
 
         def spy(jac, rhs):
@@ -509,9 +517,10 @@ class TestBatchedSolve:
         assert len(calls) <= 20
 
     def test_face_ascent_hands_off_to_newton(self, monkeypatch):
-        # Newton and its ratio-test drops finish a face row, so the ascent
-        # stops at FACE_ASCENT_STOP instead of climbing (8, 35)'s faces to
-        # the ASCENT_ITERS cap
+        # Newton finishes a face row, or fails it when the face's optimum
+        # lies on a smaller prefix face, another row, so the ascent stops at
+        # FACE_ASCENT_STOP instead of climbing (8, 35)'s faces to the
+        # ASCENT_ITERS cap
         grads, steps = [], []
         grad, ascend = solver._Rows.grad, solver._replicator_rows
 
@@ -582,6 +591,28 @@ class TestBatchedSolve:
         assert solved.tolist() == [False, True] and solved_alone.tolist() == [True]
         assert np.array_equal(xs[1], xs_alone[0])
         assert np.allclose(xs[1], [1 / 3, 1 / 3, 1 / 3, 0, 0], rtol=0, atol=1e-13)
+
+    def test_blocked_face_fails_alone(self, monkeypatch):
+        # from their ascent end points, the row of the face [8] is blocked at
+        # its first step while the row of [7] converges; the blocked row
+        # fails without touching its neighbour's point
+        data, owner = solver._GraphData([BLOCKED_ON_8]), np.zeros(2, np.intp)
+        faces = np.array([[1] * 8, [1] * 7 + [0]], dtype=bool)
+        x0 = solver._replicator_rows(data, owner, faces / faces.sum(axis=1, keepdims=True),
+                                     solver.FACE_ASCENT_STOP)
+        calls, solve = [], solver._solve_rows
+
+        def spy(jac, rhs):
+            calls.append(len(jac))
+            return solve(jac, rhs)
+
+        monkeypatch.setattr(solver, "_solve_rows", spy)
+        xs, solved = solver._newton_rows(data, owner, x0, faces)
+        assert calls[:2] == [2, 1]  # the row of [8] takes no step
+        xs_alone, solved_alone = solver._newton_rows(data, owner[1:], x0[1:], faces[1:])
+        assert solved.tolist() == [False, True] and solved_alone.tolist() == [True]
+        assert not xs[0].any()
+        assert np.array_equal(xs[1], xs_alone[0])
 
 
 class TestCoveredPrefixes:

@@ -184,7 +184,6 @@ class TestCells:
         colex = build_colex_graph(3, 77).with_n(9)
         assert any(parse_edge_list(w).edges == colex.edges for w in rep.witnesses)
 
-    @pytest.mark.slow
     def test_cell_9_56_largest_t9_cell(self):
         rep = verify_cell(9, 56)
         assert rep.graph_count == 379
