@@ -3,16 +3,24 @@
 the 2-graph clique formula, and the support-enumeration cross-check (which
 shares the face solve with lagrangian, so it is not an independent route)."""
 
+from itertools import combinations
 from math import comb
 
 from laglab import RGraph, build_colex_graph
 from laglab.solver import (
     kkt_check,
     lagrangian,
-    lagrangian_2graph_oracle,
     support_enumeration,
     symmetry_classes,
 )
+
+
+def motzkin_straus(g):
+    """(1 - 1/w) / 2 for a 2-graph with clique number w, by scanning subsets."""
+    w = max(k for k in range(1, g.n + 1)
+            if any(all(p in g.edges for p in combinations(s, 2))
+                   for s in combinations(range(1, g.n + 1), k)))
+    return (1 - 1 / w) / 2
 
 
 def main():
@@ -35,14 +43,14 @@ def main():
 
     print()
     print("=" * 64)
-    print("2-graphs: the clique-number formula as an oracle")
+    print("2-graphs: the Motzkin-Straus clique-number formula")
     print("=" * 64)
     c5 = RGraph.from_edges(2, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
     print("5-cycle: solver =", lagrangian(c5).value,
-          " formula =", lagrangian_2graph_oracle(c5))
+          " formula =", motzkin_straus(c5))
     k4 = RGraph.complete(2, 4)
     print("K4:      solver =", lagrangian(k4).value,
-          " formula =", lagrangian_2graph_oracle(k4))
+          " formula =", motzkin_straus(k4))
 
     print()
     print("=" * 64)

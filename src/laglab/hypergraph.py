@@ -95,8 +95,14 @@ def colex_unrank(r: int, rank: int) -> Edge:
 # Each distinct edge that has passed :func:`as_edge`, with its edge-list line
 # and, per uniformity, its colex rank: a graph's known edges skip the
 # per-edge checks, serializing looks lines up, and sorting compares ranks.
+# Per (r, n), the edges of graphs on [n] that passed every check: a graph
+# whose edges all lie there is valid after one subset test.  A graph keeps
+# its edges' colex order once known: enumerate_left_compressed and
+# build_colex_graph pick edges in rank order and hand it over, and any
+# other graph sorts once, on first use.
 _EDGE_TEXT: dict[Edge, str] = {}
 _EDGE_RANK: dict[int, dict[Edge, int]] = {}
+_EDGE_VALID: dict[tuple[int, int], set[Edge]] = {}
 
 
 @dataclass(frozen=True)
@@ -107,7 +113,14 @@ class RGraph:
     n: int
     edges: frozenset[Edge] = field(default_factory=frozenset)
 
+    # the edges in colex order once known; not a field, so equality, hash,
+    # repr, asdict and pickling ignore it
+    _order = None
+
     def __post_init__(self):
+        valid = _EDGE_VALID.get((self.r, self.n))
+        if valid is not None and self.edges <= valid:
+            return
         if self.r < 2:
             raise ValueError(f"uniformity must be >= 2, got {self.r}")
         if self.n < 0:
@@ -123,10 +136,25 @@ class RGraph:
         top = max(self.edges, key=itemgetter(-1), default=None)
         if top is not None and top[-1] > self.n:
             raise ValueError(f"edge {top} exceeds vertex bound n={self.n}")
+        _EDGE_VALID.setdefault((self.r, self.n), set()).update(self.edges)
 
     def __reduce__(self):
         # copies and unpickled graphs pass through __post_init__ too
         return type(self), (self.r, self.n, self.edges)
+
+    @classmethod
+    def _ordered(cls, r: int, n: int, edges: tuple[Edge, ...]) -> "RGraph":
+        """The graph on [n] with the given edges, which are in colex order."""
+        g = cls(r, n, frozenset(edges))
+        object.__setattr__(g, "_order", edges)
+        return g
+
+    def _colex(self) -> tuple[Edge, ...]:
+        """The edges in colex order, sorted at most once per graph."""
+        if self._order is None:
+            object.__setattr__(self, "_order", tuple(
+                sorted(self.edges, key=_EDGE_RANK[self.r].__getitem__)))
+        return self._order
 
     @classmethod
     def from_edges(cls, r: int, edges: Iterable[Iterable[int]], n: int | None = None) -> "RGraph":
@@ -146,11 +174,11 @@ class RGraph:
 
     def sorted_edges(self) -> list[Edge]:
         """Edges in canonical (colex) order: by :func:`colex_rank`."""
-        return sorted(self.edges, key=_EDGE_RANK[self.r].__getitem__)
+        return list(self._colex())
 
     def colex_ranks(self) -> list[int]:
         """The :func:`colex_rank` of every edge, ascending."""
-        return sorted(map(_EDGE_RANK[self.r].__getitem__, self.edges))
+        return list(map(_EDGE_RANK[self.r].__getitem__, self._colex()))
 
     def with_n(self, n: int) -> "RGraph":
         """Same edge set viewed on vertex set [n] (n may only grow or stay tight)."""
@@ -175,9 +203,8 @@ def build_colex_graph(r: int, m: int) -> RGraph:
     """The r-graph whose edges are the first m r-sets in colex order."""
     if m < 0:
         raise ValueError(f"edge count must be >= 0, got {m}")
-    edges = [colex_unrank(r, k) for k in range(m)]
-    n = max((e[-1] for e in edges), default=0)
-    return RGraph(r, n, frozenset(edges))
+    edges = tuple(colex_unrank(r, k) for k in range(m))
+    return RGraph._ordered(r, edges[-1][-1] if edges else 0, edges)
 
 
 def complement(g: RGraph) -> RGraph:
@@ -401,7 +428,7 @@ def enumerate_left_compressed(t: int, m: int) -> Iterator[RGraph]:
     for mask in masks:
         # the mask's binary digits as 0/1 bytes, lowest rank first, pick the triples
         bits = format(mask, "b").encode().translate(_BIT_BYTES)[::-1]
-        yield RGraph(3, t, frozenset(select(triples, bits)))
+        yield RGraph._ordered(3, t, tuple(select(triples, bits)))
 
 
 def count_left_compressed(t: int, m: int) -> int:
@@ -415,7 +442,7 @@ def count_left_compressed(t: int, m: int) -> int:
 
 def serialize_edge_list(g: RGraph) -> str:
     """Canonical text form: header ``r n m`` then one edge per line, colex order."""
-    lines = map(_EDGE_TEXT.__getitem__, g.sorted_edges())
+    lines = map(_EDGE_TEXT.__getitem__, g._colex())
     return "\n".join([f"{g.r} {g.n} {g.m}", *lines, ""])
 
 

@@ -295,7 +295,11 @@ def _newton_rows(data: _GraphData, owner: np.ndarray, x0: np.ndarray,
     for _ in range(NEWTON_ITERS):
         res, gap = (grad - mu[:, None]) * sf, x.sum(axis=1) - 1.0
         conv = np.maximum(np.abs(res).max(axis=1), np.abs(gap)) < 1e-14
+        won = conv & (np.where(sup, x, 1.0).min(axis=1) >= POSITIVE_EPS)
+        out[row[won]], solved[row[won]] = x[won], True
         go = np.flatnonzero(~conv)
+        if not go.size:
+            break
         s, jac = sf[go], np.zeros((go.size, n + 1, n + 1))
         jac[:, :n, :n] = block.pair(x)[go] * (s[:, :, None] * s[:, None, :])
         jac[:, np.arange(n), np.arange(n)] += 1.0 - s
@@ -306,8 +310,6 @@ def _newton_rows(data: _GraphData, owner: np.ndarray, x0: np.ndarray,
         moved = go[step]
         x[moved] += dx[step]
         mu[moved] += delta[step, n]
-        won = conv & (np.where(sup, x, 1.0).min(axis=1) >= POSITIVE_EPS)
-        out[row[won]], solved[row[won]] = x[won], True
         if moved.size < len(x):  # rows that converged, were blocked or singular end
             keep = np.zeros(len(x), bool)
             keep[moved] = True
@@ -555,53 +557,8 @@ def _results(data: _GraphData, owner, xs: np.ndarray, methods: list[str], kkt_to
 
 
 # ---------------------------------------------------------------------------
-# Cross-check routes: 2-graph oracle and support enumeration
+# Cross-check route: support enumeration
 # ---------------------------------------------------------------------------
-
-def clique_number(g: RGraph) -> int:
-    """Exact clique number of a 2-graph by branch-and-bound over bitmasks."""
-    if g.r != 2:
-        raise ValueError("clique number is defined here for 2-graphs only")
-    if g.n > 20:
-        raise ValueError(f"exhaustive clique search refused for n={g.n} > 20")
-    if g.n == 0:
-        return 0
-    adj = [0] * (g.n + 1)
-    for i, j in g.edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    best = 1 if g.n >= 1 else 0
-
-    def extend(cand: int, size: int):
-        nonlocal best
-        if size + bin(cand).count("1") <= best:
-            return
-        if cand == 0:
-            best = max(best, size)
-            return
-        while cand:
-            v = cand.bit_length() - 1
-            bit = 1 << v
-            if size + bin(cand).count("1") <= best:
-                return
-            cand &= ~bit
-            extend(cand & adj[v], size + 1)
-
-    extend((1 << (g.n + 1)) - 2, 0)
-    return best
-
-
-def lagrangian_2graph_oracle(g: RGraph) -> float:
-    """Closed-form 2-graph value from the exact clique number.
-
-    A 2-graph whose largest clique has order t attains (1 - 1/t) / 2 on the
-    uniform weighting of that clique; the empty graph gives 0.
-    """
-    t = clique_number(g)
-    if t <= 1:
-        return 0.0
-    return 0.5 * (1.0 - 1.0 / t)
-
 
 def support_enumeration(g: RGraph, opts: SolverOptions | None = None) -> LagrangianResult:
     """Best stationary point over all enumerable supports.

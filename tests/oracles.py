@@ -2,8 +2,9 @@
 
 Everything here is deliberately brute force and stays independent of the
 code paths it validates: subset filtering or an unpruned search instead of
-the pruned poset DFS, dense grid scans instead of ascent, itertools cliques
-instead of branch and bound.
+the pruned poset DFS, dense grid scans instead of ascent, and for 2-graphs
+the Motzkin-Straus closed form from an exact clique number (a branch and
+bound, itself checked against an itertools subset scan).
 """
 
 from __future__ import annotations
@@ -104,6 +105,48 @@ def clique_number_bruteforce(g: RGraph) -> int:
             if all(j in adj[i] for i, j in combinations(sub, 2)):
                 return size
     return 1 if g.n >= 1 else 0
+
+
+def clique_number(g: RGraph) -> int:
+    """Exact clique number of a 2-graph by branch-and-bound over bitmasks."""
+    if g.r != 2:
+        raise ValueError("clique number is defined here for 2-graphs only")
+    if g.n > 20:
+        raise ValueError(f"exhaustive clique search refused for n={g.n} > 20")
+    if g.n == 0:
+        return 0
+    adj = [0] * (g.n + 1)
+    for i, j in g.edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    best = 1
+
+    def extend(cand: int, size: int):
+        nonlocal best
+        if size + cand.bit_count() <= best:
+            return
+        if cand == 0:
+            best = max(best, size)
+            return
+        while cand:
+            v = cand.bit_length() - 1
+            if size + cand.bit_count() <= best:
+                return
+            cand &= ~(1 << v)
+            extend(cand & adj[v], size + 1)
+
+    extend((1 << (g.n + 1)) - 2, 0)
+    return best
+
+
+def lagrangian_2graph_oracle(g: RGraph) -> float:
+    """Motzkin-Straus: a 2-graph whose largest clique has order t attains
+    (1 - 1/t) / 2 on the uniform weighting of that clique; the empty graph
+    gives 0."""
+    t = clique_number(g)
+    if t <= 1:
+        return 0.0
+    return 0.5 * (1.0 - 1.0 / t)
 
 
 def fd_gradient(g: RGraph, x, h: float = 1e-5) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Combinatorial core: colex order, graphs, links, compression, poset."""
 
 import copy
+import hashlib
 import json
 import os
 import pickle
 import subprocess
 import sys
+from dataclasses import asdict
 from functools import cmp_to_key
 from itertools import combinations
 from math import comb
@@ -128,6 +130,33 @@ class TestRGraph:
         assert RGraph(3, 6, edges).m == 20
         with pytest.raises(ValueError, match="exceeds vertex bound n=5"):
             RGraph(3, 5, edges)
+
+    def test_known_edges_are_known_per_vertex_bound(self):
+        # (1, 2, 10) passes on [10]; a table keyed by r alone would then let
+        # it onto [9], where (3, 9) has a table entry of its own
+        RGraph.complete(3, 10)
+        RGraph(3, 9, frozenset({(1, 2, 3)}))
+        with pytest.raises(ValueError, match="exceeds vertex bound n=9"):
+            RGraph(3, 9, frozenset({(1, 2, 3), (1, 2, 10)}))
+
+    def test_kept_order_is_not_a_field(self):
+        g = next(enumerate_left_compressed(6, 12))
+        h = RGraph(g.r, g.n, g.edges)
+        assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+        assert asdict(g) == asdict(h) == {"r": 3, "n": 6, "edges": g.edges}
+        assert g.__reduce__() == h.__reduce__() == (RGraph, (3, 6, g.edges))
+        edges = g.sorted_edges()
+        edges.reverse()
+        assert g.sorted_edges() == h.sorted_edges() == edges[::-1]
+
+    @pytest.mark.parametrize("t", [8, 9])
+    def test_kept_order_matches_rebuilt_and_unpickled_graphs(self, t):
+        for m in cell_window(t):
+            for g in enumerate_left_compressed(t, m):
+                want = (g.sorted_edges(), g.colex_ranks(), serialize_edge_list(g))
+                for h in (RGraph(3, t, frozenset(g.edges)), pickle.loads(pickle.dumps(g))):
+                    assert h == g
+                    assert (h.sorted_edges(), h.colex_ranks(), serialize_edge_list(h)) == want
 
     @pytest.mark.parametrize("bad", [(2, 1, 3), (0, 1, 2), (1, 1, 2)])
     def test_malformed_edges_rejected_before_and_after_valid_graphs(self, bad):
@@ -378,6 +407,14 @@ class TestEdgeListFormat:
         back = parse_edge_list(text)
         assert back == g
         assert serialize_edge_list(back) == text
+
+    def test_cell_10_100_serializes_to_pinned_bytes(self):
+        # the (10, 100) entry of the benchmark reference
+        texts = [serialize_edge_list(g) for g in enumerate_left_compressed(10, 100)]
+        blob = "".join(texts).encode()
+        assert (len(texts), len(blob)) == (218, 137_203)
+        assert hashlib.sha256(blob).hexdigest() == (
+            "d78b215b01ef3cfbf1881be572ba78e437d480961c7d5eb94f5c7657ac49593e")
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(99)

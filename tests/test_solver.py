@@ -18,19 +18,24 @@ from laglab.hypergraph import (
 from laglab.solver import (
     SolverOptions,
     check_legal_weighting,
-    clique_number,
     evaluate,
     kkt_check,
     lagrangian,
-    lagrangian_2graph_oracle,
     lagrangians,
     link_value,
     link_values,
     support_enumeration,
     symmetry_classes,
 )
-from laglab.verifier import ConfigurationSpec, build_configuration, cell_window
-from oracles import clique_number_bruteforce, fd_gradient, grid_max, random_rgraph
+from laglab.verifier import ConfigurationSpec, build_configuration, cell_window, verify_cell
+from oracles import (
+    clique_number,
+    clique_number_bruteforce,
+    fd_gradient,
+    grid_max,
+    lagrangian_2graph_oracle,
+    random_rgraph,
+)
 
 FIVE_CYCLE = RGraph.from_edges(2, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
 
@@ -515,6 +520,20 @@ class TestBatchedSolve:
         monkeypatch.setattr(solver, "_solve_rows", spy)
         lagrangians(list(enumerate_left_compressed(8, 35)))
         assert len(calls) <= 20
+
+    def test_no_stacked_solve_on_an_empty_stack(self, monkeypatch):
+        # rows that all converge at one check end the Newton round before
+        # any Jacobian is built
+        calls, solve = [], solver._solve_rows
+
+        def spy(jac, rhs):
+            calls.append(len(jac))
+            return solve(jac, rhs)
+
+        monkeypatch.setattr(solver, "_solve_rows", spy)
+        for m in cell_window(8):
+            verify_cell(8, m)
+        assert calls and 0 not in calls
 
     def test_face_ascent_hands_off_to_newton(self, monkeypatch):
         # Newton finishes a face row, or fails it when the face's optimum
