@@ -146,7 +146,7 @@ class TestRGraph:
         assert asdict(g) == asdict(h) == {"r": 3, "n": 6, "edges": g.edges}
         assert g.__reduce__() == h.__reduce__() == (RGraph, (3, 6, g.edges))
         edges = g.sorted_edges()
-        edges.reverse()
+        edges.reverse()  # a fresh list: the graph's order stays as it was
         assert g.sorted_edges() == h.sorted_edges() == edges[::-1]
 
     @pytest.mark.parametrize("t", [8, 9])
