@@ -21,15 +21,16 @@ whose pairs lie in edges, solved by the same face solve.  On the prefix
 faces it reads the very rows the prefix route solved, so it adds
 information only through its other supports.
 
-The face solve is batched: graphs that share r, n and m (a block of one
-cell) stack their edges, (graph, face) pairs that share the face and the
-edges inside it share one weight row, each ascent or Newton step is one
-numpy call over all rows, and one stationarity report gives every result of
-the block.  A block takes one face solve: its graphs' route faces, plus the
-cross-checked graphs listed a second time with their supports.  No row's
-arithmetic depends on the rows beside it, so :func:`lagrangians` on a cell
-gives exactly what :func:`lagrangian` gives on each graph alone, and each
-cross-check exactly what :func:`support_enumeration` gives.
+The face solve is batched: graphs that share r and n, whatever their edge
+counts (a block of a window's cells), stack their edges one graph after
+another, (graph, face) pairs that share the face and the edges inside it
+share one weight row, each ascent or Newton step is one numpy call over all
+rows, and one stationarity report gives every result of the block.  A block
+takes one face solve: its graphs' route faces, plus the cross-checked graphs
+listed a second time with their supports.  No row's arithmetic depends on
+the rows beside it, so :func:`lagrangians` on a block gives exactly what
+:func:`lagrangian` gives on each graph alone, and each cross-check exactly
+what :func:`support_enumeration` gives.
 """
 
 from __future__ import annotations
@@ -119,22 +120,27 @@ class KKTReport:
 # ---------------------------------------------------------------------------
 
 class _GraphData:
-    """Edges of graphs that share r, n and m, stacked as one (r, G, m) array
-    of 0-based vertices, one (G, m) layer per edge position, and the (G, n)
-    mask of each graph's active vertices; kernels run on weight rows through
-    :meth:`rows`."""
+    """Edges of graphs that share r and n (not necessarily m), each graph's
+    in colex order, one graph after another in one (r, E) array of 0-based
+    vertices: graph k's edges are the columns ``start[k]`` up to
+    ``start[k + 1]``, and ``graph`` holds each column's graph.  Also the
+    (G,) edge counts ``m`` and the (G, n) mask of each graph's active
+    vertices; kernels run on weight rows through :meth:`rows`."""
 
     def __init__(self, graphs: list[RGraph]):
         g = graphs[0]
-        if any((h.r, h.n, h.m) != (g.r, g.n, g.m) for h in graphs):
-            raise ValueError("stacked graphs must share r, n and m")
+        if any((h.r, h.n) != (g.r, g.n) for h in graphs):
+            raise ValueError("stacked graphs must share r and n")
         self.graphs = graphs
-        self.r, self.n, self.m = g.r, g.n, g.m
+        self.r, self.n = g.r, g.n
+        self.m = np.fromiter((h.m for h in graphs), np.intp, len(graphs))
+        self.start = np.concatenate([[0], np.cumsum(self.m)])
         edges = np.fromiter(chain.from_iterable(chain.from_iterable(
-            h.sorted_edges() for h in graphs)), np.intp, len(graphs) * g.m * g.r)
-        self.vert = edges.reshape(len(graphs), g.m, g.r).transpose(2, 0, 1).copy() - 1
+            h.sorted_edges() for h in graphs)), np.intp, self.start[-1] * g.r)
+        self.vert = edges.reshape(-1, g.r).T.copy() - 1
+        self.graph = np.repeat(np.arange(len(graphs)), self.m)
         self.active = np.zeros((len(graphs), g.n), bool)
-        self.active[np.arange(len(graphs))[:, None], self.vert] = True
+        self.active[self.graph, self.vert] = True
 
     def rows(self, owner=(0,), support: np.ndarray | None = None) -> _Rows:
         return _Rows(self, np.asarray(owner, dtype=np.intp), support)
@@ -171,12 +177,16 @@ class _Rows:
     def __init__(self, data: _GraphData, owner: np.ndarray,
                  support: np.ndarray | None = None):
         self.shape = (owner.size, data.n)
-        vert = np.take(data.vert, owner, axis=1).reshape(data.r, -1)  # (r, R * m)
-        self.row = np.repeat(np.arange(owner.size), data.m)
+        count = data.m[owner]  # each owner's edge range, gathered in order
+        self.row = np.repeat(np.arange(owner.size), count)
+        edge = np.repeat(data.start[owner] - np.cumsum(count) + count, count)
+        edge += np.arange(edge.size)
+        vert = np.take(data.vert, edge, axis=1)  # (r, N)
         if support is not None:
             inside = support[self.row, vert].all(axis=0)
             self.row, vert = self.row[inside], np.compress(inside, vert, axis=1)
-        self.flat = self.row * data.n + vert  # (r, N) indices into x.ravel()
+        vert += self.row * data.n
+        self.flat = vert  # (r, N) indices into x.ravel()
 
     def subset(self, keep: np.ndarray) -> _Rows:
         """The kernels of the rows where ``keep`` holds, in order."""
@@ -297,26 +307,27 @@ def _newton_rows(data: _GraphData, owner: np.ndarray, x0: np.ndarray,
         conv = np.maximum(np.abs(res).max(axis=1), np.abs(gap)) < 1e-14
         won = conv & (np.where(sup, x, 1.0).min(axis=1) >= POSITIVE_EPS)
         out[row[won]], solved[row[won]] = x[won], True
-        go = np.flatnonzero(~conv)
-        if not go.size:
-            break
-        s, jac = sf[go], np.zeros((go.size, n + 1, n + 1))
-        jac[:, :n, :n] = block.pair(x)[go] * (s[:, :, None] * s[:, None, :])
-        jac[:, np.arange(n), np.arange(n)] += 1.0 - s
-        jac[:, :n, n], jac[:, n, :n] = -s, s
-        delta, ok = _solve_rows(jac, -np.concatenate([res[go], gap[go, None]], axis=1))
-        dx = delta[:, :n] * s
-        step = ok & ((x[go] + dx).min(axis=1) >= -1e-9)
-        moved = go[step]
-        x[moved] += dx[step]
-        mu[moved] += delta[step, n]
-        if moved.size < len(x):  # rows that converged, were blocked or singular end
-            keep = np.zeros(len(x), bool)
-            keep[moved] = True
-            row, sup, sf, x, mu = (a[keep] for a in (row, sup, sf, x, mu))
-            block = block.subset(keep)
-        if not row.size:
-            break
+        if conv.any():  # converged rows end before any Jacobian is built
+            go = ~conv
+            if not go.any():
+                break
+            row, sup, sf, x, mu, res, gap = (a[go] for a in (row, sup, sf, x, mu, res, gap))
+            block = block.subset(go)
+        jac = np.zeros((len(x), n + 1, n + 1))
+        jac[:, :n, :n] = block.pair(x) * (sf[:, :, None] * sf[:, None, :])
+        jac[:, np.arange(n), np.arange(n)] += 1.0 - sf
+        jac[:, :n, n], jac[:, n, :n] = -sf, sf
+        delta, ok = _solve_rows(jac, -np.concatenate([res, gap[:, None]], axis=1))
+        dx = delta[:, :n] * sf
+        step = ok & ((x + dx).min(axis=1) >= -1e-9)
+        if not step.all():  # rows that were blocked or singular end
+            if not step.any():
+                break
+            row, sup, sf, x, mu = (a[step] for a in (row, sup, sf, x, mu))
+            block = block.subset(step)
+            dx, delta = dx[step], delta[step]
+        x += dx
+        mu += delta[:, n]
         grad = block.grad(x)
     return out, solved
 
@@ -474,9 +485,10 @@ def lagrangian(g: RGraph, opts: SolverOptions | None = None) -> LagrangianResult
 
 def lagrangians(graphs: list[RGraph],
                 opts: SolverOptions | None = None) -> list[LagrangianResult]:
-    """Maximize the edge polynomial of each of ``graphs`` (which share r, n
-    and m: one cell, or a block of one) over the simplex; each result equals
-    :func:`lagrangian` of its graph alone.
+    """Maximize the edge polynomial of each of ``graphs`` (which share r and
+    n, and may differ in m: a block of one or more cells of a window, empty
+    graphs included) over the simplex; each result equals :func:`lagrangian`
+    of its graph alone.  Graphs that differ in r or n raise ``ValueError``.
 
     A left-compressed graph has a non-increasing optimal weighting, so its
     optimum lies on a prefix face [k].  Some optimal weighting of least
@@ -507,17 +519,19 @@ def lagrangians(graphs: list[RGraph],
     if not graphs:
         return []
     data = _GraphData(list(graphs))
-    if data.m == 0:  # an empty graph is left-compressed
-        return [_empty_result(g, METHOD_SYMMETRY) for g in data.graphs]
+    if not data.m.all():  # an empty graph is left-compressed
+        rest = iter(lagrangians([g for g in data.graphs if g.m], opts))
+        return [next(rest) if g.m else _empty_result(g, METHOD_SYMMETRY) for g in data.graphs]
 
     size = len(data.graphs)
     prefix = np.array([is_left_compressed(g) for g in data.graphs])
     # K per graph: the largest top vertex of an edge {1, ..., r-2, k-1, k};
     # [r] is such an edge of every left-compressed graph, and its face
-    # always has a solution
+    # always has a solution; every graph here has an edge, so no segment
+    # of the reduction is empty
     v = data.vert
-    covers = (v[-1] == v[-2] + 1) & (v[:-2] == np.arange(data.r - 2)[:, None, None]).all(axis=0)
-    top = np.where(covers, v[-1] + 1, data.r).max(axis=1)
+    covers = (v[-1] == v[-2] + 1) & (v[:-2] == np.arange(data.r - 2)[:, None]).all(axis=0)
+    top = np.maximum.reduceat(np.where(covers, v[-1] + 1, data.r), data.start[:-1])
     ends = {k: _multistart(data, k, opts) for k in np.flatnonzero(~prefix).tolist()}
     faces = [ends[k][0] if k in ends else [tuple(range(1, j + 1)) for j in range(data.r, t + 1)]
              for k, t in enumerate(top.tolist())]
@@ -543,17 +557,21 @@ def lagrangians(graphs: list[RGraph],
 def _results(data: _GraphData, owner, xs: np.ndarray, methods: list[str], kkt_tol: float,
              notes: tuple[str, ...] = ()) -> list[LagrangianResult]:
     """The result of graph ``owner[i]`` at ``xs[i]``, with method
-    ``methods[i]``, for each row, from one batched stationarity report:
-    certified when the row meets the first-order conditions within
-    ``kkt_tol`` and the route adds no ``notes`` of its own."""
-    block = data.rows(owner)
-    values = block.eval(xs)
-    st = _stationarity(data.r, block.grad(xs), xs, values)
-    why = [st.failure(i, kkt_tol) + notes for i in range(len(xs))]
-    return [LagrangianResult(value, tuple(x), support, residual, method, not w, w)
-            for value, x, support, residual, method, w in zip(
-                values.tolist(), xs.tolist(), st.support.sum(axis=1).tolist(),
-                st.residual.tolist(), methods, why)]
+    ``methods[i]``, for each row, from one batched stationarity report per
+    ``CHUNK_ROWS`` rows: certified when the row meets the first-order
+    conditions within ``kkt_tol`` and the route adds no ``notes`` of its
+    own."""
+    out = []
+    for lo in range(0, len(xs), CHUNK_ROWS):
+        block, at = data.rows(owner[lo:lo + CHUNK_ROWS]), xs[lo:lo + CHUNK_ROWS]
+        values = block.eval(at)
+        st = _stationarity(data.r, block.grad(at), at, values)
+        why = [st.failure(i, kkt_tol) + notes for i in range(len(at))]
+        out += [LagrangianResult(value, tuple(x), support, residual, method, not w, w)
+                for value, x, support, residual, method, w in zip(
+                    values.tolist(), at.tolist(), st.support.sum(axis=1).tolist(),
+                    st.residual.tolist(), methods[lo:lo + CHUNK_ROWS], why)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -574,9 +592,9 @@ def support_enumeration(g: RGraph, opts: SolverOptions | None = None) -> Lagrang
     its block's face solve, and gives the same result.
     """
     opts = opts or SolverOptions()
-    data = _GraphData([g])
-    if data.m == 0:
+    if not g.m:
         return _empty_result(g, METHOD_SUPPORT_ENUM)
+    data = _GraphData([g])
     supports, budget_hit = _enumerable_supports(g)
     found, = _best_on_faces(data, [supports], opts.kkt_tol)
     return _support_result(data, 0, found, budget_hit, opts.kkt_tol)
@@ -645,15 +663,19 @@ def _best_on_faces(data: _GraphData, faces: list[list[tuple[int, ...]]],
     masks, top = np.zeros((len(ids), n), bool), np.zeros(len(ids), np.intp)
     for f, i in ids.items():
         masks[i, [v - 1 for v in f]], top[i] = True, max(f) - 1
-    # colex order puts a graph's edges up to vertex j first: below[k, j] of them
-    below = np.bincount((data.vert[-1] + n * np.arange(g)[:, None]).ravel(),
-                        minlength=g * n).reshape(g, n).cumsum(axis=1)
-    code = data.vert.transpose(1, 2, 0).astype(np.min_scalar_type(n))  # (G, m, r)
-    ends = below[owner, top[face]] * (data.r * code.itemsize)
-    code = [c.tobytes() for c in code]
+    # colex order puts a graph's edges up to vertex j first: below[k, j] of
+    # them, which are one slice of the edges' bytes (edge by edge)
+    size = len(data.graphs)
+    below = np.bincount(data.graph * n + data.vert[-1],
+                        minlength=size * n).reshape(size, n).cumsum(axis=1)
+    code = data.vert.T.astype(np.min_scalar_type(n))  # (E, r)
+    width = data.r * code.itemsize
+    los = data.start[owner] * width
+    his = los + below[owner, top[face]] * width
+    blob = code.tobytes()
     keys: dict[tuple[int, bytes], int] = {}
-    which = np.fromiter((keys.setdefault((f, code[k][:e]), len(keys)) for k, f, e in zip(
-        owner.tolist(), face.tolist(), ends.tolist())), np.intp, owner.size)
+    which = np.fromiter((keys.setdefault((f, blob[lo:hi]), len(keys)) for f, lo, hi in zip(
+        face.tolist(), los.tolist(), his.tolist())), np.intp, owner.size)
     first = np.unique(which, return_index=True)[1]  # each row's first pair
     xs, solved = np.zeros((first.size, n)), np.zeros(first.size, bool)
     for lo in range(0, first.size, CHUNK_ROWS):

@@ -3,16 +3,17 @@
 A cell (t, m) enumerates every left-compressed 3-graph on [t] with m edges
 (compression preserves the extremal value, so the class maximum equals the
 maximum over all m-edge 3-graphs), solves their Lagrangians with
-certification in blocks as the enumeration yields them, and compares the
-class maximum against the colex-initial graph.  Known extremal
-configurations from the literature are reproducible as named families and
-checked one by one.
+certification in blocks as the enumeration yields them (the cells of a
+window share blocks), and compares the class maximum against the
+colex-initial graph.  Known extremal configurations from the literature are
+reproducible as named families and checked one by one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import groupby, islice, repeat
 from math import comb
 
 from laglab.hypergraph import (
@@ -24,12 +25,12 @@ from laglab.hypergraph import (
     parse_edge_list,
     serialize_edge_list,
 )
-from laglab.solver import SolverOptions, lagrangian, lagrangians
+from laglab.solver import LagrangianResult, SolverOptions, lagrangian, lagrangians
 
 INEQ_TOL = 1e-7
 WITNESS_TIE = 1e-9
 T_MAX = 12  # largest t that a sweep or an enumeration accepts
-CELL_BLOCK = 1024  # graphs that verify_cell hands lagrangians at a time
+CELL_BLOCK = 1024  # graphs that verify_cells hands lagrangians at a time
 
 
 class ConfigurationError(ValueError):
@@ -308,64 +309,93 @@ def cell_window(t: int) -> range:
     return range(comb(t - 1, 3), comb(t, 3) + 1)
 
 
-def verify_cell(t: int, m: int, opts: VerifierOptions | None = None) -> VerificationReport:
-    """Enumerate the left-compressed class at (t, m) and compare Lagrangians.
+class _Cell:
+    """What :func:`verify_cells` keeps of one cell while its graphs stream
+    through: the colex result, the running maximum, the results within
+    ``WITNESS_TIE`` of it and the counts, so memory does not grow with the
+    cell."""
 
-    The enumeration streams through :func:`lagrangians` in blocks of
-    ``CELL_BLOCK`` graphs; only the colex result, the running maximum, the
-    graphs within ``WITNESS_TIE`` of it and the counts are kept, so memory
-    does not grow with the cell.  No result depends on the graphs solved
-    beside it, so the report does not depend on the block size.
+    def __init__(self, t: int, m: int):
+        if m not in cell_window(t):
+            raise ValueError(
+                f"m={m} outside the window C({t-1},3)={comb(t-1, 3)} .. "
+                f"C({t},3)={comb(t, 3)} for t={t}"
+            )
+        self.t, self.m = t, m
+        self.colex_edges = build_colex_graph(3, m).edges
+        self.colex, self.max_value, self.witnesses = None, -float("inf"), []
+        self.count = self.uncertified = 0
+
+    def add(self, solved: list[tuple[RGraph, LagrangianResult]]) -> None:
+        """Take in a run of this cell's graphs with their results."""
+        self.count += len(solved)
+        self.uncertified += sum(not res.certified for _g, res in solved)
+        self.colex = self.colex or next(
+            (res for g, res in solved if g.edges == self.colex_edges), None)
+        self.max_value = max(self.max_value, max(res.value for _g, res in solved))
+        # a graph within WITNESS_TIE of the final maximum is within it of
+        # every running maximum, so dropping the others loses no witness
+        self.witnesses = [(g, res) for g, res in self.witnesses + solved
+                          if res.value >= self.max_value - WITNESS_TIE]
+
+    def report(self, seed: int) -> VerificationReport:
+        t, m, colex, witnesses = self.t, self.m, self.colex, self.witnesses
+        if colex is None:
+            raise RuntimeError(
+                f"colex graph missing from enumeration at (t={t}, m={m})"
+            )
+        witnesses.sort(key=lambda pair: pair[0].colex_ranks())
+        gap = colex.value - self.max_value
+        all_pass = (
+            gap >= -INEQ_TOL
+            and colex.certified
+            and all(res.certified for _g, res in witnesses)
+        )
+        return VerificationReport(
+            t=t,
+            m=m,
+            a=comb(t, 3) - m,
+            colex_value=colex.value,
+            max_value=self.max_value,
+            gap=gap,
+            graph_count=self.count,
+            witnesses=tuple(serialize_edge_list(g) for g, _res in witnesses),
+            all_pass=bool(all_pass),
+            witness_supports=tuple(res.support for _g, res in witnesses),
+            witness_values=tuple(res.value for _g, res in witnesses),
+            uncertified=self.uncertified,
+            seed=seed,
+        )
+
+
+def verify_cells(t: int, ms: Iterable[int],
+                 opts: VerifierOptions | None = None) -> list[VerificationReport]:
+    """Enumerate the left-compressed class at each (t, m), m in ``ms``, and
+    compare Lagrangians; the reports come in ``ms`` order.
+
+    The cells' enumerations stream one after another through
+    :func:`lagrangians` in blocks of ``CELL_BLOCK`` graphs, so a block may
+    span cells (every graph on [t] shares r and n); each cell keeps only
+    its colex result, running maximum, near-ties and counts.  No result
+    depends on the graphs solved beside it, so the reports depend neither
+    on the block size nor on which cells are verified together.
     """
     opts = opts or VerifierOptions()
     if t < 4:
         raise ValueError(f"cells need t >= 4, got t={t}")
-    if m not in cell_window(t):
-        raise ValueError(
-            f"m={m} outside the window C({t-1},3)={comb(t-1, 3)} .. "
-            f"C({t},3)={comb(t, 3)} for t={t}"
-        )
-    colex_edges = build_colex_graph(3, m).edges
-    graphs = enumerate_left_compressed(t, m)
-    colex, max_value, witnesses, count, uncertified = None, -float("inf"), [], 0, 0
+    cells = [_Cell(t, m) for m in ms]
+    graphs = ((cell, g) for cell in cells for g in enumerate_left_compressed(t, cell.m))
     while block := list(islice(graphs, CELL_BLOCK)):
-        results = lagrangians(block, opts.solver)
-        count += len(block)
-        uncertified += sum(not res.certified for res in results)
-        colex = colex or next(
-            (res for g, res in zip(block, results) if g.edges == colex_edges), None)
-        max_value = max(max_value, max(res.value for res in results))
-        # a graph within WITNESS_TIE of the final maximum is within it of
-        # every running maximum, so dropping the others loses no witness
-        witnesses = [(g, res) for g, res in witnesses + list(zip(block, results))
-                     if res.value >= max_value - WITNESS_TIE]
-    if colex is None:
-        raise RuntimeError(
-            f"colex graph missing from enumeration at (t={t}, m={m})"
-        )
+        results = lagrangians([g for _cell, g in block], opts.solver)
+        for cell, run in groupby(zip(block, results), key=lambda item: item[0][0]):
+            cell.add([(g, res) for (_cell, g), res in run])
+    return [cell.report(opts.solver.seed) for cell in cells]
 
-    witnesses.sort(key=lambda pair: pair[0].colex_ranks())
-    gap = colex.value - max_value
-    all_pass = (
-        gap >= -INEQ_TOL
-        and colex.certified
-        and all(res.certified for _g, res in witnesses)
-    )
-    return VerificationReport(
-        t=t,
-        m=m,
-        a=comb(t, 3) - m,
-        colex_value=colex.value,
-        max_value=max_value,
-        gap=gap,
-        graph_count=count,
-        witnesses=tuple(serialize_edge_list(g) for g, _res in witnesses),
-        all_pass=bool(all_pass),
-        witness_supports=tuple(res.support for _g, res in witnesses),
-        witness_values=tuple(res.value for _g, res in witnesses),
-        uncertified=uncertified,
-        seed=opts.solver.seed,
-    )
+
+def verify_cell(t: int, m: int, opts: VerifierOptions | None = None) -> VerificationReport:
+    """Enumerate the left-compressed class at (t, m) and compare Lagrangians:
+    :func:`verify_cells` on the one cell."""
+    return verify_cells(t, [m], opts)[0]
 
 
 def check_t(t: int, lowest: int, name: str) -> None:
@@ -374,23 +404,34 @@ def check_t(t: int, lowest: int, name: str) -> None:
         raise ValueError(f"{name} must be within {lowest}..{T_MAX}, got {t}")
 
 
-def _cell_worker(args) -> VerificationReport:
-    t, m, opts = args
-    return verify_cell(t, m, opts)
+def _groups(window: range, workers: int) -> list[list[int]]:
+    """The cells of ``window`` dealt to ``workers`` groups back and forth
+    (groups 0, 1, ..., w-1, then w-1, ..., 1, 0, and again): cells shrink
+    as m grows, so the groups get near-equal shares of the graphs."""
+    turn = 2 * workers
+    return [sorted([*window[j::turn], *window[turn - 1 - j::turn]]) for j in range(workers)]
 
 
 def sweep(t_max: int, opts: VerifierOptions | None = None,
           workers: int = 1) -> list[VerificationReport]:
-    """Run every cell for 4 <= t <= t_max; deterministic (t, m) order."""
+    """Run every cell for 4 <= t <= t_max; deterministic (t, m) order.
+
+    Serially each window is one :func:`verify_cells` task; with more
+    workers each window splits into ``workers`` groups of cells
+    (:func:`_groups`), the largest windows first, so the smaller ones fill
+    the workers' last gaps."""
     opts = opts or VerifierOptions()
     check_t(t_max, 4, "t_max")
-    cells = [(t, m, opts) for t in range(4, t_max + 1) for m in cell_window(t)]
-    if workers <= 1:
-        return [_cell_worker(c) for c in cells]
-    import concurrent.futures as cf
+    workers = max(1, workers)
+    tasks = [(t, ms) for t in range(t_max, 3, -1) for ms in _groups(cell_window(t), workers) if ms]
+    if workers == 1:
+        done = [verify_cells(t, ms, opts) for t, ms in tasks]
+    else:
+        import concurrent.futures as cf
 
-    with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_cell_worker, cells))
+        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(verify_cells, *zip(*tasks), repeat(opts)))
+    return sorted((rep for reps in done for rep in reps), key=lambda rep: (rep.t, rep.m))
 
 
 # ---------------------------------------------------------------------------

@@ -86,10 +86,14 @@ def git_sha() -> str:
 
 
 def solve_windows(ts) -> list:
-    cells = [(t, m) for t in ts for m in verifier.cell_window(t)]
+    """The reports of the windows of ``ts`` in (t, m) order, each window
+    split into ``WORKERS`` groups of cells as ``sweep`` splits it."""
+    groups = [(t, ms) for t in sorted(ts, reverse=True)
+              for ms in verifier._groups(verifier.cell_window(t), WORKERS)]
     ctx = multiprocessing.get_context("spawn")
     with cf.ProcessPoolExecutor(max_workers=WORKERS, mp_context=ctx) as pool:
-        return list(pool.map(verifier.verify_cell, *zip(*cells)))
+        reports = [rep for reps in pool.map(verifier.verify_cells, *zip(*groups)) for rep in reps]
+    return sorted(reports, key=lambda rep: (rep.t, rep.m))
 
 
 def main(argv=None) -> int:

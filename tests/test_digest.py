@@ -7,7 +7,9 @@ must agree exactly.
 import json
 from pathlib import Path
 
-from laglab.verifier import cell_window, verify_cell
+import pytest
+
+from laglab.verifier import cell_window, verify_cell, verify_cells
 from record_digest import mismatches
 
 DIGEST = json.loads((Path(__file__).parent / "cell_digest.json").read_text())["cells"]
@@ -34,3 +36,9 @@ def test_cells_t8_match_digest():
 
 def test_cells_t9_match_digest():
     assert_matches_digest([verify_cell(9, m) for m in cell_window(9)])
+
+
+@pytest.mark.parametrize("t", [4, 5, 6, 7, 8])
+def test_window_blocks_match_digest(t):
+    # the cells of a window solved together, as a sweep solves them
+    assert_matches_digest(verify_cells(t, cell_window(t)))

@@ -535,6 +535,28 @@ class TestBatchedSolve:
             verify_cell(8, m)
         assert calls and 0 not in calls
 
+    def test_pair_matrices_only_for_rows_that_step(self, monkeypatch):
+        # rows that converged at a check take no Newton step, so no pair
+        # matrix is built for them: over the t = 8 window every pair row
+        # reaches a stacked Jacobian (1,305 built for 1,003 before)
+        built, stacked = [], []
+        pair, solve = solver._Rows.pair, solver._solve_rows
+
+        def pair_spy(block, x):
+            built.append(len(x))
+            return pair(block, x)
+
+        def solve_spy(jac, rhs):
+            stacked.append(len(jac))
+            return solve(jac, rhs)
+
+        monkeypatch.setattr(solver._Rows, "pair", pair_spy)
+        monkeypatch.setattr(solver, "_solve_rows", solve_spy)
+        for m in cell_window(8):
+            verify_cell(8, m)
+        assert stacked and built == stacked
+        assert sum(built) == 1003
+
     def test_face_ascent_hands_off_to_newton(self, monkeypatch):
         # Newton finishes a face row, or fails it when the face's optimum
         # lies on a smaller prefix face, another row, so the ascent stops at
@@ -565,8 +587,38 @@ class TestBatchedSolve:
             "symmetry_reduced", "multistart_gradient"]
         assert lagrangians(graphs) == [lagrangian(g) for g in graphs]
         assert lagrangians([]) == []
-        with pytest.raises(ValueError):
-            lagrangians([build_colex_graph(3, 7), build_colex_graph(3, 8)])
+        # graphs that share r and n stack whatever their edge counts
+        graphs = [build_colex_graph(3, 7), build_colex_graph(3, 8)]
+        assert lagrangians(graphs) == [lagrangian(g) for g in graphs]
+
+    def test_ragged_stack_equals_one_graph_solves(self):
+        # every result field, exactly: edge counts 0 ... 20 on [6], both
+        # routes, cross-checked graphs and empty graphs first, inside and last
+        empty = RGraph(3, 6, frozenset())
+        graphs = [empty, build_colex_graph(3, 7).with_n(6),
+                  graph_from_words(3, 6, "123 124 135 146 236 245 256"), empty,
+                  build_colex_graph(3, 1).with_n(6), RGraph.complete(3, 6),
+                  *enumerate_left_compressed(6, 14), empty]
+        assert [g.m for g in graphs][:6] == [0, 7, 7, 0, 1, 20]
+        assert lagrangians(graphs) == [lagrangian(g) for g in graphs]
+        assert lagrangians([empty, empty]) == [lagrangian(empty)] * 2
+
+    def test_window_stack_equals_cell_stacks(self):
+        # one stack over the whole t = 7 window shares rows across cells
+        # (faces with the same edges inside) and still gives each graph its
+        # own cell's result
+        cells = [list(enumerate_left_compressed(7, m)) for m in cell_window(7)]
+        window = [g for cell in cells for g in cell]
+        assert lagrangians(window) == [res for cell in cells for res in lagrangians(cell)]
+
+    @pytest.mark.parametrize("graphs", [
+        [build_colex_graph(3, 7), build_colex_graph(3, 7).with_n(6)],  # n differs
+        [RGraph.complete(2, 5), RGraph.complete(3, 5)],  # r differs
+        [RGraph(3, 5, frozenset()), RGraph(3, 6, frozenset())],  # empty, n differs
+    ])
+    def test_stack_rejects_mixed_r_or_n(self, graphs):
+        with pytest.raises(ValueError, match="share r and n"):
+            lagrangians(graphs)
 
     def test_singular_row_halves_the_stack(self, monkeypatch):
         # one singular system among 64: halving around it takes 1 + 2 * 6

@@ -29,6 +29,7 @@ from laglab.verifier import (
     support_lower_bound,
     sweep,
     verify_cell,
+    verify_cells,
 )
 
 
@@ -217,6 +218,10 @@ class TestStreamedCells:
         monkeypatch.setattr(verifier, "CELL_BLOCK", cell_block)
         for cell, report in one_block_reports.items():
             assert verify_cell(*cell) == report, cell
+        # blocks that span the cells of a window, in the order asked for
+        window = list(cell_window(7))
+        assert verify_cells(7, window) == [one_block_reports[7, m] for m in window]
+        assert verify_cells(7, window[::-3]) == [one_block_reports[7, m] for m in window[::-3]]
 
     def test_no_solve_exceeds_the_block(self, monkeypatch):
         sizes, solve = [], verifier.lagrangians
@@ -229,6 +234,28 @@ class TestStreamedCells:
         monkeypatch.setattr(verifier, "CELL_BLOCK", 16)
         assert verify_cell(8, 35).graph_count == sum(sizes) == 79
         assert max(sizes) <= 16
+
+    def test_cells_reject_bad_input(self):
+        assert verify_cells(7, []) == []
+        with pytest.raises(ValueError, match="outside the window"):
+            verify_cells(7, [20, 19])
+        with pytest.raises(ValueError, match="t >= 4"):
+            verify_cells(3, [1])
+
+    def test_serial_sweep_solves_one_block_per_window(self, monkeypatch):
+        # each window's cells (at most 136 graphs per window up to t = 7)
+        # share one lagrangians call: 4 calls, not one per cell (38)
+        sizes, solve = [], verifier.lagrangians
+
+        def spy(graphs, opts=None):
+            sizes.append(len(graphs))
+            return solve(graphs, opts)
+
+        monkeypatch.setattr(verifier, "lagrangians", spy)
+        reports = sweep(7)
+        assert len(reports) == 38
+        assert sizes == [sum(rep.graph_count for rep in reports if rep.t == t)
+                         for t in (7, 6, 5, 4)]  # the largest window first
 
 
 class TestSweep:
@@ -245,6 +272,25 @@ class TestSweep:
         assert len(sweep5_reports) == 11
         assert [r.m for r in sweep5_reports if r.t == 5] == list(range(4, 11))
         assert all(r.all_pass for r in sweep5_reports)
+
+    def test_sweep_is_the_same_on_three_workers(self, sweep6_reports):
+        # 3 workers split the windows of 4, 7 and 11 cells unevenly (t = 4
+        # into groups of 1, 1 and 2 cells); the reports come back in (t, m)
+        # order
+        assert sweep(6, workers=3) == sweep6_reports
+        assert [(rep.t, rep.m) for rep in sweep6_reports] == [
+            (t, m) for t in range(4, 7) for m in cell_window(t)]
+
+    def test_groups_share_a_window_evenly(self):
+        # cells shrink as m grows; dealing them back and forth gives each
+        # of two workers about half of the t = 9 window's 2,974 graphs,
+        # where window[j::2] gives one of them 1,586 (6.7 % over half)
+        assert verifier._groups(cell_window(5), 2) == [[4, 7, 8], [5, 6, 9, 10]]
+        assert verifier._groups(cell_window(5), 1) == [list(cell_window(5))]
+        assert verifier._groups(cell_window(4), 6) == [[1], [2], [3], [4], [], []]
+        counts = {m: count_left_compressed(9, m) for m in cell_window(9)}
+        shares = [sum(counts[m] for m in group) for group in verifier._groups(cell_window(9), 2)]
+        assert sum(shares) == 2974 and max(shares) <= 1.01 * 2974 / 2
 
     def test_sweep_rejects_bad_t_max(self):
         with pytest.raises(ValueError):
