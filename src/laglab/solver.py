@@ -181,12 +181,11 @@ class _Rows:
         self.row = np.repeat(np.arange(owner.size), count)
         edge = np.repeat(data.start[owner] - np.cumsum(count) + count, count)
         edge += np.arange(edge.size)
-        vert = np.take(data.vert, edge, axis=1)  # (r, N)
+        self.flat = np.take(data.vert, edge, axis=1)
+        self.flat += self.row * data.n  # (r, N) indices into x.ravel()
         if support is not None:
-            inside = support[self.row, vert].all(axis=0)
-            self.row, vert = self.row[inside], np.compress(inside, vert, axis=1)
-        vert += self.row * data.n
-        self.flat = vert  # (r, N) indices into x.ravel()
+            inside = support.ravel()[self.flat].all(axis=0)
+            self.row, self.flat = self.row[inside], np.compress(inside, self.flat, axis=1)
 
     def subset(self, keep: np.ndarray) -> _Rows:
         """The kernels of the rows where ``keep`` holds, in order."""
