@@ -11,7 +11,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, combinations, compress as select
+from itertools import chain, combinations, compress as select, islice
 from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -199,11 +199,25 @@ class RGraph:
         return int.from_bytes(digest, "big")
 
 
+def _colex_initial(r: int, m: int) -> tuple[Edge, ...]:
+    """The first m r-sets in colex order, listed without unranking: they lie
+    in [n], n the least with C(n, r) >= m, and over the falling vertices of
+    [n] :func:`combinations` lists the r-sets of [n] backwards in colex
+    order, each set falling."""
+    n = r
+    while comb(n, r) < m:
+        n += 1
+    falling = list(combinations(range(n, 0, -1), r))
+    return tuple(e[::-1] for e in islice(reversed(falling), m))
+
+
 def build_colex_graph(r: int, m: int) -> RGraph:
     """The r-graph whose edges are the first m r-sets in colex order."""
     if m < 0:
         raise ValueError(f"edge count must be >= 0, got {m}")
-    edges = tuple(colex_unrank(r, k) for k in range(m))
+    if r < 2:
+        raise ValueError(f"uniformity must be >= 2, got {r}")
+    edges = _colex_initial(r, m)
     return RGraph._ordered(r, edges[-1][-1] if edges else 0, edges)
 
 
@@ -366,7 +380,7 @@ def is_down_closed(g: RGraph) -> bool:
 def _triple_poset(t: int) -> tuple[list[Edge], list[int]]:
     """All triples on [t] in colex rank order, and the up-set of each as a
     rank bitmask (the triple and all its ancestors)."""
-    triples = [colex_unrank(3, k) for k in range(comb(t, 3))]
+    triples = list(_colex_initial(3, comb(t, 3)))
     rank_of = {e: k for k, e in enumerate(triples)}
     # an ancestor has the larger rank, so in falling rank order each mask is
     # whole before it passes down

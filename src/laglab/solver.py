@@ -7,11 +7,13 @@ sorted, it is optimal on a prefix [k], and the edge through the two largest
 vertices of its support dominates {1, ..., r-2, k-1, k}, which
 left-compression then puts in the graph.  The prefix faces from [r] up to
 the largest such k are solved, each by multiplicative ascent from its
-uniform point, stopped once no weight moves by ``FACE_ASCENT_STOP``, and
-Newton iteration on the equal-link stationarity system.  A face whose
-optimum lies on its boundary may yield no point (a Newton step that would
-leave the simplex fails its row): that optimum lies on a smaller prefix
-face, which is solved as its own row.  Other graphs run
+uniform point, stopped once no weight moves by ``FACE_ASCENT_STOP`` or
+after ``FACE_ASCENT_ITERS`` steps, and Newton iteration on the equal-link
+stationarity system.  A face whose optimum lies on its boundary may yield
+no point (a Newton step that would leave the simplex fails its row): that
+optimum lies on a smaller prefix face, which is solved as its own row.
+Such blocked rows are nearly all the rows whose ascent crawls, so the step
+cap hands them to Newton early and loses no solved row.  Other graphs run
 the same multiplicative ascent from many starts, to the much finer
 ``START_ASCENT_STOP`` because the end points choose the faces, and hand the
 supports it reveals to the same face solve.  Results carry a KKT residual
@@ -51,8 +53,13 @@ POSITIVE_EPS = 1e-10  # weights above this are in the support
 CROSS_CHECK_MAX_ACTIVE = 6  # largest active vertex count given the cross-check
 SUPPORT_BUDGET = 20_000  # vertex subsets support enumeration may inspect
 NEWTON_ITERS = 60  # Newton steps per face row
-ASCENT_ITERS = 300  # multiplicative ascent steps per start or face
-FACE_ASCENT_STOP = 1e-4  # a face row's ascent hands off to Newton below this movement
+ASCENT_ITERS = 300  # multiplicative ascent steps per multistart start
+# a face row's ascent hands off to Newton after FACE_ASCENT_ITERS steps or
+# at the first step that moves no weight by FACE_ASCENT_STOP; a row that
+# climbs long is nearly always blocked: its face's optimum lies on the
+# face's boundary, which is another row's, and Newton fails it
+FACE_ASCENT_ITERS = 30
+FACE_ASCENT_STOP = 1e-4
 START_ASCENT_STOP = 1e-13  # a multistart start's ascent ends below this movement
 CHUNK_ROWS = 256  # distinct weight rows per batched face solve
 
@@ -467,7 +474,7 @@ def _multistart(data: _GraphData, k: int, opts: SolverOptions) -> tuple[list, fl
     starts[0, act] = 1.0 / act.size
     starts[1:, act] = rng.dirichlet(np.ones(act.size), size=opts.starts)
     owner = np.full(len(starts), k, dtype=np.intp)
-    ends = _replicator_rows(data, owner, starts, START_ASCENT_STOP)
+    ends = _replicator_rows(data, owner, starts, START_ASCENT_STOP, ASCENT_ITERS)
     end_vals = data.rows(owner).eval(ends)
     order = np.argsort(-end_vals, kind="stable")
     faces = list(dict.fromkeys(
@@ -637,8 +644,13 @@ def _best_on_faces(data: _GraphData, faces: list[list[tuple[int, ...]]],
     then a Newton solve of its equal-link system; plain Newton from the
     uniform point can land on a saddle, ascent cannot go below its start.
     The ascent hands a row to Newton once no weight moves by
-    ``FACE_ASCENT_STOP``, and Newton finishes the row or fails it
-    (:func:`_newton_rows`).  A row may fail when its face's optimum lies on
+    ``FACE_ASCENT_STOP`` or after ``FACE_ASCENT_ITERS`` steps, and Newton
+    finishes the row or fails it (:func:`_newton_rows`).  The cap costs no
+    solved row: the rows that climb long are blocked ones, whose optimum
+    lies on a smaller face, and Newton fails them from wherever the ascent
+    left them (on the t = 8 window solved cell by cell, 244 of 565 rows
+    fail and take 14,121 of the 18,381 uncapped ascent row-steps).  A row
+    may fail when its face's optimum lies on
     the face's boundary, since that optimum is another row's: a prefix
     face's lies on a smaller prefix face, an enumerable support's on a
     smaller enumerable support, and the multistart route's candidate faces
@@ -681,7 +693,7 @@ def _best_on_faces(data: _GraphData, faces: list[list[tuple[int, ...]]],
         part = first[lo:lo + CHUNK_ROWS]
         mask = masks[face[part]]
         ascended = _replicator_rows(data, owner[part], mask / mask.sum(axis=1, keepdims=True),
-                                    FACE_ASCENT_STOP)
+                                    FACE_ASCENT_STOP, FACE_ASCENT_ITERS)
         xs[lo:lo + part.size], solved[lo:lo + part.size] = _newton_rows(
             data, owner[part], ascended, mask)
 
@@ -708,24 +720,27 @@ def _tie_key(fails: bool, x: np.ndarray) -> tuple:
 
 
 def _replicator_rows(data: _GraphData, owner: np.ndarray, rows: np.ndarray,
-                     stop: float) -> np.ndarray:
+                     stop: float, iters: int) -> np.ndarray:
     """Batched multiplicative-update ascent x <- x * grad / (r * value).
 
     Supports are invariant under the update and the value never decreases,
     so each row climbs within its own face of the simplex.  Rows whose value
     hits zero are left unchanged.  Each row stops on its own, after its first
-    step that moves no weight by ``stop`` or more, or after ``ASCENT_ITERS``
-    steps, so its path depends only on its start and the edges inside its
-    face.  Face rows stop at ``FACE_ASCENT_STOP`` (1e-4), since Newton
-    finishes them (or fails a row whose optimum is another row's);
-    multistart starts stop at ``START_ASCENT_STOP`` (1e-13), since their end
-    points choose the candidate faces and a coarse stop there leaves some
-    general graphs on a lower face, uncertified.
+    step that moves no weight by ``stop`` or more, or after ``iters`` steps,
+    so its path depends only on its start and the edges inside its face.
+    Face rows stop at ``FACE_ASCENT_STOP`` (1e-4) or ``FACE_ASCENT_ITERS``
+    (30) steps, since Newton finishes them or fails a row whose optimum is
+    another row's, and those blocked rows are the ones that climb slowly;
+    the loop runs until its slowest row stops, so the cap bounds each call.
+    Multistart starts stop at ``START_ASCENT_STOP`` (1e-13) or
+    ``ASCENT_ITERS`` (300) steps, since their end points choose the
+    candidate faces and a coarse stop there leaves some general graphs on a
+    lower face, uncertified.
     """
     x = rows.copy()
     live, xl = np.arange(len(x)), x  # rows still climbing
     block = data.rows(owner, x > 0)
-    for _ in range(ASCENT_ITERS):
+    for _ in range(iters):
         new = xl * block.grad(xl)
         totals = new.sum(axis=1, keepdims=True)
         new = np.divide(new, totals, out=xl.copy(), where=totals > 0)

@@ -227,6 +227,14 @@ class TestColexGraphs:
         g = build_colex_graph(r, comb(t, r))
         assert g.edges == RGraph.complete(r, t).edges
 
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_listing_equals_unranking(self, r):
+        # build_colex_graph lists the first m r-sets without unranking them
+        for m in range(301):
+            g, edges = build_colex_graph(r, m), [colex_unrank(r, k) for k in range(m)]
+            assert g == RGraph.from_edges(r, edges)
+            assert g.sorted_edges() == edges
+
 
 class TestComplementAndLinks:
     def test_complement_complete(self):

@@ -538,7 +538,8 @@ class TestBatchedSolve:
     def test_pair_matrices_only_for_rows_that_step(self, monkeypatch):
         # rows that converged at a check take no Newton step, so no pair
         # matrix is built for them: over the t = 8 window every pair row
-        # reaches a stacked Jacobian (1,305 built for 1,003 before)
+        # reaches a stacked Jacobian (1,025 of them, since capped face rows
+        # start Newton farther from their optimum)
         built, stacked = [], []
         pair, solve = solver._Rows.pair, solver._solve_rows
 
@@ -555,13 +556,15 @@ class TestBatchedSolve:
         for m in cell_window(8):
             verify_cell(8, m)
         assert stacked and built == stacked
-        assert sum(built) == 1003
+        assert sum(built) == 1025
 
     def test_face_ascent_hands_off_to_newton(self, monkeypatch):
         # Newton finishes a face row, or fails it when the face's optimum
         # lies on a smaller prefix face, another row, so the ascent stops at
-        # FACE_ASCENT_STOP instead of climbing (8, 35)'s faces to the
-        # ASCENT_ITERS cap
+        # FACE_ASCENT_STOP or after FACE_ASCENT_ITERS steps instead of
+        # climbing (8, 35)'s blocked faces for 117 steps; a cap of 21 or less
+        # fails test_tie_rule_prefers_the_first_order_condition, which gives
+        # the constant its floor
         grads, steps = [], []
         grad, ascend = solver._Rows.grad, solver._replicator_rows
 
@@ -578,7 +581,25 @@ class TestBatchedSolve:
         monkeypatch.setattr(solver._Rows, "grad", count_grad)
         monkeypatch.setattr(solver, "_replicator_rows", count_steps)
         lagrangians(list(enumerate_left_compressed(8, 35)))
-        assert sum(steps) <= 150
+        assert steps and sum(steps) <= solver.FACE_ASCENT_ITERS
+
+    def test_face_ascent_cap_loses_no_solved_row(self, monkeypatch):
+        # the rows the cap cuts short are blocked rows, which Newton fails
+        # from any point: over the t = 8 window, solved cell by cell, Newton
+        # solves the same 321 of 565 rows as with the ascent run to
+        # FACE_ASCENT_STOP
+        rows, solved, newton = [], [], solver._newton_rows
+
+        def spy(data, owner, x0, faces):
+            out, ok = newton(data, owner, x0, faces)
+            rows.append(len(x0))
+            solved.append(int(ok.sum()))
+            return out, ok
+
+        monkeypatch.setattr(solver, "_newton_rows", spy)
+        for m in cell_window(8):
+            verify_cell(8, m)
+        assert (sum(solved), sum(rows)) == (321, 565)
 
     def test_mixed_routes_and_empty_input(self):
         graphs = [build_colex_graph(3, 7).with_n(6),
@@ -670,7 +691,7 @@ class TestBatchedSolve:
         data, owner = solver._GraphData([BLOCKED_ON_8]), np.zeros(2, np.intp)
         faces = np.array([[1] * 8, [1] * 7 + [0]], dtype=bool)
         x0 = solver._replicator_rows(data, owner, faces / faces.sum(axis=1, keepdims=True),
-                                     solver.FACE_ASCENT_STOP)
+                                     solver.FACE_ASCENT_STOP, solver.FACE_ASCENT_ITERS)
         calls, solve = [], solver._solve_rows
 
         def spy(jac, rhs):
