@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 
 from laglab.hypergraph import (
@@ -21,14 +21,7 @@ from laglab.hypergraph import (
     parse_edge_list,
     serialize_edge_list,
 )
-from laglab.reporting import (
-    check_dict,
-    fmt_float,
-    inequality_dict,
-    render_json,
-    report_dict,
-    reports_csv,
-)
+from laglab.reporting import fmt_float, render_json, report_dict, reports_csv
 from laglab.solver import DEFAULT_SEED, SolverOptions, lagrangian
 from laglab.verifier import (
     ConfigurationError,
@@ -71,19 +64,16 @@ def _non_negative_int(text: str) -> int:
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
                    help="global seed (default: LAGLAB_SEED env or 0xF2F2)")
-    p.add_argument("--kkt-tol", type=float, default=None,
-                   help="certification residual threshold (default 1e-8)")
-    p.add_argument("--starts", type=_non_negative_int, default=None,
-                   help="number of random starts (default 32)")
+    p.add_argument("--kkt-tol", type=float, default=SolverOptions.kkt_tol,
+                   help="certification residual threshold (default %(default)s)")
+    p.add_argument("--starts", type=_non_negative_int, default=SolverOptions.starts,
+                   help="random starts for a graph that is not left-compressed "
+                        "(default %(default)s)")
 
 
 def _solver_options(args) -> SolverOptions:
-    opts = SolverOptions(seed=args.seed if args.seed is not None else _default_seed())
-    if args.kkt_tol is not None:
-        opts = replace(opts, kkt_tol=args.kkt_tol)
-    if args.starts is not None:
-        opts = replace(opts, starts=args.starts)
-    return opts
+    seed = args.seed if args.seed is not None else _default_seed()
+    return SolverOptions(starts=args.starts, kkt_tol=args.kkt_tol, seed=seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,7 +194,7 @@ def cmd_compute(args) -> int:
         return EXIT_USAGE
     res = lagrangian(g, _solver_options(args))
     if args.format == "json":
-        _emit(render_json(res.as_json_dict()), args.out)
+        _emit(render_json(asdict(res)), args.out)
     else:
         lines = [
             f"value: {fmt_float(res.value)}",
@@ -280,7 +270,7 @@ def cmd_verify_config(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":
-        sys.stdout.write(render_json(inequality_dict(chk)))
+        sys.stdout.write(render_json(report_dict(chk)))
     else:
         print(f"family: {spec.label()}")
         print(f"m: {chk.m}")
@@ -329,6 +319,7 @@ def cmd_enumerate(args) -> int:
 def cmd_check(args) -> int:
     vopts = VerifierOptions(solver=_solver_options(args))
     try:
+        check_t(args.t, 4, "--t")
         rep = verify_cell(args.t, args.m, vopts)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -342,7 +333,7 @@ def cmd_check(args) -> int:
         doc = {
             "schema": 1,
             "cell": report_dict(rep),
-            "checks": [check_dict(c) for c in checks],
+            "checks": [asdict(c) for c in checks],
         }
         sys.stdout.write(render_json(doc))
     else:

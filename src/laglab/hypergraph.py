@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, combinations, compress as select, islice
 from math import comb
-from operator import itemgetter
+from operator import ge, itemgetter, le
 from typing import Iterable, Iterator
 
 Edge = tuple[int, ...]
@@ -320,19 +320,8 @@ def compress(g: RGraph) -> RGraph:
 def descendants(edge: Edge) -> frozenset[Edge]:
     """All tuples componentwise <= the given one with a strictly smaller sum."""
     e = as_edge(edge)
-    out = set()
-    stack = [()]
-    for top in e:
-        nxt = []
-        for prefix in stack:
-            start = prefix[-1] + 1 if prefix else 1
-            for v in range(start, top + 1):
-                nxt.append(prefix + (v,))
-        stack = nxt
-    for cand in stack:
-        if sum(cand) < sum(e):
-            out.add(cand)
-    return frozenset(out)
+    return frozenset(f for f in combinations(range(1, e[-1] + 1), len(e))
+                     if f != e and all(map(le, f, e)))
 
 
 def direct_descendants(edge: Edge) -> frozenset[Edge]:
@@ -352,19 +341,8 @@ def ancestors(edge: Edge, within: int) -> frozenset[Edge]:
     e = as_edge(edge)
     if e[-1] > within:
         raise ValueError(f"edge {e} exceeds bound {within}")
-    out = set()
-    stack = [()]
-    for pos in range(len(e)):
-        nxt = []
-        for prefix in stack:
-            lo = max(e[pos], (prefix[-1] + 1) if prefix else 1)
-            for v in range(lo, within + 1):
-                nxt.append(prefix + (v,))
-        stack = nxt
-    for cand in stack:
-        if sum(cand) > sum(e):
-            out.add(cand)
-    return frozenset(out)
+    return frozenset(f for f in combinations(range(e[0], within + 1), len(e))
+                     if f != e and all(map(ge, f, e)))
 
 
 def is_down_closed(g: RGraph) -> bool:

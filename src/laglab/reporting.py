@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 
-from laglab.verifier import CheckResult, InequalityCheck, VerificationReport
+from laglab.verifier import InequalityCheck, VerificationReport
 
 SCHEMA_VERSION = 1
 INDENT = 2  # spaces per nesting level
@@ -71,20 +71,9 @@ def _render(obj, out: list[str], depth: int) -> None:
         raise TypeError(f"cannot render {type(obj).__name__} in a report")
 
 
-def report_dict(report: VerificationReport) -> dict:
-    doc = {"schema": SCHEMA_VERSION}
-    doc.update(asdict(report))
-    return doc
-
-
-def inequality_dict(check: InequalityCheck) -> dict:
-    doc = {"schema": SCHEMA_VERSION}
-    doc.update(asdict(check))
-    return doc
-
-
-def check_dict(check: CheckResult) -> dict:
-    return asdict(check)
+def report_dict(report: VerificationReport | InequalityCheck) -> dict:
+    """A cell report or a family check, its fields after the schema version."""
+    return {"schema": SCHEMA_VERSION, **asdict(report)}
 
 
 CSV_HEADER = "t,m,a,colex_value,max_value,gap,graph_count,all_pass"
@@ -94,13 +83,12 @@ def reports_csv(reports: list[VerificationReport]) -> str:
     """Summary CSV, one row per cell, in (t, m) order."""
     lines = [CSV_HEADER]
     for rep in sorted(reports, key=lambda r: (r.t, r.m)):
-        a = "" if rep.a is None else str(rep.a)
         lines.append(
             ",".join(
                 [
                     str(rep.t),
                     str(rep.m),
-                    a,
+                    str(rep.a),
                     fmt_float(rep.colex_value),
                     fmt_float(rep.max_value),
                     fmt_float(rep.gap),

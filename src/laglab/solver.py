@@ -74,8 +74,7 @@ class SolverOptions:
     """Settings of :func:`lagrangian`.
 
     ``starts`` random Dirichlet starts (32), certification residual
-    ``kkt_tol`` (1e-8), the random ``seed`` (0xF2F2), and whether small
-    graphs get the support-enumeration ``cross_check`` (on).  ``starts`` and
+    ``kkt_tol`` (1e-8) and the random ``seed`` (0xF2F2).  ``starts`` and
     ``seed`` act only on graphs that are not left-compressed; the prefix
     route draws no random starts.
     """
@@ -83,7 +82,6 @@ class SolverOptions:
     starts: int = 32
     kkt_tol: float = 1e-8
     seed: int = DEFAULT_SEED
-    cross_check: bool = True
 
 
 @dataclass(frozen=True)
@@ -95,17 +93,6 @@ class LagrangianResult:
     method: str
     certified: bool
     notes: tuple[str, ...] = ()
-
-    def as_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "weighting": list(self.weighting),
-            "support": self.support,
-            "kkt_residual": self.kkt_residual,
-            "method": self.method,
-            "certified": self.certified,
-            "notes": list(self.notes),
-        }
 
 
 @dataclass(frozen=True)
@@ -509,9 +496,8 @@ def lagrangians(graphs: list[RGraph],
     :func:`_multistart` ascent reveals (``multistart_gradient``).
     ``certified`` requires the first-order conditions of
     :meth:`_Stationarity.failure` within ``opts.kkt_tol`` and (for graphs
-    with at most ``CROSS_CHECK_MAX_ACTIVE`` active vertices, when
-    ``opts.cross_check`` is on) agreement with :func:`support_enumeration`
-    within 1e-8.
+    with at most ``CROSS_CHECK_MAX_ACTIVE`` active vertices) agreement with
+    :func:`support_enumeration` within 1e-8.
 
     One :func:`_best_on_faces` call solves the whole block: it lists the
     cross-checked graphs a second time, with their enumerable supports as
@@ -541,7 +527,7 @@ def lagrangians(graphs: list[RGraph],
     ends = {k: _multistart(data, k, opts) for k in np.flatnonzero(~prefix).tolist()}
     faces = [ends[k][0] if k in ends else [tuple(range(1, j + 1)) for j in range(data.r, t + 1)]
              for k, t in enumerate(top.tolist())]
-    checked = np.flatnonzero(opts.cross_check & (data.active.sum(1) <= CROSS_CHECK_MAX_ACTIVE))
+    checked = np.flatnonzero(data.active.sum(1) <= CROSS_CHECK_MAX_ACTIVE)
     checks = [_enumerable_supports(data.graphs[k]) for k in checked]
     data = _GraphData(data.graphs + [data.graphs[k] for k in checked]) if checked.size else data
     found = _best_on_faces(data, faces + [s for s, _ in checks], opts.kkt_tol)

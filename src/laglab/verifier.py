@@ -48,7 +48,7 @@ class VerificationReport:
 
     t: int
     m: int
-    a: int | None
+    a: int
     colex_value: float
     max_value: float
     gap: float

@@ -218,6 +218,43 @@ class TestCheck:
         code, _, _ = run(capsys, "check", "--t", "5", "--m", "2")
         assert code == 1
 
+    def test_t_above_range_exit_1(self, capsys):
+        # refused before any enumeration starts
+        code, _, err = run(capsys, "check", "--t", "13", "--m", "300")
+        assert code == 1
+        assert "--t" in err
+
+
+class TestJsonLayouts:
+    """Key order of each command's JSON document: a result's fields as they
+    are, a report or family check after its schema version."""
+
+    def test_compute(self, capsys):
+        code, out, _ = run(capsys, "compute", "complete:r=3,t=4", "--format", "json")
+        assert code == 0
+        assert list(json.loads(out)) == [
+            "value", "weighting", "support", "kkt_residual", "method", "certified", "notes",
+        ]
+
+    def test_verify_config(self, capsys):
+        code, out, _ = run(capsys, "verify-config", "--family", "lemma3.4",
+                           "--t", "7", "--a", "5", "--format", "json")
+        assert code == 0
+        assert list(json.loads(out)) == [
+            "schema", "family", "t", "a", "i", "m", "config_value", "colex_value",
+            "margin", "passed", "certified", "inconclusive",
+        ]
+
+    def test_check(self, capsys):
+        code, out, _ = run(capsys, "check", "--t", "5", "--m", "7", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["schema", "cell", "checks"]
+        assert list(doc["cell"])[:3] == ["schema", "t", "m"]
+        assert len(doc["checks"]) == 3
+        for check in doc["checks"]:
+            assert list(check) == ["name", "applicable", "passed", "details"]
+
 
 class TestUsageErrors:
     """Parser errors share exit 1 with the other usage errors; exit 2 stays

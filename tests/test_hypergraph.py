@@ -339,6 +339,23 @@ class TestDescendantPoset:
         }
         assert anc == brute
 
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_descendants_are_the_closure_of_direct_descendants(self, r):
+        for e in combinations(range(1, 8), r):
+            closure, frontier = set(), set(direct_descendants(e))
+            while frontier:
+                closure |= frontier
+                frontier = set().union(*map(direct_descendants, frontier)) - closure
+            assert descendants(e) == closure, e
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_ancestors_invert_descendants(self, r):
+        down = {f: descendants(f) for f in combinations(range(1, 10), r)}
+        for e in combinations(range(1, 8), r):
+            anc = ancestors(e, 9)
+            for f, below in down.items():
+                assert (f in anc) == (e in below), (e, f)
+
     def test_direct_descendants_are_descendants_with_sum_gap_one(self):
         for e in combinations(range(1, 8), 3):
             dd = direct_descendants(e)

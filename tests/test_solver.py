@@ -1,7 +1,7 @@
 """Lagrangian solver: values, stationarity, oracles, invariances."""
 
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import combinations
 from math import comb
 
@@ -38,6 +38,13 @@ from oracles import (
 )
 
 FIVE_CYCLE = RGraph.from_edges(2, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+
+
+@pytest.fixture
+def no_cross_check(monkeypatch):
+    """Switch the solver's support-enumeration cross-check off, so a test
+    sees one route alone."""
+    monkeypatch.setattr(solver, "CROSS_CHECK_MAX_ACTIVE", 0)
 
 
 def graph_from_words(r, n, words):
@@ -208,15 +215,14 @@ class TestSupportEnumeration:
         assert se.value == pytest.approx(0.0625, abs=1e-10)
         assert se.support == 4
 
-    def test_agrees_with_solver_on_all_small_graphs(self):
+    def test_agrees_with_solver_on_all_small_graphs(self, no_cross_check):
         # every 3-graph on [5]; the explicit comparison below is the cross
         # check, so the solver-internal one is switched off
-        opts = SolverOptions(cross_check=False)
         triples = list(combinations(range(1, 6), 3))
         for mask in range(1, 1 << 10):
             edges = [e for k, e in enumerate(triples) if mask >> k & 1]
             g = RGraph.from_edges(3, edges, n=5)
-            a = lagrangian(g, opts)
+            a = lagrangian(g)
             b = support_enumeration(g)
             assert abs(a.value - b.value) <= 1e-8, sorted(g.edges)
 
@@ -241,7 +247,9 @@ class TestCrossCheck:
 
     @pytest.mark.parametrize("g", GRAPHS)
     def test_disagreement_uncertifies(self, monkeypatch, g):
-        value = lagrangian(g, SolverOptions(cross_check=False)).value
+        with monkeypatch.context() as off:
+            off.setattr(solver, "CROSS_CHECK_MAX_ACTIVE", 0)
+            value = lagrangian(g).value
         calls = self.shift_support_enumeration(monkeypatch, 1e-6)
         res = lagrangian(g)
         assert calls == [g]
@@ -258,9 +266,9 @@ class TestCrossCheck:
         assert res.certified and res.notes == ()
 
     @pytest.mark.parametrize("g", GRAPHS)
-    def test_switched_off_never_runs(self, monkeypatch, g):
+    def test_switched_off_never_runs(self, monkeypatch, no_cross_check, g):
         calls = self.shift_support_enumeration(monkeypatch, 1e-6)
-        assert lagrangian(g, SolverOptions(cross_check=False)).certified
+        assert lagrangian(g).certified
         assert calls == []
 
     def test_rides_in_the_one_face_solve(self, monkeypatch):
@@ -330,7 +338,7 @@ class TestPrefixRoute:
         # the built-in cross-check skips these graphs (7 active vertices)
         for m in cell_window(7):
             for g in enumerate_left_compressed(7, m):
-                a = lagrangian(g, SolverOptions(cross_check=False))
+                a = lagrangian(g)
                 b = support_enumeration(g)
                 assert abs(a.value - b.value) <= 1e-12, sorted(g.edges)
                 assert a.support == b.support, sorted(g.edges)
@@ -344,7 +352,7 @@ class TestPrefixRoute:
         assert res.certified
         assert res.method == "symmetry_reduced"
 
-    def test_first_order_condition_refuses_a_face_optimum(self, monkeypatch):
+    def test_first_order_condition_refuses_a_face_optimum(self, monkeypatch, no_cross_check):
         # on the face [3] alone, K_4^(3) stops at 1/27 while vertex 4 has
         # link 1/3 > 3 * 1/27; only the first-order condition can catch it
         # once the cross-check is off
@@ -353,7 +361,7 @@ class TestPrefixRoute:
             solver, "_best_on_faces",
             lambda data, faces, kkt_tol: best_on_faces(
                 data, [f[:1] for f in faces], kkt_tol))
-        res = lagrangian(RGraph.complete(3, 4), SolverOptions(cross_check=False))
+        res = lagrangian(RGraph.complete(3, 4))
         assert res.value == pytest.approx(1 / 27, abs=1e-15)
         assert res.kkt_residual <= 1e-14
         assert not res.certified
@@ -376,12 +384,12 @@ class TestPrefixRoute:
         (3, 8, "123 124 134 234 125 135 145 126 136 146 156 127 137 147 157 167 128",
          0.06374771975079963),
     ])
-    def test_face_ascent_reaches_the_optimum(self, r, n, words, value):
+    def test_face_ascent_reaches_the_optimum(self, no_cross_check, r, n, words, value):
         # Newton started at the uniform point of each prefix face stops short
         # on these graphs (support 5 at 0.00659..., and 0.06285...); the
         # multiplicative ascent before it is what reaches the optimum on [7]
         g = graph_from_words(r, n, words)
-        res = lagrangian(g, SolverOptions(cross_check=False))
+        res = lagrangian(g)
         se = support_enumeration(g)
         assert res.method == "symmetry_reduced"
         assert res.certified and se.certified
@@ -409,9 +417,9 @@ class TestMultistartRoute:
         pytest.param(2, 7, "12 13 15 24 26 27 34 36 37 46 67",
                      solver.DEFAULT_SEED, 1 / 3, 3, id="second-end-point"),
     ])
-    def test_finds_the_optimal_face(self, r, n, words, seed, value, support):
+    def test_finds_the_optimal_face(self, no_cross_check, r, n, words, seed, value, support):
         g = graph_from_words(r, n, words)
-        res = lagrangian(g, SolverOptions(seed=seed, cross_check=False))
+        res = lagrangian(g, SolverOptions(seed=seed))
         se = support_enumeration(g)
         assert res.method == "multistart_gradient"
         assert res.certified
@@ -435,7 +443,7 @@ class TestMultistartRoute:
             assert res.support == 8, res.method
             assert res.value == pytest.approx(0.010817886907343888, abs=1e-15)
 
-    def test_end_point_above_every_face_is_kept(self, monkeypatch):
+    def test_end_point_above_every_face_is_kept(self, monkeypatch, no_cross_check):
         # without the face (3, 6, 7) the faces' best is 0.25, below the best
         # ascent end point at 1/3; the end point itself must come back
         best_on_faces = solver._best_on_faces
@@ -444,7 +452,7 @@ class TestMultistartRoute:
             lambda data, faces, *rest: best_on_faces(
                 data, [[f for f in fs if f != (3, 6, 7)] for fs in faces], *rest))
         g = graph_from_words(2, 7, "12 13 15 24 26 27 34 36 37 46 67")
-        res = lagrangian(g, SolverOptions(cross_check=False))
+        res = lagrangian(g)
         assert res.certified
         assert res.value == pytest.approx(1 / 3, abs=1e-12)
 
@@ -715,6 +723,8 @@ class TestCoveredPrefixes:
 
     @staticmethod
     def spy_faces(monkeypatch) -> list:
+        # the spy sees the prefix route's faces alone
+        monkeypatch.setattr(solver, "CROSS_CHECK_MAX_ACTIVE", 0)
         seen, best_on_faces = [], solver._best_on_faces
 
         def spy(data, faces, kkt_tol):
@@ -726,7 +736,7 @@ class TestCoveredPrefixes:
 
     def top_face(self, seen, g) -> int:
         seen.clear()
-        lagrangian(g, SolverOptions(cross_check=False))
+        lagrangian(g)
         faces, = seen[0]
         k = len(faces[-1])
         assert faces == [tuple(range(1, j + 1)) for j in range(g.r, k + 1)]
@@ -757,7 +767,7 @@ class TestCoveredPrefixes:
         if r == 2:
             assert res.value == pytest.approx(lagrangian_2graph_oracle(g), abs=1e-15)
 
-    def test_uncovered_faces_hold_no_higher_point(self):
+    def test_uncovered_faces_hold_no_higher_point(self, no_cross_check):
         # the oracle solves every prefix face [r] ... [active], the uncovered
         # ones included
         from laglab.hypergraph import compress
@@ -777,7 +787,7 @@ class TestCoveredPrefixes:
             every = [[tuple(range(1, k + 1)) for k in range(data.r, int(act) + 1)]
                      for act in data.active.sum(axis=1)]
             found = solver._best_on_faces(data, every, SolverOptions().kkt_tol)
-            results = lagrangians(graphs, SolverOptions(cross_check=False))
+            results = lagrangians(graphs)
             for g, res, (value, x) in zip(graphs, results, found):
                 assert value <= res.value + 1e-15, sorted(g.edges)
                 assert res.support == int((x > solver.POSITIVE_EPS).sum()), sorted(g.edges)
@@ -895,8 +905,8 @@ class TestKKT:
         assert rep.link_excess == pytest.approx(2 / 9, abs=1e-15)
 
     @pytest.mark.parametrize("kkt_tol", [1e-8, 1e-16])
-    def test_report_agrees_with_certificate(self, kkt_tol):
-        opts = SolverOptions(kkt_tol=kkt_tol, cross_check=False)
+    def test_report_agrees_with_certificate(self, no_cross_check, kkt_tol):
+        opts = SolverOptions(kkt_tol=kkt_tol)
         graphs = [RGraph.complete(3, 4), RGraph.from_edges(3, [(1, 2, 3)], n=4),
                   build_configuration(ConfigurationSpec("lemma3.5", 6))]
         graphs += [g for m in cell_window(5) for g in enumerate_left_compressed(5, m)]
@@ -945,7 +955,7 @@ class TestOptionsAndDeterminism:
         assert lagrangian(g, SolverOptions(seed=1)) == lagrangian(g, SolverOptions(seed=2))
 
     def test_json_fields(self):
-        doc = lagrangian(RGraph.complete(3, 4)).as_json_dict()
+        doc = asdict(lagrangian(RGraph.complete(3, 4)))
         assert set(doc) == {
             "value", "weighting", "support", "kkt_residual", "method", "certified", "notes",
         }
