@@ -723,8 +723,6 @@ class TestCoveredPrefixes:
 
     @staticmethod
     def spy_faces(monkeypatch) -> list:
-        # the spy sees the prefix route's faces alone
-        monkeypatch.setattr(solver, "CROSS_CHECK_MAX_ACTIVE", 0)
         seen, best_on_faces = [], solver._best_on_faces
 
         def spy(data, faces, kkt_tol):
@@ -737,7 +735,9 @@ class TestCoveredPrefixes:
     def top_face(self, seen, g) -> int:
         seen.clear()
         lagrangian(g)
-        faces, = seen[0]
+        # the graph's own faces come first; a cross-checked copy's supports
+        # follow them
+        faces = seen[0][0]
         k = len(faces[-1])
         assert faces == [tuple(range(1, j + 1)) for j in range(g.r, k + 1)]
         return k
