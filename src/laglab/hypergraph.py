@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, combinations, compress as select, islice
@@ -92,17 +93,16 @@ def colex_unrank(r: int, rank: int) -> Edge:
 # RGraph
 # ---------------------------------------------------------------------------
 
-# Each distinct edge that has passed :func:`as_edge`, with its edge-list line
-# and, per uniformity, its colex rank: a graph's known edges skip the
-# per-edge checks, serializing looks lines up, and sorting compares ranks.
-# Per (r, n), the edges of graphs on [n] that passed every check: a graph
-# whose edges all lie there is valid after one subset test.  A graph keeps
-# its edges' colex order once known: enumerate_left_compressed and
-# build_colex_graph pick edges in rank order and hand it over, and any
-# other graph sorts once, on first use.
+# Each edge known valid, with its edge-list line and, per uniformity, its
+# colex rank: serializing looks lines up, sorting compares ranks, and RGraph
+# checks only unknown edges.  Edges get in by passing RGraph's checks or from
+# the tables that list them (triple poset, colex-initial r-sets).  Trust
+# invariant: only table-built, registered edges may skip validation, so only
+# enumerate_left_compressed and build_colex_graph call RGraph._ordered, with
+# such edges on [n] in colex order forming a left-compressed graph; the graph
+# keeps order and answer and builds its edge set only when asked.
 _EDGE_TEXT: dict[Edge, str] = {}
 _EDGE_RANK: dict[int, dict[Edge, int]] = {}
-_EDGE_VALID: dict[tuple[int, int], set[Edge]] = {}
 
 
 @dataclass(frozen=True)
@@ -113,14 +113,12 @@ class RGraph:
     n: int
     edges: frozenset[Edge] = field(default_factory=frozenset)
 
-    # the edges in colex order once known; not a field, so equality, hash,
-    # repr, asdict and pickling ignore it
-    _order = None
+    # not fields, so equality, hash, repr, asdict and pickling ignore them: the
+    # edges in colex order once known, the 0/1 picks over the triple poset that
+    # chose them, and True when the graph is known to be left-compressed
+    _order = _picks = _compressed = None
 
     def __post_init__(self):
-        valid = _EDGE_VALID.get((self.r, self.n))
-        if valid is not None and self.edges <= valid:
-            return
         if self.r < 2:
             raise ValueError(f"uniformity must be >= 2, got {self.r}")
         if self.n < 0:
@@ -136,17 +134,25 @@ class RGraph:
         top = max(self.edges, key=itemgetter(-1), default=None)
         if top is not None and top[-1] > self.n:
             raise ValueError(f"edge {top} exceeds vertex bound n={self.n}")
-        _EDGE_VALID.setdefault((self.r, self.n), set()).update(self.edges)
+
+    def __getattr__(self, name):
+        # the edges field of a graph from _ordered, built on first access
+        if name != "edges" or self._order is None:
+            raise AttributeError(name)
+        edges = self.__dict__["edges"] = frozenset(self._order)
+        return edges
 
     def __reduce__(self):
         # copies and unpickled graphs pass through __post_init__ too
         return type(self), (self.r, self.n, self.edges)
 
     @classmethod
-    def _ordered(cls, r: int, n: int, edges: tuple[Edge, ...]) -> "RGraph":
-        """The graph on [n] with the given edges, which are in colex order."""
-        g = cls(r, n, frozenset(edges))
-        object.__setattr__(g, "_order", edges)
+    def _ordered(cls, r: int, n: int, edges: tuple[Edge, ...],
+                 picks: bytes | None = None) -> "RGraph":
+        """Trusted: a left-compressed graph on [n] of registered edges in colex
+        order, picked from ``_triple_poset(n)``'s triples by ``picks`` if given."""
+        g = object.__new__(cls)
+        g.__dict__.update(r=r, n=n, _order=edges, _picks=picks, _compressed=True)
         return g
 
     def _colex(self) -> tuple[Edge, ...]:
@@ -170,7 +176,7 @@ class RGraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edges if self._order is None else self._order)
 
     def sorted_edges(self) -> list[Edge]:
         """Edges in canonical (colex) order: by :func:`colex_rank`."""
@@ -203,12 +209,18 @@ def _colex_initial(r: int, m: int) -> tuple[Edge, ...]:
     """The first m r-sets in colex order, listed without unranking: they lie
     in [n], n the least with C(n, r) >= m, and over the falling vertices of
     [n] :func:`combinations` lists the r-sets of [n] backwards in colex
-    order, each set falling."""
+    order, each set falling.  Enters them into the edge tables, the k-th
+    with rank k."""
     n = r
     while comb(n, r) < m:
         n += 1
     falling = list(combinations(range(n, 0, -1), r))
-    return tuple(e[::-1] for e in islice(reversed(falling), m))
+    edges = tuple(e[::-1] for e in islice(reversed(falling), m))
+    known = _EDGE_RANK.setdefault(r, {})
+    for k, e in enumerate(edges):
+        if e not in known:
+            _EDGE_TEXT[e], known[e] = " ".join(map(str, e)), k
+    return edges
 
 
 def build_colex_graph(r: int, m: int) -> RGraph:
@@ -279,7 +291,10 @@ def is_left_compressed(g: RGraph) -> bool:
 
     Lowering one entry by one, where that label is unused, reaches all of
     those replacements step by step, so only those steps (the
-    :func:`direct_descendants`) are checked."""
+    :func:`direct_descendants`) are checked.  A graph from the enumeration
+    or :func:`build_colex_graph` is known to be left-compressed."""
+    if g._compressed:
+        return True
     for e in g.edges:
         if e not in _DIRECT_DOWN:
             _DIRECT_DOWN[e] = direct_descendants(e)
@@ -355,18 +370,18 @@ def is_down_closed(g: RGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 @cache
-def _triple_poset(t: int) -> tuple[list[Edge], list[int]]:
-    """All triples on [t] in colex rank order, and the up-set of each as a
-    rank bitmask (the triple and all its ancestors)."""
-    triples = list(_colex_initial(3, comb(t, 3)))
-    rank_of = {e: k for k, e in enumerate(triples)}
+def _triple_poset(t: int) -> tuple[tuple[Edge, ...], list[int], list[str]]:
+    """All triples on [t] in colex rank order, the up-set of each as a rank
+    bitmask (the triple and all its ancestors), and the edge-list line of
+    each."""
+    triples = _colex_initial(3, comb(t, 3))
     # an ancestor has the larger rank, so in falling rank order each mask is
     # whole before it passes down
     up = [1 << k for k in range(len(triples))]
     for k in range(len(triples) - 1, -1, -1):
         for d in direct_descendants(triples[k]):
-            up[rank_of[d]] |= up[k]
-    return triples, up
+            up[_EDGE_RANK[3][d]] |= up[k]
+    return triples, up, list(map(_EDGE_TEXT.__getitem__, triples))
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -420,7 +435,7 @@ def enumerate_left_compressed(t: int, m: int) -> Iterator[RGraph]:
     for mask in masks:
         # the mask's binary digits as 0/1 bytes, lowest rank first, pick the triples
         bits = format(mask, "b").encode().translate(_BIT_BYTES)[::-1]
-        yield RGraph._ordered(3, t, tuple(select(triples, bits)))
+        yield RGraph._ordered(3, t, tuple(select(triples, bits)), bits)
 
 
 def count_left_compressed(t: int, m: int) -> int:
@@ -434,7 +449,8 @@ def count_left_compressed(t: int, m: int) -> int:
 
 def serialize_edge_list(g: RGraph) -> str:
     """Canonical text form: header ``r n m`` then one edge per line, colex order."""
-    lines = map(_EDGE_TEXT.__getitem__, g._colex())
+    lines = (map(_EDGE_TEXT.__getitem__, g._colex()) if g._picks is None
+             else select(_triple_poset(g.n)[2], g._picks))
     return "\n".join([f"{g.r} {g.n} {g.m}", *lines, ""])
 
 
@@ -457,37 +473,39 @@ def parse_edge_list(text: str) -> RGraph:
     r, n, m = (int(tok) for _col, tok in head)
     if r < 2:
         raise EdgeListParseError(f"uniformity must be >= 2, got r={r}", 1, head[0][0])
-    edges = []
+    edges: set[Edge] = set()
     lineno = 1
     for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
+        toks = _tokens(raw)
+        if not toks:
             continue
-        vals = []
-        for col, tok in _tokens(raw):
+        for col, tok in toks:
             if not _is_canonical_int(tok):
                 raise EdgeListParseError(
                     f"expected integer vertex without leading zeros, got {tok!r}",
                     lineno, col,
                 )
-            vals.append(int(tok))
-        if len(vals) != r:
+        if len(toks) != r:
             raise EdgeListParseError(
-                f"edge has {len(vals)} vertices, expected r={r}", lineno
+                f"edge has {len(toks)} vertices, expected r={r}", lineno
             )
+        e = tuple(int(tok) for _col, tok in toks)
         try:
-            edges.append(as_edge(vals))
+            as_edge(e)
         except ValueError as exc:
-            raise EdgeListParseError(str(exc), lineno) from None
-        if edges[-1][-1] > n:
-            raise EdgeListParseError(
-                f"vertex {edges[-1][-1]} exceeds n={n}", lineno
-            )
+            # at the first vertex not above the one before it (or above 0)
+            k = next(k for k, (a, b) in enumerate(zip((0, *e), e)) if a >= b)
+            raise EdgeListParseError(str(exc), lineno, toks[k][0]) from None
+        k = bisect_right(e, n)  # the first vertex above n
+        if k < r:
+            raise EdgeListParseError(f"vertex {e[k]} exceeds n={n}", lineno, toks[k][0])
+        if e in edges:
+            raise EdgeListParseError("duplicate edge in list", lineno, toks[0][0])
+        edges.add(e)
     if len(edges) != m:
         raise EdgeListParseError(
             f"header announced m={m} edges but {len(edges)} were given", lineno
         )
-    if len(set(edges)) != len(edges):
-        raise EdgeListParseError("duplicate edge in list", lineno)
     return RGraph(r, n, frozenset(edges))
 
 

@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 import laglab
+import laglab.verifier as verifier
+from laglab import hypergraph
 from laglab.hypergraph import (
     EdgeListParseError,
     RGraph,
@@ -42,7 +44,7 @@ from laglab.hypergraph import (
     parse_edge_list,
     serialize_edge_list,
 )
-from laglab.verifier import cell_window
+from laglab.verifier import cell_window, verify_cell
 from oracles import downset_filter_count, downset_masks_unpruned, random_rgraph
 
 SRC = str(Path(laglab.__file__).resolve().parent.parent)
@@ -153,10 +155,45 @@ class TestRGraph:
     def test_kept_order_matches_rebuilt_and_unpickled_graphs(self, t):
         for m in cell_window(t):
             for g in enumerate_left_compressed(t, m):
-                want = (g.sorted_edges(), g.colex_ranks(), serialize_edge_list(g))
+                want = (g.sorted_edges(), g.colex_ranks(), serialize_edge_list(g),
+                        is_left_compressed(g))
                 for h in (RGraph(3, t, frozenset(g.edges)), pickle.loads(pickle.dumps(g))):
                     assert h == g
-                    assert (h.sorted_edges(), h.colex_ranks(), serialize_edge_list(h)) == want
+                    assert (h.sorted_edges(), h.colex_ranks(), serialize_edge_list(h),
+                            is_left_compressed(h)) == want
+
+    def test_enumerated_graphs_are_trusted_as_built(self, monkeypatch):
+        # the posets list direct descendants once, when first built
+        count_left_compressed(8, 56), count_left_compressed(10, 120)
+        calls = []
+        post_init, down = RGraph.__post_init__, hypergraph.direct_descendants
+        monkeypatch.setattr(RGraph, "__post_init__",
+                            lambda g: calls.append(("validate", g)) or post_init(g))
+        monkeypatch.setattr(hypergraph, "direct_descendants",
+                            lambda e: calls.append(("retest", e)) or down(e))
+        monkeypatch.setattr(hypergraph, "_DIRECT_DOWN", {})  # nothing cached to re-test with
+        graphs = []
+
+        def enumerate_and_keep(t, m):
+            for g in enumerate_left_compressed(t, m):
+                graphs.append(g)
+                yield g
+
+        monkeypatch.setattr(verifier, "enumerate_left_compressed", enumerate_and_keep)
+        assert verify_cell(8, 35).all_pass
+        cell = list(enumerate_left_compressed(10, 100))
+        texts = [serialize_edge_list(g) for g in cell]
+        graphs += cell
+        assert calls == []
+        assert not any("edges" in vars(g) for g in graphs)
+        monkeypatch.undo()
+        for g in graphs:
+            h = RGraph(3, g.n, g.edges)  # the first access builds g's edge set
+            assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+            assert asdict(g) == asdict(h) and g.__reduce__() == h.__reduce__()
+            assert pickle.loads(pickle.dumps(g)) == h
+        assert texts == [serialize_edge_list(RGraph(3, 10, frozenset(g.sorted_edges())))
+                         for g in cell]
 
     @pytest.mark.parametrize("bad", [(2, 1, 3), (0, 1, 2), (1, 1, 2)])
     def test_malformed_edges_rejected_before_and_after_valid_graphs(self, bad):
@@ -180,6 +217,21 @@ class TestRGraph:
                              capture_output=True, text=True, check=True).stdout
         assert out == serialize_edge_list(g) == "3 9 2\n1 2 3\n2 5 9\n"
         assert copy.deepcopy(g) == g
+
+    def test_table_built_graphs_serialize_in_a_fresh_process(self):
+        # no other graph is built first, so only the tables behind these
+        # graphs can have entered their edges' lines and ranks
+        code = ("from laglab.hypergraph import *\n"
+                "for g in (build_colex_graph(3, 20), build_colex_graph(4, 12),\n"
+                "          next(enumerate_left_compressed(7, 30))):\n"
+                "    print(repr((serialize_edge_list(g), g.colex_ranks())))\n")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        graphs = (build_colex_graph(3, 20), build_colex_graph(4, 12),
+                  next(enumerate_left_compressed(7, 30)))
+        assert out == "".join(f"{(serialize_edge_list(g), sorted(map(colex_rank, g.edges)))!r}\n"
+                              for g in graphs)
 
     def test_from_edges_infers_n(self):
         g = RGraph.from_edges(3, [(1, 2, 5)])
@@ -462,6 +514,20 @@ class TestEdgeListFormat:
             parse_edge_list("3 5 2\n1 2 3\n1 2 3\n")
         with pytest.raises(EdgeListParseError, match="announced"):
             parse_edge_list("3 5 3\n1 2 3\n")
+        # a duplicate is reported at its own line, a vertex above n or out of
+        # order at its own token
+        with pytest.raises(EdgeListParseError, match="line 3, column 1: duplicate"):
+            parse_edge_list("3 5 3\n1 2 3\n1 2 3\n1 2 4\n")
+        with pytest.raises(EdgeListParseError, match="line 2, column 5: vertex 5 exceeds n=4"):
+            parse_edge_list("3 4 1\n1 2 5\n")
+        with pytest.raises(EdgeListParseError, match="line 2, column 3: vertex 5 exceeds n=4"):
+            parse_edge_list("3 4 1\n1 5 6\n")
+        with pytest.raises(EdgeListParseError, match="line 2, column 5: .*strictly increasing"):
+            parse_edge_list("3 9 1\n1 3 3\n")
+        with pytest.raises(EdgeListParseError, match="line 2, column 5: .*strictly increasing"):
+            parse_edge_list("3 9 1\n 2  1 4\n")
+        with pytest.raises(EdgeListParseError, match="line 2, column 1: .*1-based"):
+            parse_edge_list("3 9 1\n0 3 4\n")
         # only ASCII digits: underscores and signs would not round-trip
         with pytest.raises(EdgeListParseError, match="line 1, column 3"):
             parse_edge_list("3 1_0 1\n+1 2 3\n")
