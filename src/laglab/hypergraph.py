@@ -15,7 +15,7 @@ from functools import cache
 from itertools import chain, combinations, compress as select, islice
 from math import comb
 from operator import ge, itemgetter, le
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 Edge = tuple[int, ...]
 
@@ -50,22 +50,6 @@ def as_edge(vertices: Iterable[int]) -> Edge:
 # Colex order and the combinatorial number system
 # ---------------------------------------------------------------------------
 
-def colex_compare(a: Edge, b: Edge) -> int:
-    """Compare two r-sets in colex order: a < b iff max(a triangle b) lies in b.
-
-    Returns -1, 0, or 1.  For sorted tuples this equals lexicographic
-    comparison of the reversed tuples.
-    """
-    if len(a) != len(b):
-        raise UniformityError(f"cannot compare edges of sizes {len(a)} and {len(b)}")
-    ra, rb = a[::-1], b[::-1]
-    if ra < rb:
-        return -1
-    if ra > rb:
-        return 1
-    return 0
-
-
 def colex_rank(edge: Edge) -> int:
     """0-based position of a sorted r-tuple in the colex order of all r-sets."""
     return sum(comb(v - 1, i + 1) for i, v in enumerate(edge))
@@ -99,8 +83,9 @@ def colex_unrank(r: int, rank: int) -> Edge:
 # the tables that list them (triple poset, colex-initial r-sets).  Trust
 # invariant: only table-built, registered edges may skip validation, so only
 # enumerate_left_compressed and build_colex_graph call RGraph._ordered, with
-# such edges on [n] in colex order forming a left-compressed graph; the graph
-# keeps order and answer and builds its edge set only when asked.
+# such edges on [n] in colex order (or picks over the triple poset of [n])
+# forming a left-compressed graph; the graph keeps its order or picks and
+# builds the rest only when asked.
 _EDGE_TEXT: dict[Edge, str] = {}
 _EDGE_RANK: dict[int, dict[Edge, int]] = {}
 
@@ -115,8 +100,9 @@ class RGraph:
 
     # not fields, so equality, hash, repr, asdict and pickling ignore them: the
     # edges in colex order once known, the 0/1 picks over the triple poset that
-    # chose them, and True when the graph is known to be left-compressed
-    _order = _picks = _compressed = None
+    # chose them, the edge count of a trusted graph, and True when the graph is
+    # known to be left-compressed
+    _order = _picks = _m = _compressed = None
 
     def __post_init__(self):
         if self.r < 2:
@@ -137,9 +123,9 @@ class RGraph:
 
     def __getattr__(self, name):
         # the edges field of a graph from _ordered, built on first access
-        if name != "edges" or self._order is None:
+        if name != "edges" or self._m is None:
             raise AttributeError(name)
-        edges = self.__dict__["edges"] = frozenset(self._order)
+        edges = self.__dict__["edges"] = frozenset(self._colex())
         return edges
 
     def __reduce__(self):
@@ -147,19 +133,20 @@ class RGraph:
         return type(self), (self.r, self.n, self.edges)
 
     @classmethod
-    def _ordered(cls, r: int, n: int, edges: tuple[Edge, ...],
+    def _ordered(cls, r: int, n: int, m: int, order: tuple[Edge, ...] | None = None,
                  picks: bytes | None = None) -> "RGraph":
-        """Trusted: a left-compressed graph on [n] of registered edges in colex
-        order, picked from ``_triple_poset(n)``'s triples by ``picks`` if given."""
+        """Trusted: a left-compressed graph on [n] of m registered edges, given
+        in colex order or picked from ``_triple_poset(n)``'s triples."""
         g = object.__new__(cls)
-        g.__dict__.update(r=r, n=n, _order=edges, _picks=picks, _compressed=True)
+        g.__dict__.update(r=r, n=n, _m=m, _order=order, _picks=picks, _compressed=True)
         return g
 
     def _colex(self) -> tuple[Edge, ...]:
-        """The edges in colex order, sorted at most once per graph."""
+        """The edges in colex order, selected or sorted at most once per graph."""
         if self._order is None:
             object.__setattr__(self, "_order", tuple(
-                sorted(self.edges, key=_EDGE_RANK[self.r].__getitem__)))
+                sorted(self.edges, key=_EDGE_RANK[self.r].__getitem__)
+                if self._picks is None else select(_triple_poset(self.n)[0], self._picks)))
         return self._order
 
     @classmethod
@@ -176,7 +163,7 @@ class RGraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges if self._order is None else self._order)
+        return len(self.edges) if self._m is None else self._m
 
     def sorted_edges(self) -> list[Edge]:
         """Edges in canonical (colex) order: by :func:`colex_rank`."""
@@ -189,12 +176,6 @@ class RGraph:
     def with_n(self, n: int) -> "RGraph":
         """Same edge set viewed on vertex set [n] (n may only grow or stay tight)."""
         return RGraph(self.r, n, self.edges)
-
-    def relabel(self, perm: dict[int, int]) -> "RGraph":
-        """Apply a vertex permutation of [n] (used for invariance checks)."""
-        return RGraph.from_edges(
-            self.r, (sorted(perm[v] for v in e) for e in self.edges), n=self.n
-        )
 
     def canonical_bytes(self) -> bytes:
         return f"{self.r} {self.n} {self.m}:{','.join(map(str, self.colex_ranks()))}".encode()
@@ -230,7 +211,7 @@ def build_colex_graph(r: int, m: int) -> RGraph:
     if r < 2:
         raise ValueError(f"uniformity must be >= 2, got {r}")
     edges = _colex_initial(r, m)
-    return RGraph._ordered(r, edges[-1][-1] if edges else 0, edges)
+    return RGraph._ordered(r, edges[-1][-1] if edges else 0, m, edges)
 
 
 def complement(g: RGraph) -> RGraph:
@@ -252,17 +233,6 @@ def link(g: RGraph, i: int) -> frozenset[Edge]:
     """The (r-1)-sets completing vertex i to an edge."""
     _check_vertex(g, i)
     return frozenset(tuple(v for v in e if v != i) for e in g.edges if i in e)
-
-
-def pair_link(g: RGraph, i: int, j: int) -> frozenset[Edge]:
-    """The (r-2)-sets completing the pair {i, j} to an edge."""
-    _check_vertex(g, i)
-    _check_vertex(g, j)
-    if i == j:
-        raise ValueError("pair link needs two distinct vertices")
-    return frozenset(
-        tuple(v for v in e if v != i and v != j) for e in g.edges if i in e and j in e
-    )
 
 
 def difference_link(g: RGraph, i: int, j: int) -> frozenset[Edge]:
@@ -360,11 +330,6 @@ def ancestors(edge: Edge, within: int) -> frozenset[Edge]:
                      if f != e and all(map(ge, f, e)))
 
 
-def is_down_closed(g: RGraph) -> bool:
-    """Descendant-based criterion: every descendant of an edge is an edge."""
-    return all(descendants(e) <= g.edges for e in g.edges)
-
-
 # ---------------------------------------------------------------------------
 # Enumeration of left-compressed 3-graphs (down-sets of the triple poset)
 # ---------------------------------------------------------------------------
@@ -372,8 +337,8 @@ def is_down_closed(g: RGraph) -> bool:
 @cache
 def _triple_poset(t: int) -> tuple[tuple[Edge, ...], list[int], list[str]]:
     """All triples on [t] in colex rank order, the up-set of each as a rank
-    bitmask (the triple and all its ancestors), and the edge-list line of
-    each."""
+    bitmask (the triple and all its ancestors), and the newline-terminated
+    edge-list line of each."""
     triples = _colex_initial(3, comb(t, 3))
     # an ancestor has the larger rank, so in falling rank order each mask is
     # whole before it passes down
@@ -381,14 +346,17 @@ def _triple_poset(t: int) -> tuple[tuple[Edge, ...], list[int], list[str]]:
     for k in range(len(triples) - 1, -1, -1):
         for d in direct_descendants(triples[k]):
             up[_EDGE_RANK[3][d]] |= up[k]
-    return triples, up, list(map(_EDGE_TEXT.__getitem__, triples))
+    return triples, up, [_EDGE_TEXT[e] + "\n" for e in triples]
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
-def _downset_masks(t: int, m: int) -> Iterator[int]:
-    """Yield each size-m down-set of the triple poset on [t] as a rank bitmask.
+def _downset_search(t: int, m: int) -> tuple[int, Callable[[int, int], list[tuple[int, int]]]]:
+    """The search behind :func:`_downset_masks`: validates (t, m) and returns
+    a, the number of ranks the up-set U must hold, and the branch rule, which
+    maps a search state (U, floor) to its children (U', floor'), in the order
+    they are tried.
 
     A down-set is the complement of an up-set U of a = C(t,3) - m ranks,
     and U is the up-set of its minimal triples.  Each level of the search
@@ -404,7 +372,8 @@ def _downset_masks(t: int, m: int) -> Iterator[int]:
     is tried only if the c ranks it adds fit (c <= b) and at least b - 1
     free ranks lie above s.  The top b - c free ranks above s then complete
     U, since an ancestor of one of them is in U already or free and higher.
-    Only ranks whose up-set has at most a ranks are ever tried.
+    Only ranks whose up-set has at most a ranks are ever tried.  A child
+    depends only on the bits of U at and above the floor and on b.
     """
     if t < 3:
         raise ValueError(f"need t >= 3, got {t}")
@@ -414,33 +383,59 @@ def _downset_masks(t: int, m: int) -> Iterator[int]:
     total, a = len(closure), len(closure) - m
     candidates = sum(1 << k for k in range(total) if closure[k].bit_count() <= a)
 
-    def rec(up: int, floor: int) -> Iterator[int]:
-        left = a - up.bit_count()
-        if left == 0:
-            yield (1 << total) - 1 ^ up
-            return
+    def children(up: int, floor: int) -> list[tuple[int, int]]:
+        left, out = a - up.bit_count(), []
         options = (candidates & ~up) >> floor << floor
         while options:
             s = options.bit_length() - 1
             options ^= 1 << s
             if total - s - (up >> s).bit_count() >= left and (up | closure[s]).bit_count() <= a:
-                yield from rec(up | closure[s], s + 1)
+                out.append((up | closure[s], s + 1))
+        return out
 
-    return rec(0, 0)
+    return a, children
+
+
+def _downset_masks(t: int, m: int) -> Iterator[int]:
+    """Yield each size-m down-set of the triple poset on [t] as a rank
+    bitmask, in colex-prefix order (see :func:`_downset_search`)."""
+    a, children = _downset_search(t, m)
+    full = (1 << comb(t, 3)) - 1
+
+    def rec(up: int, floor: int) -> Iterator[int]:
+        # a complete child is yielded here, in its parent's frame
+        for child, low in children(up, floor):
+            if child.bit_count() == a:
+                yield full ^ child
+            else:
+                yield from rec(child, low)
+
+    return rec(0, 0) if a else iter((full,))
 
 
 def enumerate_left_compressed(t: int, m: int) -> Iterator[RGraph]:
     """All left-compressed 3-graphs on [t] with m edges, each exactly once."""
-    masks, triples = _downset_masks(t, m), _triple_poset(t)[0]
-    for mask in masks:
-        # the mask's binary digits as 0/1 bytes, lowest rank first, pick the triples
-        bits = format(mask, "b").encode().translate(_BIT_BYTES)[::-1]
-        yield RGraph._ordered(3, t, tuple(select(triples, bits)), bits)
+    for mask in _downset_masks(t, m):
+        # the mask's binary digits as 0/1 bytes, lowest rank first
+        picks = format(mask, "b").encode().translate(_BIT_BYTES)[::-1]
+        yield RGraph._ordered(3, t, m, picks=picks)
 
 
 def count_left_compressed(t: int, m: int) -> int:
-    """Number of left-compressed 3-graphs on [t] with m edges."""
-    return sum(1 for _ in _downset_masks(t, m))
+    """Number of left-compressed 3-graphs on [t] with m edges: the leaves
+    below the search's root, counted once per state (the bits of U at and
+    above the floor, the floor, and the ranks still to place)."""
+    a, children = _downset_search(t, m)
+    memo: dict[tuple[int, int, int], int] = {}
+
+    def leaves(up: int, floor: int) -> int:
+        key = (up >> floor, floor, a - up.bit_count())
+        if key not in memo:
+            memo[key] = sum(1 if child.bit_count() == a else leaves(child, low)
+                            for child, low in children(up, floor))
+        return memo[key]
+
+    return leaves(0, 0) if a else 1
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +444,9 @@ def count_left_compressed(t: int, m: int) -> int:
 
 def serialize_edge_list(g: RGraph) -> str:
     """Canonical text form: header ``r n m`` then one edge per line, colex order."""
-    lines = (map(_EDGE_TEXT.__getitem__, g._colex()) if g._picks is None
-             else select(_triple_poset(g.n)[2], g._picks))
-    return "\n".join([f"{g.r} {g.n} {g.m}", *lines, ""])
+    if g._picks is None:
+        return "\n".join([f"{g.r} {g.n} {g.m}", *map(_EDGE_TEXT.__getitem__, g._colex()), ""])
+    return f"{g.r} {g.n} {g.m}\n" + "".join(select(_triple_poset(g.n)[2], g._picks))
 
 
 def parse_edge_list(text: str) -> RGraph:

@@ -240,13 +240,6 @@ def evaluate(g: RGraph, x) -> float:
     return float(_GraphData([g]).rows().eval(_as_vector(g, x))[0])
 
 
-def link_value(g: RGraph, i: int, x) -> float:
-    """Weight of the link of vertex i; equals the partial derivative at x_i."""
-    if not 1 <= i <= g.n:
-        raise ValueError(f"vertex {i} out of range [1, {g.n}]")
-    return float(link_values(g, x)[i - 1])
-
-
 def link_values(g: RGraph, x) -> np.ndarray:
     """Vector of link weights for every vertex (the gradient)."""
     return _GraphData([g]).rows().grad(_as_vector(g, x))

@@ -4,7 +4,9 @@ Everything here is deliberately brute force and stays independent of the
 code paths it validates: subset filtering or an unpruned search instead of
 the pruned poset DFS, dense grid scans instead of ascent, and for 2-graphs
 the Motzkin-Straus closed form from an exact clique number (a branch and
-bound, itself checked against an itertools subset scan).
+bound, itself checked against an itertools subset scan).  Also the helpers
+only the tests use: colex comparison, the descendant down-closure test, pair
+links, single link values and vertex relabeling.
 """
 
 from __future__ import annotations
@@ -14,7 +16,56 @@ from math import comb
 
 import numpy as np
 
-from laglab.hypergraph import RGraph
+from laglab.hypergraph import Edge, RGraph, UniformityError, descendants
+
+
+def colex_compare(a: Edge, b: Edge) -> int:
+    """Compare two r-sets in colex order: a < b iff max(a triangle b) lies in b.
+
+    Returns -1, 0, or 1.  For sorted tuples this equals lexicographic
+    comparison of the reversed tuples.
+    """
+    if len(a) != len(b):
+        raise UniformityError(f"cannot compare edges of sizes {len(a)} and {len(b)}")
+    ra, rb = a[::-1], b[::-1]
+    if ra < rb:
+        return -1
+    if ra > rb:
+        return 1
+    return 0
+
+
+def is_down_closed(g: RGraph) -> bool:
+    """Descendant-based criterion: every descendant of an edge is an edge."""
+    return all(descendants(e) <= g.edges for e in g.edges)
+
+
+def pair_link(g: RGraph, i: int, j: int) -> frozenset[Edge]:
+    """The (r-2)-sets completing the pair {i, j} to an edge."""
+    for v in (i, j):
+        if not 1 <= v <= g.n:
+            raise ValueError(f"vertex {v} out of range [1, {g.n}]")
+    if i == j:
+        raise ValueError("pair link needs two distinct vertices")
+    return frozenset(
+        tuple(v for v in e if v != i and v != j) for e in g.edges if i in e and j in e
+    )
+
+
+def link_value(g: RGraph, i: int, x) -> float:
+    """Weight of the link of vertex i; equals the partial derivative at x_i."""
+    from laglab.solver import link_values
+
+    if not 1 <= i <= g.n:
+        raise ValueError(f"vertex {i} out of range [1, {g.n}]")
+    return float(link_values(g, x)[i - 1])
+
+
+def relabel(g: RGraph, perm: dict[int, int]) -> RGraph:
+    """Apply a vertex permutation of [n] (used for invariance checks)."""
+    return RGraph.from_edges(
+        g.r, (sorted(perm[v] for v in e) for e in g.edges), n=g.n
+    )
 
 
 def downset_filter_count(t: int, m: int) -> int:

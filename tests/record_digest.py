@@ -9,8 +9,8 @@ laglab's default options, on two worker processes, and writes
 ``tests/cell_digest.json``: per cell the graph count, verdict, uncertified
 count, witness supports and values, colex and maximum values, and a SHA-256
 of the witness texts.  Record it at the commit whose results a solver change
-must keep; the whole run takes about 22 s on two cores, most of it (about
-20 s) the t = 11 window.
+must keep; the whole run takes about 10 s on two cores, most of it the
+t = 11 window (the t <= 10 windows take about 2 s).
 
 With ``--check T ...``: solves the windows of the given t, on two worker
 processes, and compares every cell with the stored digest, values within

@@ -27,7 +27,6 @@ from laglab.hypergraph import (
     ancestors,
     as_edge,
     build_colex_graph,
-    colex_compare,
     colex_rank,
     colex_unrank,
     complement,
@@ -37,15 +36,20 @@ from laglab.hypergraph import (
     difference_link,
     direct_descendants,
     enumerate_left_compressed,
-    is_down_closed,
     is_left_compressed,
     link,
-    pair_link,
     parse_edge_list,
     serialize_edge_list,
 )
 from laglab.verifier import cell_window, verify_cell
-from oracles import downset_filter_count, downset_masks_unpruned, random_rgraph
+from oracles import (
+    colex_compare,
+    downset_filter_count,
+    downset_masks_unpruned,
+    is_down_closed,
+    pair_link,
+    random_rgraph,
+)
 
 SRC = str(Path(laglab.__file__).resolve().parent.parent)
 DIGEST = json.loads((Path(__file__).parent / "cell_digest.json").read_text())["cells"]
@@ -183,10 +187,17 @@ class TestRGraph:
         assert verify_cell(8, 35).all_pass
         cell = list(enumerate_left_compressed(10, 100))
         texts = [serialize_edge_list(g) for g in cell]
+        assert count_left_compressed(10, 100) == len(cell)
         graphs += cell
         assert calls == []
         assert not any("edges" in vars(g) for g in graphs)
+        # a counted, enumerated and serialized graph holds only its picks
+        assert not any(g._order is not None for g in cell)
         monkeypatch.undo()
+        for g in cell:
+            h = RGraph(3, 10, g.edges)
+            assert (g.sorted_edges(), g.colex_ranks(), g.m) == (
+                h.sorted_edges(), h.colex_ranks(), h.m)
         for g in graphs:
             h = RGraph(3, g.n, g.edges)  # the first access builds g's edge set
             assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
@@ -455,6 +466,12 @@ class TestEnumeration:
         for m in range(comb(t, 3) + 1):
             assert list(_downset_masks(t, m)) == list(downset_masks_unpruned(t, m))
 
+    @pytest.mark.parametrize("t", range(3, 9))
+    def test_count_matches_search(self, t):
+        # the count walks memoized search states, never the masks themselves
+        for m in range(comb(t, 3) + 1):
+            assert count_left_compressed(t, m) == sum(1 for _ in _downset_masks(t, m))
+
     @pytest.mark.parametrize("t", [9, 10])
     def test_counts_match_digest(self, t):
         for m in cell_window(t):
@@ -463,9 +480,12 @@ class TestEnumeration:
     def test_t11_window_total(self):
         assert sum(count_left_compressed(11, m) for m in cell_window(11)) == 102_278
 
-    @pytest.mark.slow
     def test_t12_window_total(self):
         assert sum(count_left_compressed(12, m) for m in cell_window(12)) == 691_348
+
+    @pytest.mark.slow
+    def test_t13_window_total(self):
+        assert sum(count_left_compressed(13, m) for m in cell_window(13)) == 5_079_445
 
     @pytest.mark.parametrize("t", [4, 5, 6])
     def test_colex_graph_enumerated(self, t):
