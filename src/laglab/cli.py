@@ -291,6 +291,8 @@ def cmd_verify_config(args) -> int:
 def cmd_enumerate(args) -> int:
     try:
         check_t(args.t, 3, "--t")
+        if args.out is not None and not args.list:
+            raise ValueError("--out writes the graphs that --list lists; add --list")
         if args.list:
             # one search: the count is the number of graphs listed
             texts = [serialize_edge_list(g)
@@ -302,13 +304,12 @@ def cmd_enumerate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(count)
-    if args.list and args.out is not None:
+    if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         for idx, text in enumerate(texts):
             (args.out / f"graph_{idx:06d}.edges").write_text(text)
     elif args.list:
-        for text in texts:
-            sys.stdout.write(text + "\n")
+        sys.stdout.writelines(text + "\n" for text in texts)
     return EXIT_OK
 
 

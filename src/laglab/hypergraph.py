@@ -12,9 +12,9 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, combinations, compress as select, islice
+from itertools import chain, combinations, islice
 from math import comb
-from operator import ge, itemgetter, le
+from operator import ge, getitem, itemgetter, le
 from typing import Callable, Iterable, Iterator
 
 Edge = tuple[int, ...]
@@ -83,9 +83,10 @@ def colex_unrank(r: int, rank: int) -> Edge:
 # the tables that list them (triple poset, colex-initial r-sets).  Trust
 # invariant: only table-built, registered edges may skip validation, so only
 # enumerate_left_compressed and build_colex_graph call RGraph._ordered, with
-# such edges on [n] in colex order (or picks over the triple poset of [n])
-# forming a left-compressed graph; the graph keeps its order or picks and
-# builds the rest only when asked.
+# such edges on [n] forming a left-compressed graph, in colex order or as
+# picks: bit k & 7 of byte k >> 3 of ceil(C(n,3)/8) bytes set iff the triple
+# of rank k is an edge, read a byte at a time through _pick_table; the graph
+# keeps its order or picks and builds the rest only when asked.
 _EDGE_TEXT: dict[Edge, str] = {}
 _EDGE_RANK: dict[int, dict[Edge, int]] = {}
 
@@ -99,9 +100,9 @@ class RGraph:
     edges: frozenset[Edge] = field(default_factory=frozenset)
 
     # not fields, so equality, hash, repr, asdict and pickling ignore them: the
-    # edges in colex order once known, the 0/1 picks over the triple poset that
-    # chose them, the edge count of a trusted graph, and True when the graph is
-    # known to be left-compressed
+    # edges in colex order once known, the packed rank bitset that chose them,
+    # the edge count of a trusted graph, and True when the graph is known to be
+    # left-compressed
     _order = _picks = _m = _compressed = None
 
     def __post_init__(self):
@@ -136,7 +137,7 @@ class RGraph:
     def _ordered(cls, r: int, n: int, m: int, order: tuple[Edge, ...] | None = None,
                  picks: bytes | None = None) -> "RGraph":
         """Trusted: a left-compressed graph on [n] of m registered edges, given
-        in colex order or picked from ``_triple_poset(n)``'s triples."""
+        in colex order or as the packed bitset of their colex ranks."""
         g = object.__new__(cls)
         g.__dict__.update(r=r, n=n, _m=m, _order=order, _picks=picks, _compressed=True)
         return g
@@ -146,7 +147,8 @@ class RGraph:
         if self._order is None:
             object.__setattr__(self, "_order", tuple(
                 sorted(self.edges, key=_EDGE_RANK[self.r].__getitem__)
-                if self._picks is None else select(_triple_poset(self.n)[0], self._picks)))
+                if self._picks is None
+                else chain.from_iterable(map(getitem, _pick_table(self.n, False), self._picks))))
         return self._order
 
     @classmethod
@@ -335,10 +337,9 @@ def ancestors(edge: Edge, within: int) -> frozenset[Edge]:
 # ---------------------------------------------------------------------------
 
 @cache
-def _triple_poset(t: int) -> tuple[tuple[Edge, ...], list[int], list[str]]:
-    """All triples on [t] in colex rank order, the up-set of each as a rank
-    bitmask (the triple and all its ancestors), and the newline-terminated
-    edge-list line of each."""
+def _triple_poset(t: int) -> tuple[tuple[Edge, ...], list[int]]:
+    """All triples on [t] in colex rank order and the up-set of each as a
+    rank bitmask (the triple and all its ancestors)."""
     triples = _colex_initial(3, comb(t, 3))
     # an ancestor has the larger rank, so in falling rank order each mask is
     # whole before it passes down
@@ -346,10 +347,21 @@ def _triple_poset(t: int) -> tuple[tuple[Edge, ...], list[int], list[str]]:
     for k in range(len(triples) - 1, -1, -1):
         for d in direct_descendants(triples[k]):
             up[_EDGE_RANK[3][d]] |= up[k]
-    return triples, up, [_EDGE_TEXT[e] + "\n" for e in triples]
+    return triples, up
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+@cache
+def _pick_table(t: int, text: bool) -> tuple[tuple, ...]:
+    """Per byte j of packed picks on [t] and value b, the triples of ranks
+    8j .. 8j + 7 whose bits are set in b, in rank order: their edge-list lines
+    joined (text) or a tuple; b's lowest bit's item plus the entry of the rest."""
+    items = [_EDGE_TEXT[e] + "\n" if text else (e,) for e in _triple_poset(t)[0]]
+    rows = []
+    for group in (items[j:j + 8] for j in range(0, len(items), 8)):
+        rows.append(row := [items[0][:0]])
+        for b in range(1, 1 << len(group)):
+            row.append(group[(b & -b).bit_length() - 1] + row[b & b - 1])
+    return tuple(map(tuple, rows))
 
 
 def _downset_search(t: int, m: int) -> tuple[int, Callable[[int, int], list[tuple[int, int]]]]:
@@ -415,10 +427,9 @@ def _downset_masks(t: int, m: int) -> Iterator[int]:
 
 def enumerate_left_compressed(t: int, m: int) -> Iterator[RGraph]:
     """All left-compressed 3-graphs on [t] with m edges, each exactly once."""
-    for mask in _downset_masks(t, m):
-        # the mask's binary digits as 0/1 bytes, lowest rank first
-        picks = format(mask, "b").encode().translate(_BIT_BYTES)[::-1]
-        yield RGraph._ordered(3, t, m, picks=picks)
+    masks, width = _downset_masks(t, m), (comb(t, 3) + 7) // 8
+    for mask in masks:
+        yield RGraph._ordered(3, t, m, picks=mask.to_bytes(width, "little"))
 
 
 def count_left_compressed(t: int, m: int) -> int:
@@ -446,7 +457,7 @@ def serialize_edge_list(g: RGraph) -> str:
     """Canonical text form: header ``r n m`` then one edge per line, colex order."""
     if g._picks is None:
         return "\n".join([f"{g.r} {g.n} {g.m}", *map(_EDGE_TEXT.__getitem__, g._colex()), ""])
-    return f"{g.r} {g.n} {g.m}\n" + "".join(select(_triple_poset(g.n)[2], g._picks))
+    return f"{g.r} {g.n} {g.m}\n" + "".join(map(getitem, _pick_table(g.n, True), g._picks))
 
 
 def parse_edge_list(text: str) -> RGraph:

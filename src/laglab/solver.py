@@ -676,7 +676,7 @@ def _best_on_faces(data: _GraphData, faces: list[list[tuple[int, ...]]],
         xs[lo:lo + part.size], solved[lo:lo + part.size] = _newton_rows(
             data, owner[part], ascended, mask)
 
-    best: list[tuple[float, bool, np.ndarray] | None] = [None] * g  # (value, fails, x)
+    best: list[list | None] = [None] * g  # [value, fails, x, tie key once compared]
     done = np.flatnonzero(solved[which])
     for lo in range(0, done.size, CHUNK_ROWS):
         part = done[lo:lo + CHUNK_ROWS]
@@ -685,9 +685,12 @@ def _best_on_faces(data: _GraphData, faces: list[list[tuple[int, ...]]],
         fails = _stationarity(data.r, block.grad(at), at, vals).fails(kkt_tol)
         for k, val, fail, x in zip(owner[part].tolist(), vals.tolist(), fails.tolist(), at):
             b = best[k]
-            if (b is None or val > b[0] + TIE_TOL
-                    or (val >= b[0] - TIE_TOL and _tie_key(fail, x) < _tie_key(b[1], b[2]))):
-                best[k] = (val, fail, x)
+            if b is None or val > b[0] + TIE_TOL:
+                best[k] = [val, fail, x, None]
+            elif val >= b[0] - TIE_TOL:
+                b[3] = b[3] or _tie_key(b[1], b[2])
+                if (key := _tie_key(fail, x)) < b[3]:
+                    best[k] = [val, fail, x, key]
     return [None if b is None else (b[0], b[2]) for b in best]
 
 

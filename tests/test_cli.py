@@ -152,6 +152,13 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--t", "4", "--m", "99")
         assert code == 1
 
+    def test_out_without_list_exit_1(self, capsys, tmp_path):
+        out_dir = tmp_path / "graphs"
+        code, out, err = run(capsys, "enumerate", "--t", "5", "--m", "6", "--out", str(out_dir))
+        assert code == 1
+        assert out == "" and "--list" in err
+        assert not out_dir.exists()
+
     def test_t_range_shared_with_sweep(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--t", "9", "--m", "77")
         assert code == 0

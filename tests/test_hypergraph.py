@@ -231,16 +231,20 @@ class TestRGraph:
 
     def test_table_built_graphs_serialize_in_a_fresh_process(self):
         # no other graph is built first, so only the tables behind these
-        # graphs can have entered their edges' lines and ranks
+        # graphs can have entered their edges' lines and ranks; the t = 9
+        # graph's 84 picks end in a short byte, which holds ranks 80 and 81
         code = ("from laglab.hypergraph import *\n"
                 "for g in (build_colex_graph(3, 20), build_colex_graph(4, 12),\n"
-                "          next(enumerate_left_compressed(7, 30))):\n"
+                "          next(enumerate_left_compressed(7, 30)),\n"
+                "          list(enumerate_left_compressed(9, 80))[-1]):\n"
                 "    print(repr((serialize_edge_list(g), g.colex_ranks())))\n")
         env = dict(os.environ, PYTHONPATH=SRC)
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True).stdout
         graphs = (build_colex_graph(3, 20), build_colex_graph(4, 12),
-                  next(enumerate_left_compressed(7, 30)))
+                  next(enumerate_left_compressed(7, 30)),
+                  list(enumerate_left_compressed(9, 80))[-1])
+        assert graphs[-1]._picks[-1] == 0b11
         assert out == "".join(f"{(serialize_edge_list(g), sorted(map(colex_rank, g.edges)))!r}\n"
                               for g in graphs)
 
@@ -471,6 +475,16 @@ class TestEnumeration:
         # the count walks memoized search states, never the masks themselves
         for m in range(comb(t, 3) + 1):
             assert count_left_compressed(t, m) == sum(1 for _ in _downset_masks(t, m))
+
+    @pytest.mark.parametrize("t", range(4, 10))
+    def test_picks_are_packed_rank_bits(self, t):
+        # C(t,3) bits in whole bytes, bit k & 7 of byte k >> 3 for rank k
+        width = (comb(t, 3) + 7) // 8
+        for m in range(comb(t, 3) + 1):
+            for g in enumerate_left_compressed(t, m):
+                assert len(g._picks) == width
+                bits = [k for k in range(8 * width) if g._picks[k >> 3] >> (k & 7) & 1]
+                assert bits == RGraph(3, t, g.edges).colex_ranks()
 
     @pytest.mark.parametrize("t", [9, 10])
     def test_counts_match_digest(self, t):
