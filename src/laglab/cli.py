@@ -13,7 +13,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 from laglab.hypergraph import (
-    EdgeListParseError,
     RGraph,
     build_colex_graph,
     count_left_compressed,
@@ -66,14 +65,11 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="global seed (default: LAGLAB_SEED env or 0xF2F2)")
     p.add_argument("--kkt-tol", type=float, default=SolverOptions.kkt_tol,
                    help="certification residual threshold (default %(default)s)")
-    p.add_argument("--starts", type=_non_negative_int, default=SolverOptions.starts,
-                   help="random starts for a graph that is not left-compressed "
-                        "(default %(default)s)")
 
 
-def _solver_options(args) -> SolverOptions:
+def _solver_options(args, starts: int = SolverOptions.starts) -> SolverOptions:
     seed = args.seed if args.seed is not None else _default_seed()
-    return SolverOptions(starts=args.starts, kkt_tol=args.kkt_tol, seed=seed)
+    return SolverOptions(starts=starts, kkt_tol=args.kkt_tol, seed=seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,6 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", type=Path, default=None, help="write output here")
     _add_solver_flags(p)
+    p.add_argument("--starts", type=_non_negative_int, default=SolverOptions.starts,
+                   help="random starts for a graph that is not left-compressed "
+                        "(default %(default)s)")
 
     p = sub.add_parser("sweep", help="exhaustive verification over all (t, m) cells")
     p.add_argument("--t-max", type=int, required=True, help=f"largest t (4..{T_MAX})")
@@ -134,38 +133,44 @@ def build_parser() -> argparse.ArgumentParser:
 # compute
 # ---------------------------------------------------------------------------
 
+# per builtin kind, its required keys and then its optional ones
+_BUILTIN_KEYS = {
+    "colex": (("r", "m"), ()),
+    "complete": (("r", "t"), ()),
+    "family": (("t",), ("a", "i")),
+}
+
+
 def _parse_builtin(source: str) -> RGraph:
     kind, _, rest = source.partition(":")
+    if kind not in _BUILTIN_KEYS:
+        raise ValueError(f"unknown builtin kind {kind!r} (use colex/complete/family)")
     fields = [f for f in rest.split(",") if f]
-
-    def as_kv(tokens):
-        out = {}
-        for tok in tokens:
-            key, eq, val = tok.partition("=")
-            if not eq:
-                raise ValueError(f"expected key=value, got {tok!r}")
-            out[key.strip()] = val.strip()
-        return out
-
-    if kind == "colex":
-        kv = as_kv(fields)
-        return build_colex_graph(int(kv["r"]), int(kv["m"]))
-    if kind == "complete":
-        kv = as_kv(fields)
-        return RGraph.complete(int(kv["r"]), int(kv["t"]))
     if kind == "family":
         if not fields:
             raise ValueError("family spec needs a name, e.g. family:lemma3.5,t=6")
-        name = fields[0]
-        kv = as_kv(fields[1:])
-        spec = ConfigurationSpec(
-            family=name,
-            t=int(kv["t"]),
-            a=int(kv["a"]) if "a" in kv else None,
-            i=int(kv["i"]) if "i" in kv else None,
-        )
-        return build_configuration(spec)
-    raise ValueError(f"unknown builtin kind {kind!r} (use colex/complete/family)")
+        name, fields = fields[0], fields[1:]
+    required, optional = _BUILTIN_KEYS[kind]
+    keys, values = required + optional, {}
+    for tok in fields:
+        key, eq, val = (part.strip() for part in tok.partition("="))
+        if not eq:
+            raise ValueError(f"expected key=value, got {tok!r}")
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in a {kind} spec (keys: {', '.join(keys)})")
+        try:
+            values[key] = int(val)
+        except ValueError:
+            raise ValueError(f"{key} must be an integer, got {val!r}") from None
+    for key in required:
+        if key not in values:
+            raise ValueError(f"{kind} spec needs {key}=<integer>")
+    if kind == "colex":
+        return build_colex_graph(values["r"], values["m"])
+    if kind == "complete":
+        return RGraph.complete(values["r"], values["t"])
+    return build_configuration(
+        ConfigurationSpec(name, values["t"], a=values.get("a"), i=values.get("i")))
 
 
 def _load_graph(source: str) -> RGraph:
@@ -188,11 +193,10 @@ def _emit(text: str, out: Path | None) -> None:
 def cmd_compute(args) -> int:
     try:
         g = _load_graph(args.source)
-    except (EdgeListParseError, ValueError, KeyError, FileNotFoundError,
-            ConfigurationError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    res = lagrangian(g, _solver_options(args))
+    res = lagrangian(g, _solver_options(args, args.starts))
     if args.format == "json":
         _emit(render_json(asdict(res)), args.out)
     else:

@@ -11,10 +11,11 @@ reproducible as named families and checked one by one.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from itertools import groupby, islice, repeat
 from math import comb
+from typing import NamedTuple
 
 from laglab.hypergraph import (
     RGraph,
@@ -95,31 +96,37 @@ class CheckResult:
 # Configuration families
 # ---------------------------------------------------------------------------
 
-FAMILIES = (
-    "thm1.10",
-    "lemma3.3",
-    "lemma3.4",
-    "lemma3.5",
-    "lemma3.6",
-    "lemma3.7",
-    "case1",
-    "case2",
-    "case3",
-    "case4",
-    "case5",
-    "case6",
-)
+class _Family(NamedTuple):
+    """How one configuration family's complement on [t] is built and bounded.
 
-# deep part of the complement (triples not containing both t-1 and t) for the
-# six structured cases; entries are offsets below t, e.g. (3, 2, 0) = (t-3, t-2, t)
-_CASE_DEEP = {
-    1: ((3, 2, 0),),
-    2: ((3, 2, 0), (4, 2, 0)),
-    3: ((3, 2, 0), (3, 2, 1)),
-    4: ((3, 2, 0), (4, 2, 0), (5, 2, 0)),
-    5: ((3, 2, 0), (4, 2, 0), (4, 3, 0)),
-    6: ((3, 2, 0), (4, 2, 0), (3, 2, 1)),
+    Every family's complement is its deep part, c triples that do not hold
+    both t-1 and t, followed by the top row (x, t-1, t) for x from
+    t-1-(a-c) up to t-2.  The graph is left-compressed only if the top row
+    reaches the deep part's lowest vertex t-d_max, d_max its largest offset
+    below t: the closure rule a >= c + d_max - 1.
+    """
+
+    statement: str  # as named in error messages
+    deep: tuple | Callable  # offsets below t, e.g. (3, 2, 0) = (t-3, t-2, t); a function of i
+    least_a: int | None  # least a the statement allows; None: a defaults to the closure minimum
+    fixed_from: int | None = None  # least t of a family that fixes a = least_a
+
+
+_FAMILY_TABLE = {
+    "thm1.10": _Family("Theorem 1.10", lambda i: tuple((k, 2, 0) for k in range(i + 2, 2, -1)), 3),
+    "lemma3.3": _Family("Lemma 3.3", ((4, 3, 0), (4, 2, 0), (3, 2, 0)), 6),
+    "lemma3.4": _Family("Lemma 3.4", ((3, 2, 1), (3, 2, 0)), 5),
+    "lemma3.5": _Family("Lemma 3.5", ((3, 2, 1), (3, 2, 0)), 4, fixed_from=5),
+    "lemma3.6": _Family("Lemma 3.6", ((3, 2, 1), (3, 2, 0), (4, 2, 0)), 7),
+    "lemma3.7": _Family("Lemma 3.7", ((3, 2, 1), (4, 2, 0), (3, 2, 0)), 6, fixed_from=6),
+    "case1": _Family("Theorem 1.12 case 1", ((3, 2, 0),), None),
+    "case2": _Family("Theorem 1.12 case 2", ((3, 2, 0), (4, 2, 0)), None),
+    "case3": _Family("Theorem 1.12 case 3", ((3, 2, 0), (3, 2, 1)), None),
+    "case4": _Family("Theorem 1.12 case 4", ((3, 2, 0), (4, 2, 0), (5, 2, 0)), None),
+    "case5": _Family("Theorem 1.12 case 5", ((3, 2, 0), (4, 2, 0), (4, 3, 0)), None),
+    "case6": _Family("Theorem 1.12 case 6", ((3, 2, 0), (4, 2, 0), (3, 2, 1)), None),
 }
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 @dataclass(frozen=True)
@@ -138,93 +145,41 @@ class ConfigurationSpec:
         return " ".join(parts)
 
 
-def _top_row(t: int, lo: int) -> list[tuple[int, int, int]]:
-    """Triples (x, t-1, t) for x from lo up to t-2."""
-    return [(x, t - 1, t) for x in range(lo, t - 1)]
-
-
 def _require(cond: bool, message: str):
     if not cond:
         raise ConfigurationError(message)
 
 
 def configuration_complement(spec: ConfigurationSpec) -> list[tuple[int, int, int]]:
-    """The complement triple list for a family instance (validated ranges)."""
-    t, a, i = spec.t, spec.a, spec.i
-    fam = spec.family
-    _require(fam in FAMILIES, f"unknown family {fam!r}; choose from {FAMILIES}")
-    _require(t >= 4, f"{fam} needs t >= 4, got t={t}")
-
-    if fam == "thm1.10":
-        _require(a is not None and i is not None, "thm1.10 requires both a and i")
-        _require(i >= 1, f"Theorem 1.10 requires i >= 1, got i={i}")
-        _require(3 <= a <= t - 2,
-                 f"Theorem 1.10 requires 3 <= a <= t-2, got a={a}, t={t}")
-        _require(a >= 2 * i + 1,
-                 f"Theorem 1.10 requires a >= 2i+1 (left compression forces "
-                 f"it), got a={a}, i={i}")
-        _require(t - 2 - i >= 1, f"need t-2-i >= 1, got t={t}, i={i}")
-        second = [(x, t - 2, t) for x in range(t - 2 - i, t - 2)]
-        return second + _top_row(t, t - 1 - (a - i))
-
-    if fam == "lemma3.3":
-        _require(a is not None, "lemma3.3 requires a")
-        _require(6 <= a <= t - 2,
-                 f"Lemma 3.3 (minimum missing triple (t-4)(t-3)t) requires "
-                 f"6 <= a <= t-2, got a={a}, t={t}")
-        deep = [(t - 4, t - 3, t), (t - 4, t - 2, t), (t - 3, t - 2, t)]
-        return deep + _top_row(t, t + 2 - a)
-
-    if fam == "lemma3.4":
-        _require(a is not None, "lemma3.4 requires a")
-        _require(5 <= a <= t - 2,
-                 f"Lemma 3.4 requires 5 <= a <= t-2, got a={a}, t={t}")
-        deep = [(t - 3, t - 2, t - 1), (t - 3, t - 2, t)]
-        return deep + _top_row(t, t + 1 - a)
-
-    if fam == "lemma3.5":
-        _require(a in (None, 4), f"Lemma 3.5 fixes a = 4, got a={a}")
-        _require(t >= 5, f"Lemma 3.5 needs t >= 5, got t={t}")
-        return [
-            (t - 3, t - 2, t - 1),
-            (t - 3, t - 2, t),
-            (t - 3, t - 1, t),
-            (t - 2, t - 1, t),
-        ]
-
-    if fam == "lemma3.6":
-        _require(a is not None, "lemma3.6 requires a")
-        _require(7 <= a <= t - 2,
-                 f"Lemma 3.6 requires 7 <= a <= t-2 (so t >= 9), got a={a}, t={t}")
-        deep = [(t - 3, t - 2, t - 1), (t - 3, t - 2, t), (t - 4, t - 2, t)]
-        return deep + _top_row(t, t + 2 - a)
-
-    if fam == "lemma3.7":
-        _require(a in (None, 6), f"Lemma 3.7 fixes a = 6, got a={a}")
-        _require(t >= 6, f"Lemma 3.7 needs t >= 6, got t={t}")
-        return [
-            (t - 3, t - 2, t - 1),
-            (t - 4, t - 2, t),
-            (t - 3, t - 2, t),
-            (t - 4, t - 1, t),
-            (t - 3, t - 1, t),
-            (t - 2, t - 1, t),
-        ]
-
-    k = int(fam[4:])
-    deep_offsets = _CASE_DEEP[k]
-    deep = [tuple(t - d for d in off) for off in deep_offsets]
-    c = len(deep)
-    lowest = min(x for x, _y, _z in deep)
-    a_min = c + (t - 1 - lowest)
-    if a is None:
-        a = a_min
-    _require(a >= a_min,
-             f"case {k} requires a >= {a_min} at t={t} (top-row closure), got a={a}")
-    _require(a <= t - 2,
-             f"Theorem 1.12 cases assume m >= C(t-1,3)+C(t-2,2), i.e. "
-             f"a <= t-2, got a={a}, t={t}")
-    return deep + _top_row(t, t - 1 - (a - c))
+    """The complement triple list for a family instance (validated ranges):
+    the deep part, then the top row."""
+    t, a, i, name = spec.t, spec.a, spec.i, spec.family
+    _require(name in _FAMILY_TABLE, f"unknown family {name!r}; choose from {FAMILIES}")
+    _require(t >= 4, f"{name} needs t >= 4, got t={t}")
+    statement, deep, least_a, fixed_from = _FAMILY_TABLE[name]
+    if fixed_from is not None:
+        _require(a in (None, least_a), f"{statement} fixes a = {least_a}, got a={a}")
+        _require(t >= fixed_from, f"{statement} needs t >= {fixed_from}, got t={t}")
+        a = least_a
+    if callable(deep):
+        _require(a is not None and i is not None, f"{name} requires both a and i")
+        _require(i >= 1, f"{statement} requires i >= 1, got i={i}")
+    offsets = deep(i) if callable(deep) else deep
+    c = len(offsets)
+    closure = c + max(d for d, _y, _z in offsets) - 1
+    if least_a is None:  # Theorem 1.12's cases: a defaults to the closure minimum
+        a = closure if a is None else a
+    _require(a is not None, f"{name} requires a")
+    lo = closure if least_a is None else least_a
+    closed = (f"{statement} requires a >= {'2i+1 = ' if callable(deep) else ''}{closure} "
+              f"(top-row closure), got a={a}, t={t}")
+    if least_a is None:  # the cases meet the closure rule before the range
+        _require(a >= closure, closed)
+    _require(fixed_from is not None or lo <= a <= t - 2,
+             f"{statement} requires {lo} <= a <= t-2, got a={a}, t={t}")
+    _require(a >= closure, closed)
+    return ([(t - x, t - y, t - z) for x, y, z in offsets]
+            + [(x, t - 1, t) for x in range(t - 1 - (a - c), t - 1)])
 
 
 def build_configuration(spec: ConfigurationSpec) -> RGraph:
@@ -281,9 +236,8 @@ def in_range_instances(family: str, t: int) -> list[ConfigurationSpec]:
     """Every valid parameterization of a family at a given t (may be empty):
     a parameter grid filtered through :func:`configuration_complement`, the
     one place that knows each family's range."""
-    if family not in FAMILIES:
-        raise ConfigurationError(f"unknown family {family!r}")
-    if family in ("lemma3.5", "lemma3.7"):
+    _require(family in FAMILIES, f"unknown family {family!r}")
+    if _FAMILY_TABLE[family].fixed_from is not None:
         grid = [(None, None)]
     elif family == "thm1.10":
         grid = [(a, i) for a in range(t - 1) for i in range(1, t)]

@@ -8,7 +8,9 @@ Without ``--check``: solves every (t, m) cell with 4 <= t <= 11 under
 laglab's default options, on two worker processes, and writes
 ``tests/cell_digest.json``: per cell the graph count, verdict, uncertified
 count, witness supports and values, colex and maximum values, and a SHA-256
-of the witness texts.  Record it at the commit whose results a solver change
+of the witness texts, under a ``recorded_at`` that names the code behind
+it: ``git describe --always --dirty`` and a SHA-256 over the names and bytes
+of ``src/laglab/*.py``.  Record it at the commit whose results a solver change
 must keep; the whole run takes about 10 s on two cores, most of it the
 t = 11 window (the t <= 10 windows take about 2 s).
 
@@ -81,10 +83,21 @@ def _close(got, want) -> bool:
     return abs(got - want) <= VALUE_TOL
 
 
-def git_sha() -> str:
-    out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+def git_describe() -> str:
+    """The recording commit, marked ``-dirty`` if the tree has changes."""
+    out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
                          capture_output=True, text=True)
     return out.stdout.strip() if out.returncode == 0 else "unknown"
+
+
+def src_sha256() -> str:
+    """SHA-256 over the program's sources, each file's name under ``src/``
+    and its bytes: the code that produced the digest, committed or not."""
+    src = ROOT / "src"
+    h = hashlib.sha256()
+    for path in sorted(src.glob("laglab/*.py")):
+        h.update(str(path.relative_to(src)).encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
 
 
 def solve_windows(ts) -> list:
@@ -116,7 +129,8 @@ def main(argv=None) -> int:
     reports = solve_windows(range(4, T_MAX + 1))
     wall = time.perf_counter() - start
     doc = {
-        "recorded_at": {"git_sha": git_sha(), "seed": solver.DEFAULT_SEED, "t_max": T_MAX},
+        "recorded_at": {"git_describe": git_describe(), "src_sha256": src_sha256(),
+                        "seed": solver.DEFAULT_SEED, "t_max": T_MAX},
         "cells": {f"{rep.t},{rep.m}": cell_entry(rep) for rep in reports},
     }
     DIGEST_PATH.write_text(json.dumps(doc, indent=1) + "\n")

@@ -69,9 +69,21 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "nope.edges")
         assert code == 1
 
-    def test_bad_builtin_exit_1(self, capsys):
-        code, _, err = run(capsys, "compute", "colex:r=3")
+    @pytest.mark.parametrize("source, named", [
+        ("colex:r=3", "needs m="),
+        ("complete:t=5", "needs r="),
+        ("family:lemma3.5", "needs t="),
+        ("colex:r=3,m=17,k=2", "unknown key 'k'"),
+        ("family:lemma3.5,t=6,x=1", "unknown key 'x'"),
+        ("family:thm1.10,t=x", "t must be an integer"),
+        ("colex:r=3,m=1.5", "m must be an integer"),
+    ], ids=["colex-missing-m", "complete-missing-r", "family-missing-t", "colex-unknown-k",
+            "family-unknown-x", "family-t-not-int", "colex-m-not-int"])
+    def test_bad_builtin_exit_1(self, capsys, source, named):
+        code, out, err = run(capsys, "compute", source)
         assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and named in err
 
     def test_uncertified_exit_2(self, capsys):
         code, out, _ = run(capsys, "compute", "complete:r=3,t=5", "--kkt-tol", "-1")
@@ -274,6 +286,7 @@ class TestUsageErrors:
         ("compute", "complete:r=3,t=4", "--tol", "1e-9"),  # no such flag
         ("frobnicate",),
         ("enumerate", "--t", "5", "--m", "2", "--r", "4"),  # 3-graphs only
+        ("sweep", "--t-max", "4", "--starts", "3"),  # a compute flag only
     ])
     def test_parser_errors_exit_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -1,5 +1,7 @@
 """Conjecture cells, configuration families, and structural bound checks."""
 
+import hashlib
+import json
 from math import comb
 
 import pytest
@@ -123,6 +125,15 @@ class TestConfigurations:
             "case5": 0,
             "case6": 0,
         }
+
+    def test_every_in_range_instance_is_pinned(self):
+        # the exact complement list, in order, of every valid instance for
+        # 3 <= t <= 15
+        specs = [s for t in range(3, 16) for f in FAMILIES for s in in_range_instances(f, t)]
+        assert len(specs) == 557
+        rows = [[s.family, s.t, s.a, s.i, configuration_complement(s)] for s in specs]
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+            "8227d10fe97953cf6c8f6998d18fbc9e48ec87bece4385ff69a657a84cd94c86")
 
 
 class TestInequalityChecks:
