@@ -161,23 +161,24 @@ def configuration_complement(spec: ConfigurationSpec) -> list[tuple[int, int, in
         _require(a in (None, least_a), f"{statement} fixes a = {least_a}, got a={a}")
         _require(t >= fixed_from, f"{statement} needs t >= {fixed_from}, got t={t}")
         a = least_a
-    if callable(deep):
+    if callable(deep):  # Theorem 1.10: c = i, d_max = i+2, read before the i triples are built
         _require(a is not None and i is not None, f"{name} requires both a and i")
         _require(i >= 1, f"{statement} requires i >= 1, got i={i}")
-    offsets = deep(i) if callable(deep) else deep
-    c = len(offsets)
-    closure = c + max(d for d, _y, _z in offsets) - 1
+        c, d_max, rule = i, i + 2, "2i+1 = "
+    else:
+        c, d_max, rule = len(deep), max(d for d, _y, _z in deep), ""
+    closure = c + d_max - 1
     if least_a is None:  # Theorem 1.12's cases: a defaults to the closure minimum
         a = closure if a is None else a
     _require(a is not None, f"{name} requires a")
     lo = closure if least_a is None else least_a
-    closed = (f"{statement} requires a >= {'2i+1 = ' if callable(deep) else ''}{closure} "
-              f"(top-row closure), got a={a}, t={t}")
+    closed = f"{statement} requires a >= {rule}{closure} (top-row closure), got a={a}, t={t}"
     if least_a is None:  # the cases meet the closure rule before the range
         _require(a >= closure, closed)
     _require(fixed_from is not None or lo <= a <= t - 2,
              f"{statement} requires {lo} <= a <= t-2, got a={a}, t={t}")
     _require(a >= closure, closed)
+    offsets = deep(i) if callable(deep) else deep
     return ([(t - x, t - y, t - z) for x, y, z in offsets]
             + [(x, t - 1, t) for x in range(t - 1 - (a - c), t - 1)])
 
@@ -239,7 +240,7 @@ def in_range_instances(family: str, t: int) -> list[ConfigurationSpec]:
     _require(family in FAMILIES, f"unknown family {family!r}")
     if _FAMILY_TABLE[family].fixed_from is not None:
         grid = [(None, None)]
-    elif family == "thm1.10":
+    elif callable(_FAMILY_TABLE[family].deep):
         grid = [(a, i) for a in range(t - 1) for i in range(1, t)]
     else:
         grid = [(a, None) for a in range(t - 1)]

@@ -9,10 +9,11 @@ laglab's default options, on two worker processes, and writes
 ``tests/cell_digest.json``: per cell the graph count, verdict, uncertified
 count, witness supports and values, colex and maximum values, and a SHA-256
 of the witness texts, under a ``recorded_at`` that names the code behind
-it: ``git describe --always --dirty`` and a SHA-256 over the names and bytes
-of ``src/laglab/*.py``.  Record it at the commit whose results a solver change
-must keep; the whole run takes about 10 s on two cores, most of it the
-t = 11 window (the t <= 10 windows take about 2 s).
+it: ``git describe --always --dirty`` and perfbench's ``src_digest``, a
+SHA-256 over the names and bytes of the Python files under ``src/``.
+Record it at the commit whose results a solver change must keep; the whole
+run takes about 10 s on two cores, most of it the t = 11 window (the
+t <= 10 windows take about 2 s).
 
 With ``--check T ...``: solves the windows of the given t, on two worker
 processes, and compares every cell with the stored digest, values within
@@ -90,16 +91,6 @@ def git_describe() -> str:
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
-def src_sha256() -> str:
-    """SHA-256 over the program's sources, each file's name under ``src/``
-    and its bytes: the code that produced the digest, committed or not."""
-    src = ROOT / "src"
-    h = hashlib.sha256()
-    for path in sorted(src.glob("laglab/*.py")):
-        h.update(str(path.relative_to(src)).encode() + b"\0" + path.read_bytes())
-    return h.hexdigest()
-
-
 def solve_windows(ts) -> list:
     """The reports of the windows of ``ts`` in (t, m) order, each window
     split into ``WORKERS`` groups of cells as ``sweep`` splits it."""
@@ -128,8 +119,11 @@ def main(argv=None) -> int:
         return 1 if bad else 0
     reports = solve_windows(range(4, T_MAX + 1))
     wall = time.perf_counter() - start
+    sys.path.append(str(ROOT / "perfbench"))
+    from workloads import src_digest  # the benchmark's provenance hash of the sources
+
     doc = {
-        "recorded_at": {"git_describe": git_describe(), "src_sha256": src_sha256(),
+        "recorded_at": {"git_describe": git_describe(), "src_sha256": src_digest(ROOT / "src"),
                         "seed": solver.DEFAULT_SEED, "t_max": T_MAX},
         "cells": {f"{rep.t},{rep.m}": cell_entry(rep) for rep in reports},
     }

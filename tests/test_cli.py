@@ -115,6 +115,12 @@ class TestVerifyConfig:
         assert code == 1
         assert "a >= 2i+1" in err
 
+    def test_huge_i_rejected_before_any_build_exit_1(self, capsys):
+        code, _, err = run(capsys, "verify-config", "--family", "thm1.10",
+                           "--t", "7", "--i", "1000000000", "--a", "3")
+        assert code == 1
+        assert "a >= 2i+1" in err
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "verify-config", "--family", "lemma3.4",
                            "--t", "7", "--a", "5", "--format", "json")

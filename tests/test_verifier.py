@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from math import comb
 
 import pytest
@@ -65,6 +66,19 @@ class TestConfigurations:
     def test_thm110_rejects_large_i(self):
         with pytest.raises(ConfigurationError, match="a >= 2i\\+1"):
             build_configuration(ConfigurationSpec("thm1.10", 7, a=3, i=3))
+
+    def test_thm110_huge_i_fails_before_its_triples_are_built(self):
+        # the closure 2i+1 is read from i; the i deep triples are built only
+        # once every check has passed
+        tracemalloc.start()
+        try:
+            for i in (10**6, 10**9):
+                with pytest.raises(ConfigurationError, match="a >= 2i\\+1"):
+                    configuration_complement(ConfigurationSpec("thm1.10", 7, a=3, i=i))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_thm110_rejects_out_of_range_a(self):
         with pytest.raises(ConfigurationError, match="3 <= a <= t-2"):
