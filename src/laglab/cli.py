@@ -1,7 +1,7 @@
 """Command-line surface: compute, sweep, verify-config, enumerate, check.
 
-Exit codes: 0 success/pass, 1 usage or parse error, 2 uncertified or failing
-numeric result.
+Exit codes: 0 success/pass, 1 usage or parse error (a path that cannot be
+read or written included), 2 uncertified or failing numeric result.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from laglab.hypergraph import (
     parse_edge_list,
     serialize_edge_list,
 )
-from laglab.reporting import fmt_float, render_json, report_dict, reports_csv
+from laglab.reporting import fmt_float, fmt_value, render_json, report_dict, reports_csv
 from laglab.solver import DEFAULT_SEED, SolverOptions, lagrangian
 from laglab.verifier import (
-    ConfigurationError,
     ConfigurationSpec,
     FAMILIES,
     VerifierOptions,
@@ -49,7 +48,7 @@ def _default_seed() -> int:
         try:
             return int(env, 0)
         except ValueError:
-            raise SystemExit(f"error: LAGLAB_SEED must be an integer, got {env!r}")
+            raise ValueError(f"LAGLAB_SEED must be an integer, got {env!r}") from None
     return DEFAULT_SEED
 
 
@@ -158,6 +157,8 @@ def _parse_builtin(source: str) -> RGraph:
             raise ValueError(f"expected key=value, got {tok!r}")
         if key not in keys:
             raise ValueError(f"unknown key {key!r} in a {kind} spec (keys: {', '.join(keys)})")
+        if key in values:
+            raise ValueError(f"repeated key {key!r} in a {kind} spec")
         try:
             values[key] = int(val)
         except ValueError:
@@ -191,24 +192,16 @@ def _emit(text: str, out: Path | None) -> None:
 
 
 def cmd_compute(args) -> int:
-    try:
-        g = _load_graph(args.source)
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = _load_graph(args.source)
     res = lagrangian(g, _solver_options(args, args.starts))
+    doc = asdict(res)
     if args.format == "json":
-        _emit(render_json(asdict(res)), args.out)
+        _emit(render_json(doc), args.out)
     else:
-        lines = [
-            f"value: {fmt_float(res.value)}",
-            "weighting: " + " ".join(fmt_float(w) for w in res.weighting),
-            f"support: {res.support}",
-            f"kkt_residual: {fmt_float(res.kkt_residual)}",
-            f"method: {res.method}",
-            f"certified: {'true' if res.certified else 'false'}",
-            *(f"note: {note}" for note in res.notes),
-        ]
+        # the fields in order, the weighting on one line, then one line per note
+        doc["weighting"] = " ".join(map(fmt_value, res.weighting))
+        lines = [f"{key}: {fmt_value(val)}" for key, val in doc.items() if key != "notes"]
+        lines += [f"note: {note}" for note in res.notes]
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if res.certified else EXIT_UNCERTIFIED
 
@@ -220,15 +213,14 @@ def cmd_compute(args) -> int:
 def cmd_sweep(args) -> int:
     vopts = VerifierOptions(solver=_solver_options(args))
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
-    try:
-        reports = sweep(args.t_max, vopts, workers=max(1, workers))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    # the output directory is made before the solve, so a bad --out fails at
+    # once, and after sweep's own range check, so a bad --t-max makes none
+    check_t(args.t_max, 4, "t_max")
     out_dir: Path = args.out
     cells_dir = out_dir / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
+    reports = sweep(args.t_max, vopts, workers=max(1, workers))
+
     for rep in reports:
         (cells_dir / f"t{rep.t}_m{rep.m}.json").write_text(
             render_json(report_dict(rep))
@@ -268,20 +260,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify_config(args) -> int:
     spec = ConfigurationSpec(family=args.family, t=args.t, a=args.a, i=args.i)
-    try:
-        chk = check_theorem_inequality(spec, VerifierOptions(solver=_solver_options(args)))
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    chk = check_theorem_inequality(spec, VerifierOptions(solver=_solver_options(args)))
     if args.format == "json":
         sys.stdout.write(render_json(report_dict(chk)))
     else:
         print(f"family: {spec.label()}")
-        print(f"m: {chk.m}")
-        print(f"config_value: {fmt_float(chk.config_value)}")
-        print(f"colex_value: {fmt_float(chk.colex_value)}")
-        print(f"margin: {fmt_float(chk.margin)}")
-        print(f"certified: {'true' if chk.certified else 'false'}")
+        for key in ("m", "config_value", "colex_value", "margin", "certified"):
+            print(f"{key}: {fmt_value(getattr(chk, key))}")
         print(f"result: {'pass' if chk.passed else 'FAIL'}")
     if chk.passed:
         return EXIT_OK
@@ -293,23 +278,19 @@ def cmd_verify_config(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate(args) -> int:
-    try:
-        check_t(args.t, 3, "--t")
-        if args.out is not None and not args.list:
-            raise ValueError("--out writes the graphs that --list lists; add --list")
-        if args.list:
-            # one search: the count is the number of graphs listed
-            texts = [serialize_edge_list(g)
-                     for g in enumerate_left_compressed(args.t, args.m)]
-            count = len(texts)
-        else:
-            count = count_left_compressed(args.t, args.m)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    check_t(args.t, 3, "--t")
+    if args.out is not None and not args.list:
+        raise ValueError("--out writes the graphs that --list lists; add --list")
+    if args.list:
+        # one search: the count is the number of graphs listed
+        texts = [serialize_edge_list(g) for g in enumerate_left_compressed(args.t, args.m)]
+        count = len(texts)
+    else:
+        count = count_left_compressed(args.t, args.m)
+    if args.out is not None:  # after the search has checked m, before any output
+        args.out.mkdir(parents=True, exist_ok=True)
     print(count)
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
         for idx, text in enumerate(texts):
             (args.out / f"graph_{idx:06d}.edges").write_text(text)
     elif args.list:
@@ -323,12 +304,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_check(args) -> int:
     vopts = VerifierOptions(solver=_solver_options(args))
-    try:
-        check_t(args.t, 4, "--t")
-        rep = verify_cell(args.t, args.m, vopts)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    check_t(args.t, 4, "--t")
+    rep = verify_cell(args.t, args.m, vopts)
     checks = [
         check_support_bound(rep),
         check_vertex_bound(rep),
@@ -364,7 +341,11 @@ def main(argv=None) -> int:
         "enumerate": cmd_enumerate,
         "check": cmd_check,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ValueError, OSError) as exc:  # bad input, or a path that cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -23,6 +23,14 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def fmt_value(x) -> str:
+    """One scalar as reports print it: floats through :func:`fmt_float`,
+    booleans as ``true``/``false``, anything else through ``str``."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return fmt_float(x) if isinstance(x, float) else str(x)
+
+
 def render_json(obj) -> str:
     """Serialize dicts/lists/scalars as JSON with pinned float formatting."""
     out: list[str] = []
@@ -32,41 +40,24 @@ def render_json(obj) -> str:
 
 
 def _render(obj, out: list[str], depth: int) -> None:
-    pad = " " * (INDENT * (depth + 1))
-    close_pad = " " * (INDENT * depth)
     if obj is None:
         out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(fmt_float(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for k, (key, val) in enumerate(obj.items()):
-            out.append(pad)
-            out.append(json.dumps(str(key), ensure_ascii=True))
-            out.append(": ")
-            _render(val, out, depth + 1)
-            out.append(",\n" if k < len(obj) - 1 else "\n")
-        out.append(close_pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for k, val in enumerate(seq):
-            out.append(pad)
-            _render(val, out, depth + 1)
-            out.append(",\n" if k < len(seq) - 1 else "\n")
-        out.append(close_pad + "]")
+    elif isinstance(obj, (bool, int, float)):
+        out.append(fmt_value(obj))
+    elif isinstance(obj, (dict, list, tuple)):
+        is_dict = isinstance(obj, dict)
+        opening, closing = "{}" if is_dict else "[]"
+        pad = "\n" + " " * (INDENT * (depth + 1))
+        sep = "," + pad
+        for k, item in enumerate(obj):  # a dict yields its keys
+            out.append(sep if k else opening + pad)
+            if is_dict:
+                out.append(json.dumps(str(item), ensure_ascii=True) + ": ")
+                item = obj[item]
+            _render(item, out, depth + 1)
+        out.append("\n" + " " * (INDENT * depth) + closing if obj else opening + closing)
     else:
         raise TypeError(f"cannot render {type(obj).__name__} in a report")
 
@@ -80,21 +71,9 @@ CSV_HEADER = "t,m,a,colex_value,max_value,gap,graph_count,all_pass"
 
 
 def reports_csv(reports: list[VerificationReport]) -> str:
-    """Summary CSV, one row per cell, in (t, m) order."""
-    lines = [CSV_HEADER]
-    for rep in sorted(reports, key=lambda r: (r.t, r.m)):
-        lines.append(
-            ",".join(
-                [
-                    str(rep.t),
-                    str(rep.m),
-                    str(rep.a),
-                    fmt_float(rep.colex_value),
-                    fmt_float(rep.max_value),
-                    fmt_float(rep.gap),
-                    str(rep.graph_count),
-                    "true" if rep.all_pass else "false",
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """Summary CSV, one row per cell, in (t, m) order: the header's fields
+    of each report."""
+    fields = CSV_HEADER.split(",")
+    rows = (",".join(fmt_value(getattr(rep, f)) for f in fields)
+            for rep in sorted(reports, key=lambda r: (r.t, r.m)))
+    return "\n".join([CSV_HEADER, *rows]) + "\n"

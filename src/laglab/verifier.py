@@ -157,6 +157,7 @@ def configuration_complement(spec: ConfigurationSpec) -> list[tuple[int, int, in
     _require(name in _FAMILY_TABLE, f"unknown family {name!r}; choose from {FAMILIES}")
     _require(t >= 4, f"{name} needs t >= 4, got t={t}")
     statement, deep, least_a, fixed_from = _FAMILY_TABLE[name]
+    _require(i is None or callable(deep), f"{statement} has no parameter i, got i={i}")
     if fixed_from is not None:
         _require(a in (None, least_a), f"{statement} fixes a = {least_a}, got a={a}")
         _require(t >= fixed_from, f"{statement} needs t >= {fixed_from}, got t={t}")

@@ -1,13 +1,19 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 
 import pytest
 
+from laglab import cli
 from laglab.cli import main
-from laglab.hypergraph import build_colex_graph, serialize_edge_list
-from laglab.reporting import fmt_float, render_json
+from laglab.hypergraph import RGraph, build_colex_graph, parse_edge_list, serialize_edge_list
+from laglab.reporting import fmt_float, render_json, reports_csv
+from laglab.solver import SolverOptions, lagrangian
+from laglab.verifier import ConfigurationSpec, check_theorem_inequality
+
+FIVE_CYCLE_TEXT = "2 5 5\n1 2\n2 3\n3 4\n4 5\n1 5\n"
 
 
 def run(capsys, *argv):
@@ -77,8 +83,9 @@ class TestCompute:
         ("family:lemma3.5,t=6,x=1", "unknown key 'x'"),
         ("family:thm1.10,t=x", "t must be an integer"),
         ("colex:r=3,m=1.5", "m must be an integer"),
+        ("colex:r=3,m=5,m=17", "repeated key 'm'"),
     ], ids=["colex-missing-m", "complete-missing-r", "family-missing-t", "colex-unknown-k",
-            "family-unknown-x", "family-t-not-int", "colex-m-not-int"])
+            "family-unknown-x", "family-t-not-int", "colex-m-not-int", "colex-repeated-m"])
     def test_bad_builtin_exit_1(self, capsys, source, named):
         code, out, err = run(capsys, "compute", source)
         assert code == 1
@@ -127,6 +134,13 @@ class TestVerifyConfig:
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] is True
+
+    def test_i_outside_thm110_exit_1(self, capsys):
+        code, out, err = run(capsys, "verify-config", "--family", "lemma3.4",
+                             "--t", "7", "--a", "5", "--i", "3", "--format", "json")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "no parameter i" in err
 
 
 class TestEnumerate:
@@ -347,3 +361,113 @@ class TestReportRendering:
     def test_render_rejects_non_finite(self):
         with pytest.raises(ValueError):
             render_json({"x": float("nan")})
+
+    def test_render_json_bytes(self):
+        # recorded from the renderer that had separate dict and list branches
+        text = render_json({"a": None, "b": [True, False, 0, -3, 0.1, 1e-300, "é\n"],
+                            "c": {}, "d": [], "e": {"f": (1.5, {"g": []})}})
+        data = text.encode()
+        assert len(data) == 214
+        assert hashlib.sha256(data).hexdigest() == (
+            "4c1d2d88b7b38e58c69cfe2ca7e4df4cb6983615057cad874b3fc34a67013cb5")
+
+    def test_render_rejects_unknown_types(self):
+        with pytest.raises(TypeError, match="cannot render set"):
+            render_json({"x": {1}})
+
+
+class TestOutputBytes:
+    """Each format pinned against its fields formatted one by one, and the
+    paths that cannot be read or written reported as usage errors."""
+
+    @pytest.fixture(autouse=True)
+    def default_seed(self, monkeypatch):
+        monkeypatch.delenv("LAGLAB_SEED", raising=False)
+
+    def test_reports_csv_columns(self, sweep5_reports):
+        rows = ["t,m,a,colex_value,max_value,gap,graph_count,all_pass"]
+        for rep in sorted(sweep5_reports, key=lambda r: (r.t, r.m)):
+            rows.append(",".join([
+                str(rep.t), str(rep.m), str(rep.a), fmt_float(rep.colex_value),
+                fmt_float(rep.max_value), fmt_float(rep.gap), str(rep.graph_count),
+                "true" if rep.all_pass else "false",
+            ]))
+        assert reports_csv(sweep5_reports) == "\n".join(rows) + "\n"
+
+    @staticmethod
+    def _compute_text(res):
+        lines = [
+            f"value: {fmt_float(res.value)}",
+            "weighting: " + " ".join(fmt_float(w) for w in res.weighting),
+            f"support: {res.support}",
+            f"kkt_residual: {fmt_float(res.kkt_residual)}",
+            f"method: {res.method}",
+            f"certified: {'true' if res.certified else 'false'}",
+            *(f"note: {note}" for note in res.notes),
+        ]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("source, flags, kkt_tol", [
+        ("complete:r=3,t=5", (), SolverOptions.kkt_tol),
+        ("c5.edges", (), SolverOptions.kkt_tol),
+        ("complete:r=3,t=5", ("--kkt-tol=-1",), -1.0),
+    ], ids=["k5", "five-cycle", "uncertified"])
+    def test_compute_text(self, capsys, tmp_path, monkeypatch, source, flags, kkt_tol):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c5.edges").write_text(FIVE_CYCLE_TEXT)
+        g = (parse_edge_list(FIVE_CYCLE_TEXT) if source == "c5.edges"
+             else RGraph.complete(3, 5))
+        res = lagrangian(g, SolverOptions(kkt_tol=kkt_tol))
+        code, out, err = run(capsys, "compute", source, *flags)
+        assert code == (0 if res.certified else 2)
+        assert out == self._compute_text(res)
+        assert err == ""
+
+    def test_verify_config_text(self, capsys):
+        spec = ConfigurationSpec("thm1.10", 7, a=3, i=1)
+        chk = check_theorem_inequality(spec)
+        code, out, _ = run(capsys, "verify-config", "--family", "thm1.10",
+                           "--t", "7", "--i", "1", "--a", "3")
+        assert code == 0
+        assert out == "".join(f"{line}\n" for line in [
+            "family: thm1.10 t=7 i=1 a=3",
+            f"m: {chk.m}",
+            f"config_value: {fmt_float(chk.config_value)}",
+            f"colex_value: {fmt_float(chk.colex_value)}",
+            f"margin: {fmt_float(chk.margin)}",
+            f"certified: {'true' if chk.certified else 'false'}",
+            "result: pass",
+        ])
+
+    def _usage_error(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    def test_compute_on_a_directory(self, capsys, tmp_path):
+        self._usage_error(capsys, "compute", str(tmp_path))
+
+    def test_enumerate_out_is_a_file(self, capsys, tmp_path):
+        target = tmp_path / "taken"
+        target.write_text("")
+        self._usage_error(capsys, "enumerate", "--t", "5", "--m", "5", "--list",
+                          "--out", str(target))
+        assert target.read_text() == ""
+
+    def test_sweep_out_is_a_file_fails_before_the_solve(self, capsys, tmp_path, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("sweep ran before its output directory was made")
+
+        monkeypatch.setattr(cli, "sweep", no_solve)
+        target = tmp_path / "taken"
+        target.write_text("")
+        self._usage_error(capsys, "sweep", "--t-max", "4", "--workers", "1",
+                          "--out", str(target))
+
+    def test_bad_env_seed_returns_1(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("LAGLAB_SEED", "xyz")
+        err = self._usage_error(capsys, "sweep", "--t-max", "4", "--workers", "1",
+                                "--out", str(tmp_path / "s"))
+        assert err == "error: LAGLAB_SEED must be an integer, got 'xyz'\n"

@@ -428,6 +428,33 @@ class TestMultistartRoute:
         assert abs(res.value - se.value) <= 1e-12
         assert res.support == se.support == support
 
+    def test_second_end_point_with_its_cut_finds_the_optimal_face(self):
+        # a 3-graph that is not left-compressed: from the best end point
+        # alone, or with the candidate supports cut at POSITIVE_EPS rather
+        # than 1e-9, the route stops uncertified at 0.07954448596961287 on
+        # support 9
+        g = graph_from_words(3, 9, "124 134 234 235 145 345 136 236 246 346 156 256 127 "
+                                   "147 347 157 257 357 467 567 128 238 148 348 158 258 "
+                                   "358 458 268 368 568 178 278 378 478 578 678 129 139 "
+                                   "239 149 349 159 459 169 269 469 179 279 479 579 679 "
+                                   "589 789")
+        res = lagrangian(g)
+        assert res.method == "multistart_gradient"
+        assert res.certified
+        assert res.value == pytest.approx(0.07954755278516008, abs=1e-15)
+        assert res.support == 6
+
+    def test_end_point_above_the_face_solutions_is_kept(self):
+        # the best face solution of this graph lies below the best ascent end
+        # point (0.0732849788952584, which passes the first-order test); the
+        # end point must come back, whatever its certification
+        g = graph_from_words(3, 7, "123 124 135 245 345 126 136 236 146 246 346 156 356 "
+                                   "127 137 157 457 167 267 367 467 567")
+        res = lagrangian(g)
+        assert res.method == "multistart_gradient"
+        assert res.value >= 0.0732891
+        assert evaluate(g, res.weighting) == res.value
+
     def test_tie_rule_prefers_the_first_order_condition(self):
         # the optimum on support 8 lies 2.4e-11 above a point on support 7
         # whose vertex 1 has link r * value + 1.8e-6; the smaller support

@@ -119,6 +119,13 @@ class TestConfigurations:
         b = build_configuration(ConfigurationSpec("lemma3.7", 8))
         assert a.edges == b.edges
 
+    def test_i_only_for_thm110(self):
+        # every other family's statement has no i, so an i given to it is refused
+        for family in (f for f in FAMILIES if f != "thm1.10"):
+            with pytest.raises(ConfigurationError, match="has no parameter i, got i=3"):
+                configuration_complement(ConfigurationSpec(family, 9, a=7, i=3))
+        assert configuration_complement(ConfigurationSpec("lemma3.4", 7, a=5, i=None))
+
     def test_unknown_family(self):
         with pytest.raises(ConfigurationError, match="unknown family"):
             configuration_complement(ConfigurationSpec("case9", 7))
