@@ -52,11 +52,14 @@ def _default_seed() -> int:
     return DEFAULT_SEED
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+    def integer(text: str) -> int:  # argparse names it on a non-integer
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -90,13 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", type=Path, default=None, help="write output here")
     _add_solver_flags(p)
-    p.add_argument("--starts", type=_non_negative_int, default=SolverOptions.starts,
+    p.add_argument("--starts", type=_int_at_least(0), default=SolverOptions.starts,
                    help="random starts for a graph that is not left-compressed "
                         "(default %(default)s)")
 
     p = sub.add_parser("sweep", help="exhaustive verification over all (t, m) cells")
     p.add_argument("--t-max", type=int, required=True, help=f"largest t (4..{T_MAX})")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_int_at_least(1), default=None,
                    help="parallel cell workers (default: available cores)")
     p.add_argument("--out", type=Path, default=Path("laglab-sweep"),
                    help="output directory (default laglab-sweep)")
@@ -219,18 +222,17 @@ def cmd_sweep(args) -> int:
     out_dir: Path = args.out
     cells_dir = out_dir / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
-    reports = sweep(args.t_max, vopts, workers=max(1, workers))
+    reports = sweep(args.t_max, vopts, workers=workers)
+    docs = [report_dict(rep) for rep in reports]  # one per cell, for both outputs
 
-    for rep in reports:
-        (cells_dir / f"t{rep.t}_m{rep.m}.json").write_text(
-            render_json(report_dict(rep))
-        )
+    for rep, doc in zip(reports, docs):
+        (cells_dir / f"t{rep.t}_m{rep.m}.json").write_text(render_json(doc))
     (out_dir / "summary.csv").write_text(reports_csv(reports))
     aggregate = {
         "schema": 1,
         "t_max": args.t_max,
         "seed": vopts.solver.seed,
-        "cells": [report_dict(r) for r in reports],
+        "cells": docs,
     }
     (out_dir / "sweep.json").write_text(render_json(aggregate))
 

@@ -25,9 +25,14 @@ information only through its other supports.
 
 The face solve is batched: graphs that share r and n, whatever their edge
 counts (a block of a window's cells), stack their edges one graph after
-another, (graph, face) pairs that share the face and the edges inside it
-share one weight row, each ascent or Newton step is one numpy call over all
-rows, and one stationarity report gives every result of the block.  A block
+another (enumerated graphs from one unpacking of their stacked picks),
+(graph, face) pairs that share the face and the edges inside it share one
+weight row, each ascent or Newton step is one numpy call over all rows, and
+one stationarity report gives every result of the block.  Each row's value
+is summed once, over the edges inside its face, and is its pairs' value on
+their graphs, since the row is zero off the face; only a graph with more
+than one pair within ``TIE_TOL`` of its best reads its pairs' first-order
+conditions on all its edges, to break the tie.  A block
 takes one face solve: its graphs' route faces, plus the cross-checked graphs
 listed a second time with their supports.  No row's arithmetic depends on
 the rows beside it, so :func:`lagrangians` on a block gives exactly what
@@ -40,11 +45,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cache, reduce
 from itertools import chain, combinations, islice
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
-from laglab.hypergraph import RGraph, difference_link, is_left_compressed
+from laglab.hypergraph import RGraph, _colex_initial, difference_link, is_left_compressed
 
 DEFAULT_SEED = 0xF2F2
 
@@ -127,17 +133,34 @@ class _GraphData:
             raise ValueError("stacked graphs must share r and n")
         self.graphs = graphs
         self.r, self.n = g.r, g.n
-        self.m = np.fromiter((h.m for h in graphs), np.intp, len(graphs))
+        if all(h._picks is not None for h in graphs):
+            # enumerated 3-graphs: the set bits of the stacked rank bitsets,
+            # row by row, are the graphs' edges in colex order
+            picks = np.frombuffer(b"".join(h._picks for h in graphs), np.uint8)
+            bits = np.unpackbits(picks.reshape(len(graphs), -1), axis=1,
+                                 count=comb(g.n, 3), bitorder="little")
+            self.graph, rank = np.nonzero(bits)
+            self.m = np.bincount(self.graph, minlength=len(graphs))
+            self.vert = _rank_triples(g.n)[:, rank]
+        else:
+            self.m = np.fromiter((h.m for h in graphs), np.intp, len(graphs))
+            edges = np.fromiter(chain.from_iterable(chain.from_iterable(
+                h.sorted_edges() for h in graphs)), np.intp, self.m.sum() * g.r)
+            self.vert = edges.reshape(-1, g.r).T.copy() - 1
+            self.graph = np.repeat(np.arange(len(graphs)), self.m)
         self.start = np.concatenate([[0], np.cumsum(self.m)])
-        edges = np.fromiter(chain.from_iterable(chain.from_iterable(
-            h.sorted_edges() for h in graphs)), np.intp, self.start[-1] * g.r)
-        self.vert = edges.reshape(-1, g.r).T.copy() - 1
-        self.graph = np.repeat(np.arange(len(graphs)), self.m)
         self.active = np.zeros((len(graphs), g.n), bool)
         self.active[self.graph, self.vert] = True
 
     def rows(self, owner=(0,), support: np.ndarray | None = None) -> _Rows:
         return _Rows(self, np.asarray(owner, dtype=np.intp), support)
+
+
+@cache
+def _rank_triples(n: int) -> np.ndarray:
+    """The triples on [n] as 0-based vertex columns (3, C(n, 3)), column k
+    the triple of colex rank k."""
+    return (np.array(_colex_initial(3, comb(n, 3)), dtype=np.intp).T - 1).copy()
 
 
 @cache
@@ -437,6 +460,14 @@ def _candidate_supports(x: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(sorted(v + 1 for v in base[k:])) for k in range(min(3, len(base)))]
 
 
+@cache
+def _prefix_faces(r: int, top: int) -> list[tuple[int, ...]]:
+    """The prefix faces [r], ..., [top] as 1-based vertex tuples: one list,
+    read but never changed, for every graph whose largest covered prefix is
+    [top]."""
+    return [tuple(range(1, j + 1)) for j in range(r, top + 1)]
+
+
 def _multistart(data: _GraphData, k: int, opts: SolverOptions) -> tuple[list, float, np.ndarray]:
     """The multistart route's ascent for graph k of ``data``: the uniform
     point of its active vertices and ``opts.starts`` Dirichlet random points
@@ -518,7 +549,7 @@ def lagrangians(graphs: list[RGraph],
     covers = (v[-1] == v[-2] + 1) & (v[:-2] == np.arange(data.r - 2)[:, None]).all(axis=0)
     top = np.maximum.reduceat(np.where(covers, v[-1] + 1, data.r), data.start[:-1])
     ends = {k: _multistart(data, k, opts) for k in np.flatnonzero(~prefix).tolist()}
-    faces = [ends[k][0] if k in ends else [tuple(range(1, j + 1)) for j in range(data.r, t + 1)]
+    faces = [ends[k][0] if k in ends else _prefix_faces(data.r, t)
              for k, t in enumerate(top.tolist())]
     checked = np.flatnonzero(data.active.sum(1) <= CROSS_CHECK_MAX_ACTIVE)
     checks = [_enumerable_supports(data.graphs[k]) for k in checked]
@@ -619,6 +650,53 @@ def _best_on_faces(data: _GraphData, faces: list[list[tuple[int, ...]]],
     faces spanned by ``faces[k]`` (tuples of 1-based vertices); None when no
     face yields one.
 
+    :func:`_solve_faces` solves each distinct row once.  A row is zero off
+    its face, so each other edge of a pair's graph adds +0.0 to its sum: the
+    row's value is the pair's value on its graph, bit for bit.  The highest
+    value wins; among values within ``TIE_TOL`` of it, a point that meets
+    the first-order conditions within ``kkt_tol`` comes first, then the
+    smaller support, then the lexicographically first support (a prefix,
+    when one ties), then the lexicographically largest weighting.  The pairs
+    are compared in order, each against the best so far, so a graph with
+    only one pair within ``TIE_TOL`` of its maximum ends on that pair, which
+    is taken at once; only a graph with more than one reads its pairs'
+    first-order conditions on all its edges and runs the comparison.
+    """
+    owner, which, xs, solved, row_value = _solve_faces(data, faces)
+    best: list[list | None] = [None] * len(faces)  # [value, fails, x, tie key once compared]
+    done = np.flatnonzero(solved[which])  # the solved pairs, graph by graph
+    val = row_value[which[done]]
+    heads = np.flatnonzero(np.diff(owner[done], prepend=-1))  # each graph's first pair
+    count = np.diff(heads, append=done.size)
+    top = np.repeat(np.maximum.reduceat(val, heads), count)
+    # the pairs that value alone does not set below the maximum's pair: it
+    # would not displace them, or they would not leave it alone
+    near = (val + TIE_TOL >= top) | (val >= top - TIE_TOL)
+    tied = np.repeat(np.add.reduceat(near, heads, dtype=np.intp) > 1, count)
+    for i in done[near & ~tied].tolist():
+        best[owner[i]] = [row_value[which[i]].item(), None, xs[which[i]], None]
+    done = done[tied]
+    for lo in range(0, done.size, CHUNK_ROWS):
+        part = done[lo:lo + CHUNK_ROWS]
+        block, at = data.rows(owner[part]), xs[which[part]]
+        vals = block.eval(at)
+        fails = _stationarity(data.r, block.grad(at), at, vals).fails(kkt_tol)
+        for k, val, fail, x in zip(owner[part].tolist(), vals.tolist(), fails.tolist(), at):
+            b = best[k]
+            if b is None or val > b[0] + TIE_TOL:
+                best[k] = [val, fail, x, None]
+            elif val >= b[0] - TIE_TOL:
+                b[3] = b[3] or _tie_key(b[1], b[2])
+                if (key := _tie_key(fail, x)) < b[3]:
+                    best[k] = [val, fail, x, key]
+    return [None if b is None else (b[0], b[2]) for b in best]
+
+
+def _solve_faces(data: _GraphData, faces: list[list[tuple[int, ...]]]) -> tuple[np.ndarray, ...]:
+    """The face solve of :func:`_best_on_faces`: per (graph, face) pair its
+    graph ``owner`` and row ``which``; per row its point ``xs`` and, where
+    ``solved``, its ``vals``, summed over the edges inside its face.
+
     Each face gets a monotone multiplicative ascent from its uniform point,
     then a Newton solve of its equal-link system; plain Newton from the
     uniform point can land on a saddle, ascent cannot go below its start.
@@ -638,15 +716,10 @@ def _best_on_faces(data: _GraphData, faces: list[list[tuple[int, ...]]],
     A row's solve reads only the edges inside its face, so (graph, face)
     pairs that share the face and the graph's edges up to the face's largest
     vertex (for a prefix face, exactly the edges inside it) share one row,
-    solved once; ``CHUNK_ROWS`` such rows go through together.  Each graph
-    then judges the shared point on all its edges: the highest value wins;
-    among values within ``TIE_TOL`` of it, a point that meets the
-    first-order conditions within ``kkt_tol`` comes first, then the smaller
-    support, then the lexicographically first support (a prefix, when one
-    ties), then the lexicographically largest weighting.
+    solved once; ``CHUNK_ROWS`` such rows go through together.
     """
-    g, n = len(faces), data.n
-    owner = np.repeat(np.arange(g), [len(f) for f in faces])
+    n = data.n
+    owner = np.repeat(np.arange(len(faces)), [len(f) for f in faces])
     ids: dict[tuple[int, ...], int] = {}  # each distinct face, its mask and top vertex
     face = np.fromiter((ids.setdefault(f, len(ids)) for fs in faces for f in fs),
                        np.intp, owner.size)
@@ -667,31 +740,16 @@ def _best_on_faces(data: _GraphData, faces: list[list[tuple[int, ...]]],
     which = np.fromiter((keys.setdefault((f, blob[lo:hi]), len(keys)) for f, lo, hi in zip(
         face.tolist(), los.tolist(), his.tolist())), np.intp, owner.size)
     first = np.unique(which, return_index=True)[1]  # each row's first pair
-    xs, solved = np.zeros((first.size, n)), np.zeros(first.size, bool)
+    xs, solved, vals = np.zeros((first.size, n)), np.zeros(first.size, bool), np.zeros(first.size)
     for lo in range(0, first.size, CHUNK_ROWS):
         part = first[lo:lo + CHUNK_ROWS]
         mask = masks[face[part]]
         ascended = _replicator_rows(data, owner[part], mask / mask.sum(axis=1, keepdims=True),
                                     FACE_ASCENT_STOP, FACE_ASCENT_ITERS)
-        xs[lo:lo + part.size], solved[lo:lo + part.size] = _newton_rows(
-            data, owner[part], ascended, mask)
-
-    best: list[list | None] = [None] * g  # [value, fails, x, tie key once compared]
-    done = np.flatnonzero(solved[which])
-    for lo in range(0, done.size, CHUNK_ROWS):
-        part = done[lo:lo + CHUNK_ROWS]
-        block, at = data.rows(owner[part]), xs[which[part]]
-        vals = block.eval(at)
-        fails = _stationarity(data.r, block.grad(at), at, vals).fails(kkt_tol)
-        for k, val, fail, x in zip(owner[part].tolist(), vals.tolist(), fails.tolist(), at):
-            b = best[k]
-            if b is None or val > b[0] + TIE_TOL:
-                best[k] = [val, fail, x, None]
-            elif val >= b[0] - TIE_TOL:
-                b[3] = b[3] or _tie_key(b[1], b[2])
-                if (key := _tie_key(fail, x)) < b[3]:
-                    best[k] = [val, fail, x, key]
-    return [None if b is None else (b[0], b[2]) for b in best]
+        x, ok = _newton_rows(data, owner[part], ascended, mask)
+        xs[lo:lo + part.size], solved[lo:lo + part.size] = x, ok
+        vals[lo:lo + part.size][ok] = data.rows(owner[part[ok]], mask[ok]).eval(x[ok])
+    return owner, which, xs, solved, vals
 
 
 def _tie_key(fails: bool, x: np.ndarray) -> tuple:

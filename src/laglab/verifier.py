@@ -278,7 +278,8 @@ class _Cell:
                 f"C({t},3)={comb(t, 3)} for t={t}"
             )
         self.t, self.m = t, m
-        self.colex_edges = build_colex_graph(3, m).sorted_edges()
+        # the enumeration's picks of the colex graph: ranks 0 .. m-1
+        self.colex_picks = (2**m - 1).to_bytes((comb(t, 3) + 7) // 8, "little")
         self.colex, self.max_value, self.witnesses = None, -float("inf"), []
         self.count = self.uncertified = 0
 
@@ -287,7 +288,7 @@ class _Cell:
         self.count += len(solved)
         self.uncertified += sum(not res.certified for _g, res in solved)
         self.colex = self.colex or next(
-            (res for g, res in solved if g.sorted_edges() == self.colex_edges), None)
+            (res for g, res in solved if g._picks == self.colex_picks), None)
         self.max_value = max(self.max_value, max(res.value for _g, res in solved))
         # a graph within WITNESS_TIE of the final maximum is within it of
         # every running maximum, so dropping the others loses no witness

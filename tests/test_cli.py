@@ -238,6 +238,39 @@ class TestSweep:
         assert (a_dir / "sweep.json").read_bytes() == (b_dir / "sweep.json").read_bytes()
         assert (a_dir / "summary.csv").read_bytes() == (b_dir / "summary.csv").read_bytes()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_1(self, capsys, tmp_path, workers):
+        out_dir = tmp_path / "s"
+        code, out, err = run(capsys, "sweep", "--t-max", "4", "--workers", workers,
+                             "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert f"--workers: must be >= 1, got {workers}" in err
+        assert not out_dir.exists()
+
+    def test_one_report_dict_per_cell(self, capsys, tmp_path, monkeypatch):
+        # each cell's document feeds both its cell file and sweep.json
+        calls, report_dict = [], cli.report_dict
+        monkeypatch.setattr(cli, "report_dict", lambda rep: calls.append(rep) or report_dict(rep))
+        out_dir = tmp_path / "s"
+        code, _, _ = run(capsys, "sweep", "--t-max", "5", "--workers", "1", "--out", str(out_dir))
+        assert code == 0
+        assert len(calls) == len(list((out_dir / "cells").glob("*.json"))) == 11
+        cells = json.loads((out_dir / "sweep.json").read_text())["cells"]
+        for doc in cells:
+            path = out_dir / "cells" / f"t{doc['t']}_m{doc['m']}.json"
+            assert path.read_text() == render_json(doc)
+
+    def test_t7_json_bytes(self, capsys, tmp_path, monkeypatch):
+        # recorded while every (graph, face) pair was still judged on all
+        # of its graph's edges; pins the bits that the cell digest's 1e-12
+        # tolerance lets through
+        monkeypatch.delenv("LAGLAB_SEED", raising=False)
+        code, out, _ = run(capsys, "sweep", "--t-max", "7", "--workers", "1",
+                           "--out", str(tmp_path / "s"), "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "cb883c95db9983bb98d5709c46a1c252f7edb53dfd6399e3b91215debb509e3c")
+
 
 class TestCheck:
     def test_cell_5_7(self, capsys):
