@@ -32,7 +32,6 @@ from laglab.verifier import (
     check_support_bound,
     check_t,
     check_theorem_inequality,
-    check_vertex_bound,
     sweep,
     verify_cell,
 )
@@ -62,16 +61,19 @@ def _int_at_least(low: int):
     return integer
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
-                   help="global seed (default: LAGLAB_SEED env or 0xF2F2)")
+def _seed(text: str) -> int:
+    return int(text, 0)
+
+
+def _add_kkt_tol(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kkt-tol", type=float, default=SolverOptions.kkt_tol,
                    help="certification residual threshold (default %(default)s)")
 
 
-def _solver_options(args, starts: int = SolverOptions.starts) -> SolverOptions:
-    seed = args.seed if args.seed is not None else _default_seed()
-    return SolverOptions(starts=starts, kkt_tol=args.kkt_tol, seed=seed)
+def _verifier_options(args) -> VerifierOptions:
+    """The options of sweep, check and verify-config: every graph they solve
+    is left-compressed, so no seed or random start acts on their results."""
+    return VerifierOptions(solver=SolverOptions(kkt_tol=args.kkt_tol))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,7 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="edge-list file path or builtin spec string")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", type=Path, default=None, help="write output here")
-    _add_solver_flags(p)
+    p.add_argument("--seed", type=_seed, default=None,
+                   help="seed of the random starts (default: LAGLAB_SEED env or 0xF2F2)")
+    _add_kkt_tol(p)
     p.add_argument("--starts", type=_int_at_least(0), default=SolverOptions.starts,
                    help="random starts for a graph that is not left-compressed "
                         "(default %(default)s)")
@@ -105,7 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output directory (default laglab-sweep)")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text",
                    help="stdout summary format")
-    _add_solver_flags(p)
+    p.add_argument("--seed", type=_seed, default=None,
+                   help="accepted and ignored: no sweep result depends on a seed")
+    _add_kkt_tol(p)
 
     p = sub.add_parser("verify-config", help="check one configuration family instance")
     p.add_argument("--family", required=True, choices=FAMILIES)
@@ -113,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--i", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    _add_solver_flags(p)
+    _add_kkt_tol(p)
 
     p = sub.add_parser("enumerate", help="left-compressed 3-graphs on [t] with m edges")
     p.add_argument("--t", type=int, required=True)
@@ -126,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    _add_solver_flags(p)
+    _add_kkt_tol(p)
 
     return parser
 
@@ -196,7 +202,8 @@ def _emit(text: str, out: Path | None) -> None:
 
 def cmd_compute(args) -> int:
     g = _load_graph(args.source)
-    res = lagrangian(g, _solver_options(args, args.starts))
+    seed = args.seed if args.seed is not None else _default_seed()
+    res = lagrangian(g, SolverOptions(starts=args.starts, kkt_tol=args.kkt_tol, seed=seed))
     doc = asdict(res)
     if args.format == "json":
         _emit(render_json(doc), args.out)
@@ -214,7 +221,7 @@ def cmd_compute(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
-    vopts = VerifierOptions(solver=_solver_options(args))
+    vopts = _verifier_options(args)
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     # the output directory is made before the solve, so a bad --out fails at
     # once, and after sweep's own range check, so a bad --t-max makes none
@@ -231,7 +238,6 @@ def cmd_sweep(args) -> int:
     aggregate = {
         "schema": 1,
         "t_max": args.t_max,
-        "seed": vopts.solver.seed,
         "cells": docs,
     }
     (out_dir / "sweep.json").write_text(render_json(aggregate))
@@ -262,7 +268,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify_config(args) -> int:
     spec = ConfigurationSpec(family=args.family, t=args.t, a=args.a, i=args.i)
-    chk = check_theorem_inequality(spec, VerifierOptions(solver=_solver_options(args)))
+    chk = check_theorem_inequality(spec, _verifier_options(args))
     if args.format == "json":
         sys.stdout.write(render_json(report_dict(chk)))
     else:
@@ -305,12 +311,10 @@ def cmd_enumerate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    vopts = VerifierOptions(solver=_solver_options(args))
     check_t(args.t, 4, "--t")
-    rep = verify_cell(args.t, args.m, vopts)
+    rep = verify_cell(args.t, args.m, _verifier_options(args))
     checks = [
         check_support_bound(rep),
-        check_vertex_bound(rep),
         check_delta_bound(rep),
     ]
     if args.format == "json":

@@ -595,7 +595,7 @@ def _results(data: _GraphData, owner, xs: np.ndarray, methods: list[str], kkt_to
 # ---------------------------------------------------------------------------
 
 def support_enumeration(g: RGraph, opts: SolverOptions | None = None) -> LagrangianResult:
-    """Best stationary point over all enumerable supports.
+    """Best stationary point found over all enumerable supports.
 
     Every candidate support of :func:`_enumerable_supports` (all pairs
     covered by an edge, every vertex in an edge inside the support, size at

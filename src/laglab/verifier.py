@@ -59,7 +59,6 @@ class VerificationReport:
     witness_supports: tuple[int, ...] = ()
     witness_values: tuple[float, ...] = ()
     uncertified: int = 0
-    seed: int = 0
     scope: str = (
         "enumeration restricted to left-compressed 3-graphs; "
         "the restriction preserves the maximum Lagrangian over all graphs "
@@ -295,7 +294,7 @@ class _Cell:
         self.witnesses = [(g, res) for g, res in self.witnesses + solved
                           if res.value >= self.max_value - WITNESS_TIE]
 
-    def report(self, seed: int) -> VerificationReport:
+    def report(self) -> VerificationReport:
         t, m, colex, witnesses = self.t, self.m, self.colex, self.witnesses
         if colex is None:
             raise RuntimeError(
@@ -321,7 +320,6 @@ class _Cell:
             witness_supports=tuple(res.support for _g, res in witnesses),
             witness_values=tuple(res.value for _g, res in witnesses),
             uncertified=self.uncertified,
-            seed=seed,
         )
 
 
@@ -346,7 +344,7 @@ def verify_cells(t: int, ms: Iterable[int],
         results = lagrangians([g for _cell, g in block], opts.solver)
         for cell, run in groupby(zip(block, results), key=lambda item: item[0][0]):
             cell.add([(g, res) for (_cell, g), res in run])
-    return [cell.report(opts.solver.seed) for cell in cells]
+    return [cell.report() for cell in cells]
 
 
 def verify_cell(t: int, m: int, opts: VerifierOptions | None = None) -> VerificationReport:
@@ -413,20 +411,6 @@ def check_support_bound(report: VerificationReport) -> CheckResult:
             f"{'ok' if passed else 'VIOLATED'}"
         )
     return CheckResult("support_bound", True, ok, tuple(details))
-
-
-def check_vertex_bound(report: VerificationReport) -> CheckResult:
-    """Witness supports never exceed t on a window cell."""
-    ok = all(sup <= report.t for sup in report.witness_supports)
-    return CheckResult(
-        "vertex_bound",
-        True,
-        ok,
-        tuple(
-            f"t={report.t} m={report.m}: support {sup} <= t"
-            for sup in report.witness_supports
-        ),
-    )
 
 
 def delta_bound_params(t: int, m: int) -> int | None:

@@ -39,7 +39,6 @@ ROOT = HERE.parent
 DIGEST_PATH = HERE / "cell_digest.json"
 sys.path.insert(0, str(ROOT / "src"))
 
-import laglab.solver as solver  # noqa: E402
 import laglab.verifier as verifier  # noqa: E402
 
 T_MAX = 11
@@ -124,7 +123,7 @@ def main(argv=None) -> int:
 
     doc = {
         "recorded_at": {"git_describe": git_describe(), "src_sha256": src_digest(ROOT / "src"),
-                        "seed": solver.DEFAULT_SEED, "t_max": T_MAX},
+                        "t_max": T_MAX},
         "cells": {f"{rep.t},{rep.m}": cell_entry(rep) for rep in reports},
     }
     DIGEST_PATH.write_text(json.dumps(doc, indent=1) + "\n")

@@ -13,9 +13,11 @@ from laglab.hypergraph import (
     build_colex_graph,
     complement,
     count_left_compressed,
+    enumerate_left_compressed,
     is_left_compressed,
     parse_edge_list,
 )
+from laglab.solver import LagrangianResult
 from laglab.verifier import (
     ConfigurationError,
     ConfigurationSpec,
@@ -25,7 +27,6 @@ from laglab.verifier import (
     check_delta_bound,
     check_support_bound,
     check_theorem_inequality,
-    check_vertex_bound,
     configuration_complement,
     delta_bound_params,
     in_range_instances,
@@ -234,6 +235,39 @@ class TestCells:
             verify_cell(3, 1)
 
 
+class TestVerdictTolerances:
+    """``INEQ_TOL`` and ``WITNESS_TIE`` on cell (6, 10)'s six enumerated
+    graphs, with results made up so that the gaps fall between the
+    constants' neighbouring decades."""
+
+    @staticmethod
+    def _report(colex_value, others):
+        """The cell's report with its colex graph at ``colex_value`` and the
+        other graphs, in enumeration order, at ``others`` and then at 0."""
+        cell, rest = verifier._Cell(6, 10), iter(others)
+        cell.add([
+            (g, LagrangianResult(colex_value if g._picks == cell.colex_picks else next(rest, 0.0),
+                                 (), 6, 0.0, "made-up", True))
+            for g in enumerate_left_compressed(6, 10)
+        ])
+        return cell.report()
+
+    @pytest.mark.parametrize("gap, passes", [(-1e-8, True), (-1e-6, False)])
+    def test_ineq_tol(self, gap, passes):
+        # a bound of 1e-12 fails the first gap, one of 1e-4 passes the second
+        rep = self._report(0.1, [0.1 - gap])
+        assert rep.gap == pytest.approx(gap, rel=1e-6)
+        assert rep.all_pass is passes
+
+    def test_witness_tie(self):
+        # 1e-10 below the maximum is a tie and 1e-8 below is not: a tie of
+        # 1e-12 drops the first, one of 1e-6 keeps the second
+        rep = self._report(0.1, [0.1 - 1e-10, 0.1 - 1e-8])
+        assert rep.graph_count == 6
+        assert sorted(rep.witness_values) == [0.1 - 1e-10, 0.1]
+        assert rep.all_pass
+
+
 @pytest.fixture(scope="module")
 def one_block_reports():
     """Reports of the t = 7 cells and of (8, 35), each solved as one block at
@@ -373,7 +407,6 @@ class TestBoundChecks:
     def test_support_bound_cell_4_4(self):
         rep = verify_cell(4, 4)
         assert check_support_bound(rep).passed
-        assert check_vertex_bound(rep).passed
 
     def test_delta_bound_params(self):
         assert delta_bound_params(6, 16) == 0
