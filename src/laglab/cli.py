@@ -65,8 +65,14 @@ def _seed(text: str) -> int:
     return int(text, 0)
 
 
+def tolerance(text: str) -> float:  # NaN refused: no residual exceeds it, so all certify
+    if (value := float(text)) != value:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}")
+    return value
+
+
 def _add_kkt_tol(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kkt-tol", type=float, default=SolverOptions.kkt_tol,
+    p.add_argument("--kkt-tol", type=tolerance, default=SolverOptions.kkt_tol,
                    help="certification residual threshold (default %(default)s)")
 
 
@@ -257,9 +263,7 @@ def cmd_sweep(args) -> int:
         n_pass = sum(r.all_pass for r in reports)
         print(f"sweep t_max={args.t_max}: {len(reports)} cells, {n_pass} passed")
 
-    if not all(r.all_pass for r in reports):
-        return EXIT_UNCERTIFIED
-    return EXIT_OK
+    return EXIT_OK if all(r.all_pass for r in reports) else EXIT_UNCERTIFIED
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +280,7 @@ def cmd_verify_config(args) -> int:
         for key in ("m", "config_value", "colex_value", "margin", "certified"):
             print(f"{key}: {fmt_value(getattr(chk, key))}")
         print(f"result: {'pass' if chk.passed else 'FAIL'}")
-    if chk.passed:
-        return EXIT_OK
-    return EXIT_UNCERTIFIED
+    return EXIT_OK if chk.passed else EXIT_UNCERTIFIED
 
 
 # ---------------------------------------------------------------------------

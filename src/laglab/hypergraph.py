@@ -86,7 +86,8 @@ def colex_unrank(r: int, rank: int) -> Edge:
 # such edges on [n] forming a left-compressed graph, in colex order or as
 # picks: bit k & 7 of byte k >> 3 of ceil(C(n,3)/8) bytes set iff the triple
 # of rank k is an edge, read a byte at a time through _pick_table; the graph
-# keeps its order or picks and builds the rest only when asked.
+# keeps its order or picks and builds the rest only when asked.  Only
+# _ordered sets _m, so is_left_compressed trusts every graph whose _m is set.
 _EDGE_TEXT: dict[Edge, str] = {}
 _EDGE_RANK: dict[int, dict[Edge, int]] = {}
 
@@ -101,9 +102,8 @@ class RGraph:
 
     # not fields, so equality, hash, repr, asdict and pickling ignore them: the
     # edges in colex order once known, the packed rank bitset that chose them,
-    # the edge count of a trusted graph, and True when the graph is known to be
-    # left-compressed
-    _order = _picks = _m = _compressed = None
+    # and the edge count of a trusted (so left-compressed) graph
+    _order = _picks = _m = None
 
     def __post_init__(self):
         if self.r < 2:
@@ -139,7 +139,7 @@ class RGraph:
         """Trusted: a left-compressed graph on [n] of m registered edges, given
         in colex order or as the packed bitset of their colex ranks."""
         g = object.__new__(cls)
-        g.__dict__.update(r=r, n=n, _m=m, _order=order, _picks=picks, _compressed=True)
+        g.__dict__.update(r=r, n=n, _m=m, _order=order, _picks=picks)
         return g
 
     def _colex(self) -> tuple[Edge, ...]:
@@ -265,7 +265,7 @@ def is_left_compressed(g: RGraph) -> bool:
     those replacements step by step, so only those steps (the
     :func:`direct_descendants`) are checked.  A graph from the enumeration
     or :func:`build_colex_graph` is known to be left-compressed."""
-    if g._compressed:
+    if g._m is not None:
         return True
     for e in g.edges:
         if e not in _DIRECT_DOWN:

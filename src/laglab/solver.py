@@ -32,12 +32,12 @@ one stationarity report gives every result of the block.  Each row's value
 is summed once, over the edges inside its face, and is its pairs' value on
 their graphs, since the row is zero off the face; only a graph with more
 than one pair within ``TIE_TOL`` of its best reads its pairs' first-order
-conditions on all its edges, to break the tie.  A block
-takes one face solve: its graphs' route faces, plus the cross-checked graphs
-listed a second time with their supports.  No row's arithmetic depends on
-the rows beside it, so :func:`lagrangians` on a block gives exactly what
-:func:`lagrangian` gives on each graph alone, and each cross-check exactly
-what :func:`support_enumeration` gives.
+conditions on all its edges, to break the tie.  A block's edges are
+stacked once and take one face solve: one search per graph on its route's
+faces, plus a second search per cross-checked graph on its supports.  No
+row's arithmetic depends on the rows beside it, so :func:`lagrangians` on a
+block gives exactly what :func:`lagrangian` gives on each graph alone, and
+each cross-check search the value that :func:`support_enumeration` gives.
 """
 
 from __future__ import annotations
@@ -523,13 +523,13 @@ def lagrangians(graphs: list[RGraph],
     with at most ``CROSS_CHECK_MAX_ACTIVE`` active vertices) agreement with
     :func:`support_enumeration` within 1e-8.
 
-    One :func:`_best_on_faces` call solves the whole block: it lists the
-    cross-checked graphs a second time, with their enumerable supports as
-    faces, so each of them gets its route's search and the cross-check's
-    search, and each cross-check result equals :func:`support_enumeration`
-    of its graph exactly.  On the prefix faces it shares, the cross-check
-    reads the very rows the prefix route solved; it adds information only
-    through its other supports.
+    One :class:`_GraphData` holds the block and one :func:`_best_on_faces`
+    call solves it: a search per graph on its route's faces, then a second
+    search per cross-checked graph on its enumerable supports, whose value
+    is exactly that of :func:`support_enumeration` of the graph.  On the
+    prefix faces it shares, the cross-check reads the very rows the prefix
+    route solved; it adds information only through its other supports.  One
+    :func:`_results` pass turns the block's points into its results.
     """
     opts = opts or SolverOptions()
     if not graphs:
@@ -551,38 +551,36 @@ def lagrangians(graphs: list[RGraph],
     ends = {k: _multistart(data, k, opts) for k in np.flatnonzero(~prefix).tolist()}
     faces = [ends[k][0] if k in ends else _prefix_faces(data.r, t)
              for k, t in enumerate(top.tolist())]
-    checked = np.flatnonzero(data.active.sum(1) <= CROSS_CHECK_MAX_ACTIVE)
-    checks = [_enumerable_supports(data.graphs[k]) for k in checked]
-    data = _GraphData(data.graphs + [data.graphs[k] for k in checked]) if checked.size else data
-    found = _best_on_faces(data, faces + [s for s, _ in checks], opts.kkt_tol)
+    # a checked graph's second search takes all its enumerable supports, as
+    # 2 ** CROSS_CHECK_MAX_ACTIVE subsets lie within SUPPORT_BUDGET
+    checked = np.flatnonzero(data.active.sum(1) <= CROSS_CHECK_MAX_ACTIVE).tolist()
+    found = _best_on_faces(data, [*range(size), *checked], faces + [
+        _enumerable_supports(data.graphs[k])[0] for k in checked], opts.kkt_tol)
     for k, (_, value, x) in ends.items():
         if found[k] is None or value > found[k][0] + TIE_TOL:
             found[k] = (value, x)
     results = _results(data, range(size), np.array([x for _, x in found[:size]]),
                        np.where(prefix, METHOD_SYMMETRY, METHOD_MULTISTART).tolist(), opts.kkt_tol)
-    for i, (k, (_, budget_hit)) in enumerate(zip(checked.tolist(), checks)):
-        res = results[k]
-        if res.certified:
-            se = _support_result(data, size + i, found[size + i], budget_hit, opts.kkt_tol)
-            if abs(se.value - res.value) > 1e-8:
-                results[k] = replace(res, certified=False, notes=(
-                    f"support enumeration disagrees: {se.value!r} vs {res.value!r}",))
+    for k, check in zip(checked, found[size:]):
+        res, value = results[k], 0.0 if check is None else check[0]
+        if res.certified and abs(value - res.value) > 1e-8:
+            results[k] = replace(res, certified=False, notes=(
+                f"support enumeration disagrees: {value!r} vs {res.value!r}",))
     return results
 
 
-def _results(data: _GraphData, owner, xs: np.ndarray, methods: list[str], kkt_tol: float,
-             notes: tuple[str, ...] = ()) -> list[LagrangianResult]:
+def _results(data: _GraphData, owner, xs: np.ndarray, methods: list[str],
+             kkt_tol: float) -> list[LagrangianResult]:
     """The result of graph ``owner[i]`` at ``xs[i]``, with method
     ``methods[i]``, for each row, from one batched stationarity report per
     ``CHUNK_ROWS`` rows: certified when the row meets the first-order
-    conditions within ``kkt_tol`` and the route adds no ``notes`` of its
-    own."""
+    conditions within ``kkt_tol``."""
     out = []
     for lo in range(0, len(xs), CHUNK_ROWS):
         block, at = data.rows(owner[lo:lo + CHUNK_ROWS]), xs[lo:lo + CHUNK_ROWS]
         values = block.eval(at)
         st = _stationarity(data.r, block.grad(at), at, values)
-        why = [st.failure(i, kkt_tol) + notes for i in range(len(at))]
+        why = [st.failure(i, kkt_tol) for i in range(len(at))]
         out += [LagrangianResult(value, tuple(x), support, residual, method, not w, w)
                 for value, x, support, residual, method, w in zip(
                     values.tolist(), at.tolist(), st.support.sum(axis=1).tolist(),
@@ -604,16 +602,23 @@ def support_enumeration(g: RGraph, opts: SolverOptions | None = None) -> Lagrang
     faces it tries.  Certified by the first-order conditions of
     :meth:`_Stationarity.failure`, and only when no more than
     ``SUPPORT_BUDGET`` vertex subsets had to be inspected.  This is the
-    one-graph case of the cross-check that :func:`lagrangians` solves inside
-    its block's face solve, and gives the same result.
+    one-graph case of the cross-check search that :func:`lagrangians` runs
+    inside its block's face solve, and has the same value.
     """
     opts = opts or SolverOptions()
     if not g.m:
         return _empty_result(g, METHOD_SUPPORT_ENUM)
     data = _GraphData([g])
     supports, budget_hit = _enumerable_supports(g)
-    found, = _best_on_faces(data, [supports], opts.kkt_tol)
-    return _support_result(data, 0, found, budget_hit, opts.kkt_tol)
+    found, = _best_on_faces(data, [0], [supports], opts.kkt_tol)
+    if found is None:
+        return replace(_empty_result(g, METHOD_SUPPORT_ENUM), certified=False,
+                       notes=("no feasible stationary support found",))
+    res, = _results(data, [0], found[1][None], [METHOD_SUPPORT_ENUM], opts.kkt_tol)
+    if budget_hit:
+        res = replace(res, certified=False,
+                      notes=res.notes + ("support budget exceeded; partial result",))
+    return res
 
 
 def _enumerable_supports(g: RGraph) -> tuple[list[tuple[int, ...]], bool]:
@@ -633,22 +638,11 @@ def _enumerable_supports(g: RGraph) -> tuple[list[tuple[int, ...]], bool]:
             next(subsets, None) is not None)
 
 
-def _support_result(data: _GraphData, k: int, found: tuple[float, np.ndarray] | None,
-                    budget_hit: bool, kkt_tol: float) -> LagrangianResult:
-    """The support-enumeration result of graph k of ``data`` from the best
-    point that :func:`_best_on_faces` found on its enumerable supports."""
-    if found is None:
-        return replace(_empty_result(data.graphs[k], METHOD_SUPPORT_ENUM), certified=False,
-                       notes=("no feasible stationary support found",))
-    return _results(data, [k], found[1][None], [METHOD_SUPPORT_ENUM], kkt_tol,
-                    ("support budget exceeded; partial result",) if budget_hit else ())[0]
-
-
-def _best_on_faces(data: _GraphData, faces: list[list[tuple[int, ...]]],
+def _best_on_faces(data: _GraphData, graph, faces: list[list[tuple[int, ...]]],
                    kkt_tol: float) -> list[tuple[float, np.ndarray] | None]:
-    """Per graph k of ``data``, the best stationary point (value, x) over the
-    faces spanned by ``faces[k]`` (tuples of 1-based vertices); None when no
-    face yields one.
+    """Per search i, the best stationary point (value, x) of graph
+    ``graph[i]`` of ``data`` over the faces spanned by ``faces[i]`` (tuples
+    of 1-based vertices); None when no face yields one.
 
     :func:`_solve_faces` solves each distinct row once.  A row is zero off
     its face, so each other edge of a pair's graph adds +0.0 to its sum: the
@@ -657,16 +651,17 @@ def _best_on_faces(data: _GraphData, faces: list[list[tuple[int, ...]]],
     the first-order conditions within ``kkt_tol`` comes first, then the
     smaller support, then the lexicographically first support (a prefix,
     when one ties), then the lexicographically largest weighting.  The pairs
-    are compared in order, each against the best so far, so a graph with
+    are compared in order, each against the best so far, so a search with
     only one pair within ``TIE_TOL`` of its maximum ends on that pair, which
-    is taken at once; only a graph with more than one reads its pairs'
-    first-order conditions on all its edges and runs the comparison.
+    is taken at once; only a search with more than one reads its pairs'
+    first-order conditions on all its graph's edges and runs the comparison.
     """
-    owner, which, xs, solved, row_value = _solve_faces(data, faces)
+    graph = np.asarray(graph, np.intp)
+    search, which, xs, solved, row_value = _solve_faces(data, graph, faces)
     best: list[list | None] = [None] * len(faces)  # [value, fails, x, tie key once compared]
-    done = np.flatnonzero(solved[which])  # the solved pairs, graph by graph
+    done = np.flatnonzero(solved[which])  # the solved pairs, search by search
     val = row_value[which[done]]
-    heads = np.flatnonzero(np.diff(owner[done], prepend=-1))  # each graph's first pair
+    heads = np.flatnonzero(np.diff(search[done], prepend=-1))  # each search's first pair
     count = np.diff(heads, append=done.size)
     top = np.repeat(np.maximum.reduceat(val, heads), count)
     # the pairs that value alone does not set below the maximum's pair: it
@@ -674,14 +669,14 @@ def _best_on_faces(data: _GraphData, faces: list[list[tuple[int, ...]]],
     near = (val + TIE_TOL >= top) | (val >= top - TIE_TOL)
     tied = np.repeat(np.add.reduceat(near, heads, dtype=np.intp) > 1, count)
     for i in done[near & ~tied].tolist():
-        best[owner[i]] = [row_value[which[i]].item(), None, xs[which[i]], None]
+        best[search[i]] = [row_value[which[i]].item(), None, xs[which[i]], None]
     done = done[tied]
     for lo in range(0, done.size, CHUNK_ROWS):
         part = done[lo:lo + CHUNK_ROWS]
-        block, at = data.rows(owner[part]), xs[which[part]]
+        block, at = data.rows(graph[search[part]]), xs[which[part]]
         vals = block.eval(at)
         fails = _stationarity(data.r, block.grad(at), at, vals).fails(kkt_tol)
-        for k, val, fail, x in zip(owner[part].tolist(), vals.tolist(), fails.tolist(), at):
+        for k, val, fail, x in zip(search[part].tolist(), vals.tolist(), fails.tolist(), at):
             b = best[k]
             if b is None or val > b[0] + TIE_TOL:
                 best[k] = [val, fail, x, None]
@@ -692,9 +687,10 @@ def _best_on_faces(data: _GraphData, faces: list[list[tuple[int, ...]]],
     return [None if b is None else (b[0], b[2]) for b in best]
 
 
-def _solve_faces(data: _GraphData, faces: list[list[tuple[int, ...]]]) -> tuple[np.ndarray, ...]:
-    """The face solve of :func:`_best_on_faces`: per (graph, face) pair its
-    graph ``owner`` and row ``which``; per row its point ``xs`` and, where
+def _solve_faces(data: _GraphData, graph: np.ndarray,
+                 faces: list[list[tuple[int, ...]]]) -> tuple[np.ndarray, ...]:
+    """The face solve of :func:`_best_on_faces`: per (search, face) pair its
+    ``search`` and row ``which``; per row its point ``xs`` and, where
     ``solved``, its ``vals``, summed over the edges inside its face.
 
     Each face gets a monotone multiplicative ascent from its uniform point,
@@ -713,13 +709,14 @@ def _solve_faces(data: _GraphData, faces: list[list[tuple[int, ...]]]) -> tuple[
     smaller enumerable support, and the multistart route's candidate faces
     come with the same faces peeled of their smallest weights and with the
     best end point as a fallback.
-    A row's solve reads only the edges inside its face, so (graph, face)
-    pairs that share the face and the graph's edges up to the face's largest
+    A row's solve reads only the edges inside its face, so (search, face)
+    pairs that share the face and their graphs' edges up to the face's largest
     vertex (for a prefix face, exactly the edges inside it) share one row,
     solved once; ``CHUNK_ROWS`` such rows go through together.
     """
     n = data.n
-    owner = np.repeat(np.arange(len(faces)), [len(f) for f in faces])
+    search = np.repeat(np.arange(len(faces)), [len(f) for f in faces])
+    owner = graph[search]  # each pair's graph
     ids: dict[tuple[int, ...], int] = {}  # each distinct face, its mask and top vertex
     face = np.fromiter((ids.setdefault(f, len(ids)) for fs in faces for f in fs),
                        np.intp, owner.size)
@@ -749,7 +746,7 @@ def _solve_faces(data: _GraphData, faces: list[list[tuple[int, ...]]]) -> tuple[
         x, ok = _newton_rows(data, owner[part], ascended, mask)
         xs[lo:lo + part.size], solved[lo:lo + part.size] = x, ok
         vals[lo:lo + part.size][ok] = data.rows(owner[part[ok]], mask[ok]).eval(x[ok])
-    return owner, which, xs, solved, vals
+    return search, which, xs, solved, vals
 
 
 def _tie_key(fails: bool, x: np.ndarray) -> tuple:

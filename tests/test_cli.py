@@ -348,6 +348,21 @@ class TestUsageErrors:
         assert out == ""
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("compute", "colex:r=3,m=17"),
+        ("sweep", "--t-max", "4"),
+        ("check", "--t", "6", "--m", "15"),
+        ("verify-config", "--family", "lemma3.5", "--t", "6"),
+    ])
+    def test_nan_kkt_tol_exits_1(self, capsys, tmp_path, monkeypatch, argv):
+        # no residual compares above NaN, so it would certify every result;
+        # a negative tolerance stays accepted and certifies none
+        monkeypatch.chdir(tmp_path)  # where sweep would write laglab-sweep
+        code, out, err = run(capsys, *argv, "--kkt-tol", "nan")
+        assert code == 1 and out == ""
+        assert "--kkt-tol: must be a number, got 'nan'" in err
+        assert not any(tmp_path.iterdir())
+
     def test_help_exits_0(self, capsys):
         code, out, _ = run(capsys, "compute", "--help")
         assert code == 0

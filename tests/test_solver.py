@@ -2,7 +2,7 @@
 
 import sys
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from itertools import combinations
 from math import comb
 
@@ -27,7 +27,13 @@ from laglab.solver import (
     support_enumeration,
     symmetry_classes,
 )
-from laglab.verifier import ConfigurationSpec, build_configuration, cell_window, verify_cell
+from laglab.verifier import (
+    ConfigurationSpec,
+    build_configuration,
+    cell_window,
+    sweep,
+    verify_cell,
+)
 from oracles import (
     clique_number,
     clique_number_bruteforce,
@@ -232,16 +238,19 @@ class TestSupportEnumeration:
 class TestCrossCheck:
     @staticmethod
     def shift_support_enumeration(monkeypatch, shift) -> list:
-        # the seam: the cross-check's result, built from the point the
-        # block's face solve found on the graph's enumerable supports
-        calls, support_result = [], solver._support_result
+        # the seam: the cross-check's searches, the ones that follow a
+        # search per graph in the block's face solve, on the graphs'
+        # enumerable supports
+        calls, best_on_faces = [], solver._best_on_faces
 
-        def shifted(data, k, *rest):
-            calls.append(data.graphs[k])
-            se = support_result(data, k, *rest)
-            return replace(se, value=se.value + shift)
+        def shifted(data, graph, faces, kkt_tol):
+            found = best_on_faces(data, graph, faces, kkt_tol)
+            for i in range(len(data.graphs), len(found)):
+                calls.append(data.graphs[graph[i]])
+                found[i] = (found[i][0] + shift, found[i][1])
+            return found
 
-        monkeypatch.setattr(solver, "_support_result", shifted)
+        monkeypatch.setattr(solver, "_best_on_faces", shifted)
         return calls
 
     # one graph per route, both with at most CROSS_CHECK_MAX_ACTIVE vertices
@@ -279,32 +288,58 @@ class TestCrossCheck:
         graphs, seen = list(enumerate_left_compressed(6, 15)), []
         best_on_faces = solver._best_on_faces
 
-        def spy(data, faces, kkt_tol):
-            seen.append(len(faces))
-            return best_on_faces(data, faces, kkt_tol)
+        def spy(data, graph, faces, kkt_tol):
+            seen.append((len(data.graphs), list(graph)))
+            return best_on_faces(data, graph, faces, kkt_tol)
 
         monkeypatch.setattr(solver, "_best_on_faces", spy)
         lagrangians(graphs)
-        assert seen == [2 * len(graphs)]
+        assert seen == [(len(graphs), 2 * list(range(len(graphs))))]
 
     @pytest.mark.parametrize("t", [5, 6])
     def test_equals_support_enumeration(self, monkeypatch, t):
-        # the in-block cross-check result of each graph is the public
-        # support_enumeration of that graph alone, field for field
-        seen, support_result = [], solver._support_result
+        # the value of each graph's in-block cross-check search is the value
+        # of the public support_enumeration of that graph alone, exactly
+        seen, best_on_faces = [], solver._best_on_faces
 
-        def spy(data, k, *rest):
-            se = support_result(data, k, *rest)
-            seen.append((data.graphs[k], se))
-            return se
+        def spy(data, graph, faces, kkt_tol):
+            found = best_on_faces(data, graph, faces, kkt_tol)
+            seen.extend((data.graphs[graph[i]], found[i][0])
+                        for i in range(len(data.graphs), len(found)))
+            return found
 
-        monkeypatch.setattr(solver, "_support_result", spy)
+        monkeypatch.setattr(solver, "_best_on_faces", spy)
         cells = [list(enumerate_left_compressed(t, m)) for m in cell_window(t)]
         for cell in cells:
             lagrangians(cell)
         monkeypatch.undo()
         assert [g for g, _ in seen] == [g for cell in cells for g in cell]
-        assert all(se == support_enumeration(g) for g, se in seen)
+        assert all(value == support_enumeration(g).value for g, value in seen)
+
+    def test_one_graph_data_and_one_result_pass_per_block(self, monkeypatch):
+        # the cross-check searches the block's own stacked edges again and
+        # reads its values where the search leaves them: a serial sweep of
+        # the t = 4 ... 7 windows, every graph of t <= 6 cross-checked,
+        # stacks each window once and turns its points into results once
+        builds, passes = [], []
+        init, results = solver._GraphData.__init__, solver._results
+
+        def init_spy(data, graphs):
+            builds.append(len(graphs))
+            init(data, graphs)
+
+        def results_spy(data, owner, *rest):
+            passes.append(len(owner))
+            return results(data, owner, *rest)
+
+        monkeypatch.setattr(solver._GraphData, "__init__", init_spy)
+        monkeypatch.setattr(solver, "_results", results_spy)
+        sweep(7)
+        windows = [len(window_graphs(t)) for t in (7, 6, 5, 4)]
+        assert builds == passes == windows
+        builds.clear()
+        assert lagrangian(RGraph.complete(3, 5)).certified
+        assert builds == [1]
 
 
 class TestEnumerableSupports:
@@ -321,6 +356,14 @@ class TestEnumerableSupports:
                 if all(any({i, j} <= set(e) for e in g.edges) for i, j in combinations(sup, 2))
                 and {v for e in g.edges if set(e) <= set(sup) for v in e} == set(sup)]
             assert solver._enumerable_supports(g) == (expected, False)
+
+    def test_cross_checked_supports_are_never_cut_short(self):
+        # a cross-checked graph has at most CROSS_CHECK_MAX_ACTIVE active
+        # vertices, so at most 2 ** CROSS_CHECK_MAX_ACTIVE subsets to inspect:
+        # lagrangians can ignore the budget flag of its supports
+        assert 2 ** solver.CROSS_CHECK_MAX_ACTIVE <= solver.SUPPORT_BUDGET
+        g = RGraph.complete(3, solver.CROSS_CHECK_MAX_ACTIVE)
+        assert solver._enumerable_supports(g)[1] is False
 
     def test_budget_cuts_the_list_short(self, monkeypatch):
         # K_5^(3) has 16 vertex subsets of size 3 up, every one a support
@@ -361,8 +404,8 @@ class TestPrefixRoute:
         best_on_faces = solver._best_on_faces
         monkeypatch.setattr(
             solver, "_best_on_faces",
-            lambda data, faces, kkt_tol: best_on_faces(
-                data, [f[:1] for f in faces], kkt_tol))
+            lambda data, graph, faces, kkt_tol: best_on_faces(
+                data, graph, [f[:1] for f in faces], kkt_tol))
         res = lagrangian(RGraph.complete(3, 4))
         assert res.value == pytest.approx(1 / 27, abs=1e-15)
         assert res.kkt_residual <= 1e-14
@@ -479,7 +522,8 @@ class TestMultistartRoute:
         best_on_faces = solver._best_on_faces
         monkeypatch.setattr(
             solver, "_best_on_faces",
-            lambda data, faces, *rest: best_on_faces(data, [[(2, 6)] for _ in faces], *rest))
+            lambda data, graph, faces, *rest: best_on_faces(
+                data, graph, [[(2, 6)] for _ in faces], *rest))
         g = graph_from_words(2, 7, "12 13 15 24 26 27 34 36 37 46 67")
         res = lagrangian(g)
         assert res.certified
@@ -503,8 +547,9 @@ class TestMultistartRoute:
         # the face [8] alone yields no point: its row fails at the step that
         # would leave the simplex; the optimum is the row of the face [7]
         data, se = solver._GraphData([BLOCKED_ON_8]), support_enumeration(BLOCKED_ON_8)
-        assert solver._best_on_faces(data, [[tuple(range(1, 9))]], 1e-8) == [None]
-        found, = solver._best_on_faces(data, [[tuple(range(1, 8)), tuple(range(1, 9))]], 1e-8)
+        assert solver._best_on_faces(data, [0], [[tuple(range(1, 9))]], 1e-8) == [None]
+        found, = solver._best_on_faces(data, [0], [[tuple(range(1, 8)), tuple(range(1, 9))]],
+                                       1e-8)
         assert abs(found[0] - se.value) <= 1e-12
         assert found[1][7] == 0.0
         res = lagrangian(BLOCKED_ON_8)
@@ -784,12 +829,12 @@ class TestJudgeByRow:
     def spy_solves(monkeypatch) -> list:
         seen, solve, best_on_faces = [], solver._solve_faces, solver._best_on_faces
 
-        def solve_spy(data, faces):
-            seen.append([data, solve(data, faces)])
-            return seen[-1][1]
+        def solve_spy(data, graph, faces):
+            seen.append([data, graph, solve(data, graph, faces)])
+            return seen[-1][2]
 
-        def best_spy(data, faces, kkt_tol):
-            found = best_on_faces(data, faces, kkt_tol)
+        def best_spy(data, graph, faces, kkt_tol):
+            found = best_on_faces(data, graph, faces, kkt_tol)
             seen[-1].append(list(found))  # lagrangians puts end points into its list
             return found
 
@@ -798,14 +843,14 @@ class TestJudgeByRow:
         return seen
 
     @staticmethod
-    def every_pair_on_its_graph(data, owner, which, xs, solved, kkt_tol):
+    def every_pair_on_its_graph(data, graph, search, which, xs, solved, kkt_tol):
         """The judge that evaluates every solved pair on its whole graph and
-        compares the pairs in order."""
+        compares the pairs of each search in order."""
         best = {}
-        for k, row in zip(owner.tolist(), which.tolist()):
+        for k, row in zip(search.tolist(), which.tolist()):
             if not solved[row]:
                 continue
-            x, one = xs[row], solver._GraphData([data.graphs[k]]).rows()
+            x, one = xs[row], solver._GraphData([data.graphs[graph[k]]]).rows()
             val = float(one.eval(x[None])[0])
             fail = bool(solver._stationarity(data.r, one.grad(x[None]), x[None],
                                              np.array([val])).fails(kkt_tol)[0])
@@ -815,7 +860,7 @@ class TestJudgeByRow:
             elif (val >= b[0] - solver.TIE_TOL
                   and solver._tie_key(fail, x) < solver._tie_key(b[1], b[2])):
                 best[k] = (val, fail, x)
-        return [best.get(k) for k in range(len(data.graphs))]
+        return [best.get(k) for k in range(len(graph))]
 
     def test_row_value_is_the_graph_value(self, monkeypatch):
         seen = self.spy_solves(monkeypatch)
@@ -824,10 +869,10 @@ class TestJudgeByRow:
         for g in general_corpus(25, 60):
             lagrangian(g)
         pairs = 0
-        for data, (owner, which, xs, solved, vals), _found in seen:
-            for k, row in zip(owner.tolist(), which.tolist()):
+        for data, graph, (search, which, xs, solved, vals), _found in seen:
+            for k, row in zip(search.tolist(), which.tolist()):
                 if solved[row]:
-                    assert vals[row] == evaluate(data.graphs[k], xs[row])
+                    assert vals[row] == evaluate(data.graphs[graph[k]], xs[row])
                     pairs += 1
         assert pairs > 2000
 
@@ -839,8 +884,9 @@ class TestJudgeByRow:
             lagrangians(window_graphs(t))
         for g in general_corpus(26, 60):
             lagrangian(g)
-        for data, solved, found in seen:
-            want = self.every_pair_on_its_graph(data, *solved[:4], SolverOptions().kkt_tol)
+        for data, graph, solved, found in seen:
+            want = self.every_pair_on_its_graph(data, graph, *solved[:4],
+                                                SolverOptions().kkt_tol)
             for got, ref in zip(found, want):
                 assert (got is None) == (ref is None)
                 if got is not None:
@@ -875,9 +921,9 @@ class TestCoveredPrefixes:
     def spy_faces(monkeypatch) -> list:
         seen, best_on_faces = [], solver._best_on_faces
 
-        def spy(data, faces, kkt_tol):
+        def spy(data, graph, faces, kkt_tol):
             seen.append(faces)
-            return best_on_faces(data, faces, kkt_tol)
+            return best_on_faces(data, graph, faces, kkt_tol)
 
         monkeypatch.setattr(solver, "_best_on_faces", spy)
         return seen
@@ -885,8 +931,8 @@ class TestCoveredPrefixes:
     def top_face(self, seen, g) -> int:
         seen.clear()
         lagrangian(g)
-        # the graph's own faces come first; a cross-checked copy's supports
-        # follow them
+        # the graph's own search comes first; a cross-check search on its
+        # supports follows it
         faces = seen[0][0]
         k = len(faces[-1])
         assert faces == [tuple(range(1, j + 1)) for j in range(g.r, k + 1)]
@@ -936,7 +982,8 @@ class TestCoveredPrefixes:
             data = solver._GraphData(graphs)
             every = [[tuple(range(1, k + 1)) for k in range(data.r, int(act) + 1)]
                      for act in data.active.sum(axis=1)]
-            found = solver._best_on_faces(data, every, SolverOptions().kkt_tol)
+            found = solver._best_on_faces(data, range(len(graphs)), every,
+                                          SolverOptions().kkt_tol)
             results = lagrangians(graphs)
             for g, res, (value, x) in zip(graphs, results, found):
                 assert value <= res.value + 1e-15, sorted(g.edges)
