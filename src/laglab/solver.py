@@ -30,9 +30,9 @@ another (enumerated graphs from one unpacking of their stacked picks),
 weight row, each ascent or Newton step is one numpy call over all rows, and
 one stationarity report gives every result of the block.  Each row's value
 is summed once, over the edges inside its face, and is its pairs' value on
-their graphs, since the row is zero off the face; only a graph with more
-than one pair within ``TIE_TOL`` of its best reads its pairs' first-order
-conditions on all its edges, to break the tie.  A block's edges are
+their graphs, since the row is zero off the face; only a search with more
+than one pair within ``TIE_TOL`` of its best reads those pairs' first-order
+conditions on all its graph's edges, to break the tie.  A block's edges are
 stacked once and take one face solve: one search per graph on its route's
 faces, plus a second search per cross-checked graph on its supports.  No
 row's arithmetic depends on the rows beside it, so :func:`lagrangians` on a
@@ -129,8 +129,6 @@ class _GraphData:
 
     def __init__(self, graphs: list[RGraph]):
         g = graphs[0]
-        if any((h.r, h.n) != (g.r, g.n) for h in graphs):
-            raise ValueError("stacked graphs must share r and n")
         self.graphs = graphs
         self.r, self.n = g.r, g.n
         if all(h._picks is not None for h in graphs):
@@ -532,12 +530,14 @@ def lagrangians(graphs: list[RGraph],
     :func:`_results` pass turns the block's points into its results.
     """
     opts = opts or SolverOptions()
+    if len({(g.r, g.n) for g in graphs}) > 1:
+        raise ValueError("stacked graphs must share r and n")
+    if not all(g.m for g in graphs):  # an empty graph is left-compressed
+        rest = iter(lagrangians([g for g in graphs if g.m], opts))
+        return [next(rest) if g.m else _empty_result(g, METHOD_SYMMETRY) for g in graphs]
     if not graphs:
         return []
     data = _GraphData(list(graphs))
-    if not data.m.all():  # an empty graph is left-compressed
-        rest = iter(lagrangians([g for g in data.graphs if g.m], opts))
-        return [next(rest) if g.m else _empty_result(g, METHOD_SYMMETRY) for g in data.graphs]
 
     size = len(data.graphs)
     prefix = np.array([is_left_compressed(g) for g in data.graphs])
@@ -646,45 +646,35 @@ def _best_on_faces(data: _GraphData, graph, faces: list[list[tuple[int, ...]]],
 
     :func:`_solve_faces` solves each distinct row once.  A row is zero off
     its face, so each other edge of a pair's graph adds +0.0 to its sum: the
-    row's value is the pair's value on its graph, bit for bit.  The highest
-    value wins; among values within ``TIE_TOL`` of it, a point that meets
-    the first-order conditions within ``kkt_tol`` comes first, then the
-    smaller support, then the lexicographically first support (a prefix,
-    when one ties), then the lexicographically largest weighting.  The pairs
-    are compared in order, each against the best so far, so a search with
-    only one pair within ``TIE_TOL`` of its maximum ends on that pair, which
-    is taken at once; only a search with more than one reads its pairs'
-    first-order conditions on all its graph's edges and runs the comparison.
+    row's value is the pair's value on its graph, bit for bit.  A search's
+    band is its solved pairs whose values lie within ``TIE_TOL`` of its
+    highest.  A band of one pair gives that pair; a larger band gives its
+    pair of least :func:`_tie_key`, and only its pairs read their
+    first-order conditions, on all their graph's edges.  So the point
+    depends only on the set of the search's solved pairs, not on their
+    order, and its value lies within ``TIE_TOL`` of the best one.
     """
     graph = np.asarray(graph, np.intp)
     search, which, xs, solved, row_value = _solve_faces(data, graph, faces)
-    best: list[list | None] = [None] * len(faces)  # [value, fails, x, tie key once compared]
     done = np.flatnonzero(solved[which])  # the solved pairs, search by search
     val = row_value[which[done]]
     heads = np.flatnonzero(np.diff(search[done], prepend=-1))  # each search's first pair
-    count = np.diff(heads, append=done.size)
-    top = np.repeat(np.maximum.reduceat(val, heads), count)
-    # the pairs that value alone does not set below the maximum's pair: it
-    # would not displace them, or they would not leave it alone
-    near = (val + TIE_TOL >= top) | (val >= top - TIE_TOL)
-    tied = np.repeat(np.add.reduceat(near, heads, dtype=np.intp) > 1, count)
-    for i in done[near & ~tied].tolist():
-        best[search[i]] = [row_value[which[i]].item(), None, xs[which[i]], None]
-    done = done[tied]
-    for lo in range(0, done.size, CHUNK_ROWS):
-        part = done[lo:lo + CHUNK_ROWS]
-        block, at = data.rows(graph[search[part]]), xs[which[part]]
-        vals = block.eval(at)
-        fails = _stationarity(data.r, block.grad(at), at, vals).fails(kkt_tol)
-        for k, val, fail, x in zip(search[part].tolist(), vals.tolist(), fails.tolist(), at):
-            b = best[k]
-            if b is None or val > b[0] + TIE_TOL:
-                best[k] = [val, fail, x, None]
-            elif val >= b[0] - TIE_TOL:
-                b[3] = b[3] or _tie_key(b[1], b[2])
-                if (key := _tie_key(fail, x)) < b[3]:
-                    best[k] = [val, fail, x, key]
-    return [None if b is None else (b[0], b[2]) for b in best]
+    top = np.repeat(np.maximum.reduceat(val, heads), np.diff(heads, append=done.size))
+    band = done[val >= top - TIE_TOL]  # holds each search's maximum
+    alone = np.bincount(search[band], minlength=len(faces))[search[band]] == 1
+    pick = dict(zip(search[band[alone]].tolist(), which[band[alone]].tolist()))
+    tied, ranked = band[~alone], {}
+    for lo in range(0, tied.size, CHUNK_ROWS):
+        part = tied[lo:lo + CHUNK_ROWS]
+        rows, at = which[part], xs[which[part]]
+        fails = _stationarity(data.r, data.rows(graph[search[part]]).grad(at), at,
+                              row_value[rows]).fails(kkt_tol)
+        for k, fail, row in zip(search[part].tolist(), fails.tolist(), rows.tolist()):
+            key = (_tie_key(fail, xs[row]), row)
+            ranked[k] = min(ranked.get(k, key), key)
+    pick.update((k, row) for k, (_, row) in ranked.items())
+    return [(row_value[pick[k]].item(), xs[pick[k]]) if k in pick else None
+            for k in range(len(faces))]
 
 
 def _solve_faces(data: _GraphData, graph: np.ndarray,
@@ -750,8 +740,10 @@ def _solve_faces(data: _GraphData, graph: np.ndarray,
 
 
 def _tie_key(fails: bool, x: np.ndarray) -> tuple:
-    """Order of tied points in :func:`_best_on_faces`: first-order conditions
-    met, then support size, then support vertices, then weights falling."""
+    """Order of the points in a search's band in :func:`_best_on_faces`,
+    least first: the first-order conditions met within ``kkt_tol``, then the
+    smaller support, then the lexicographically first support (a prefix,
+    when one ties), then the lexicographically largest weighting."""
     sup = np.flatnonzero(x > POSITIVE_EPS)
     return fails, sup.size, sup.tolist(), (-x).tolist()
 

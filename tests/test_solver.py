@@ -714,10 +714,24 @@ class TestBatchedSolve:
         window = [g for cell in cells for g in cell]
         assert lagrangians(window) == [res for cell in cells for res in lagrangians(cell)]
 
+    def test_empty_graphs_leave_the_stack_once(self, monkeypatch):
+        # the empty graphs are split off before the block is stacked
+        builds, init = [], solver._GraphData.__init__
+
+        def init_spy(data, graphs):
+            builds.append(len(graphs))
+            init(data, graphs)
+
+        monkeypatch.setattr(solver._GraphData, "__init__", init_spy)
+        graphs = [RGraph(3, 6, frozenset()), *enumerate_left_compressed(6, 15)]
+        lagrangians(graphs)
+        assert builds == [len(graphs) - 1] == [3]
+
     @pytest.mark.parametrize("graphs", [
         [build_colex_graph(3, 7), build_colex_graph(3, 7).with_n(6)],  # n differs
         [RGraph.complete(2, 5), RGraph.complete(3, 5)],  # r differs
         [RGraph(3, 5, frozenset()), RGraph(3, 6, frozenset())],  # empty, n differs
+        [RGraph(3, 5, frozenset()), *enumerate_left_compressed(6, 15)],  # one empty differs
     ])
     def test_stack_rejects_mixed_r_or_n(self, graphs):
         with pytest.raises(ValueError, match="share r and n"):
@@ -844,9 +858,10 @@ class TestJudgeByRow:
 
     @staticmethod
     def every_pair_on_its_graph(data, graph, search, which, xs, solved, kkt_tol):
-        """The judge that evaluates every solved pair on its whole graph and
-        compares the pairs of each search in order."""
-        best = {}
+        """The tie band judged with every solved pair evaluated on its whole
+        graph: of each search's pairs within TIE_TOL of its highest value,
+        the one of least tie key."""
+        pairs: dict[int, list] = {}
         for k, row in zip(search.tolist(), which.tolist()):
             if not solved[row]:
                 continue
@@ -854,13 +869,13 @@ class TestJudgeByRow:
             val = float(one.eval(x[None])[0])
             fail = bool(solver._stationarity(data.r, one.grad(x[None]), x[None],
                                              np.array([val])).fails(kkt_tol)[0])
-            b = best.get(k)
-            if b is None or val > b[0] + solver.TIE_TOL:
-                best[k] = (val, fail, x)
-            elif (val >= b[0] - solver.TIE_TOL
-                  and solver._tie_key(fail, x) < solver._tie_key(b[1], b[2])):
-                best[k] = (val, fail, x)
-        return [best.get(k) for k in range(len(graph))]
+            pairs.setdefault(k, []).append((val, fail, x))
+        best = [None] * len(graph)
+        for k, found in pairs.items():
+            top = max(val for val, _, _ in found)
+            best[k] = min((p for p in found if p[0] >= top - solver.TIE_TOL),
+                          key=lambda p: solver._tie_key(p[1], p[2]))
+        return best
 
     def test_row_value_is_the_graph_value(self, monkeypatch):
         seen = self.spy_solves(monkeypatch)
@@ -877,8 +892,8 @@ class TestJudgeByRow:
         assert pairs > 2000
 
     def test_judge_equals_every_pair_on_its_graph(self, monkeypatch):
-        # the t = 5 and t = 6 windows hold graphs with near-ties, which
-        # take the comparison
+        # the t = 5 and t = 6 windows hold graphs with near-ties, whose
+        # bands hold more than one pair
         seen = self.spy_solves(monkeypatch)
         for t in (4, 5, 6, 7, 8):
             lagrangians(window_graphs(t))
@@ -895,7 +910,7 @@ class TestJudgeByRow:
     def test_no_near_tie_builds_no_graph_rows(self, monkeypatch):
         # (8, 35) and the t = 7 window have no graph with two pairs within
         # TIE_TOL of its maximum, so no pair is judged on its whole graph;
-        # (8, 42) has one such graph
+        # (8, 42) has one such graph, whose band holds two pairs
         judged, stationarity = [], solver._stationarity
 
         def spy(r, grad, x, value):
@@ -908,7 +923,61 @@ class TestJudgeByRow:
         lagrangians(window_graphs(7))
         assert judged == []
         lagrangians(list(enumerate_left_compressed(8, 42)))
-        assert sum(judged) == 5
+        assert sum(judged) == 2
+
+
+class TestTieBand:
+    """A search returns, of its solved pairs within TIE_TOL of its highest
+    value, the one of least tie key: the set of its pairs decides, not
+    their order."""
+
+    def test_band_is_measured_from_the_best(self, monkeypatch):
+        # three points of {1,2,3} on [4], each 0.9 TIE_TOL below the one
+        # before, tie keys falling: the band holds the first two; comparing
+        # each point with the best so far would drift to the third, and a
+        # TIE_TOL of 1e-12 or 1e-6 would give the first or the third (the
+        # points are built from the value 1e-9, so they pin it)
+        g = RGraph.from_edges(3, [(1, 2, 3)], n=4)
+        tau, xs = 1e-9, np.zeros((3, 4))
+        for i, drop in enumerate([0.0, 0.9, 1.8]):
+            a = np.sqrt(3 * drop * tau)  # (1/3 + a)(1/3 - a)/3 = 1/27 - a^2/3
+            xs[i, :3] = [1 / 3 + a, 1 / 3 - a, 1 / 3]
+        vals = np.array([evaluate(g, x) for x in xs])
+        assert 0.85 * tau < vals[0] - vals[1] < 0.95 * tau < 1.75 * tau < vals[0] - vals[2]
+        keys = [solver._tie_key(False, x) for x in xs]
+        assert keys[0] > keys[1] > keys[2]
+        three = np.zeros(3, np.intp), np.arange(3), xs, np.ones(3, bool), vals
+        monkeypatch.setattr(solver, "_solve_faces", lambda data, graph, faces: three)
+        faces = [(1, 2, 3), (1, 2, 4), (1, 3, 4)]
+        (value, x), = solver._best_on_faces(solver._GraphData([g]), [0], [faces], 1.0)
+        assert value == vals[1] and np.array_equal(x, xs[1])
+
+    def test_face_order_does_not_matter(self, monkeypatch):
+        # no row's bits depend on its neighbours, so reversing each search's
+        # faces changes no row, and the band picks the same point
+        seen, best_on_faces = [], solver._best_on_faces
+
+        def spy(data, graph, faces, kkt_tol):
+            found = best_on_faces(data, graph, faces, kkt_tol)
+            seen.append((data, graph, faces, kkt_tol, list(found)))
+            return found
+
+        monkeypatch.setattr(solver, "_best_on_faces", spy)
+        lagrangians(window_graphs(5))
+        lagrangians(window_graphs(6))
+        lagrangians(list(enumerate_left_compressed(8, 42)))
+        for g in general_corpus(27, 40):
+            lagrangian(g)
+        monkeypatch.undo()
+        searches = 0
+        for data, graph, faces, kkt_tol, found in seen:
+            flipped = solver._best_on_faces(data, graph, [f[::-1] for f in faces], kkt_tol)
+            for got, ref in zip(flipped, found):
+                assert (got is None) == (ref is None)
+                if got is not None:
+                    assert got[0] == ref[0] and np.array_equal(got[1], ref[1])
+                    searches += 1
+        assert searches > 150
 
 
 class TestCoveredPrefixes:
