@@ -77,18 +77,16 @@ def colex_unrank(r: int, rank: int) -> Edge:
 # RGraph
 # ---------------------------------------------------------------------------
 
-# Each edge known valid, with its edge-list line and, per uniformity, its
-# colex rank: serializing looks lines up, sorting compares ranks, and RGraph
-# checks only unknown edges.  Edges get in by passing RGraph's checks or from
-# the tables that list them (triple poset, colex-initial r-sets).  Trust
-# invariant: only table-built, registered edges may skip validation, so only
-# enumerate_left_compressed and build_colex_graph call RGraph._ordered, with
-# such edges on [n] forming a left-compressed graph, in colex order or as
-# picks: bit k & 7 of byte k >> 3 of ceil(C(n,3)/8) bytes set iff the triple
-# of rank k is an edge, read a byte at a time through _pick_table; the graph
-# keeps its order or picks and builds the rest only when asked.  Only
-# _ordered sets _m, so is_left_compressed trusts every graph whose _m is set.
-_EDGE_TEXT: dict[Edge, str] = {}
+# Each edge known valid, per uniformity, with its colex rank: sorting
+# compares ranks, and RGraph checks only unknown edges.  Edges get in by
+# passing RGraph's checks or from the tables that list them (triple poset,
+# colex-initial r-sets).  Trust invariant: only enumerate_left_compressed
+# calls RGraph._ordered, with the picks of a left-compressed 3-graph on [n]
+# from the triple poset: bit k & 7 of byte k >> 3 of ceil(C(n,3)/8) bytes
+# set iff the triple of rank k is an edge, read a byte at a time through
+# _pick_table; the graph keeps its picks and builds the rest only when
+# asked.  Only _ordered sets _m, so is_left_compressed trusts every graph
+# whose _m is set.
 _EDGE_RANK: dict[int, dict[Edge, int]] = {}
 
 
@@ -117,7 +115,7 @@ class RGraph:
             f = as_edge(e)
             if e != f:
                 raise ValueError(f"edge {e} is not strictly increasing")
-            _EDGE_TEXT[f], known[f] = " ".join(map(str, f)), colex_rank(f)
+            known[f] = colex_rank(f)
         top = max(self.edges, key=itemgetter(-1), default=None)
         if top is not None and top[-1] > self.n:
             raise ValueError(f"edge {top} exceeds vertex bound n={self.n}")
@@ -134,12 +132,11 @@ class RGraph:
         return type(self), (self.r, self.n, self.edges)
 
     @classmethod
-    def _ordered(cls, r: int, n: int, m: int, order: tuple[Edge, ...] | None = None,
-                 picks: bytes | None = None) -> "RGraph":
-        """Trusted: a left-compressed graph on [n] of m registered edges, given
-        in colex order or as the packed bitset of their colex ranks."""
+    def _ordered(cls, n: int, m: int, picks: bytes) -> "RGraph":
+        """Trusted: a left-compressed 3-graph on [n] of m registered edges,
+        given as the packed bitset of their colex ranks."""
         g = object.__new__(cls)
-        g.__dict__.update(r=r, n=n, _m=m, _order=order, _picks=picks)
+        g.__dict__.update(r=3, n=n, _m=m, _picks=picks)
         return g
 
     def _colex(self) -> tuple[Edge, ...]:
@@ -192,17 +189,14 @@ def _colex_initial(r: int, m: int) -> tuple[Edge, ...]:
     """The first m r-sets in colex order, listed without unranking: they lie
     in [n], n the least with C(n, r) >= m, and over the falling vertices of
     [n] :func:`combinations` lists the r-sets of [n] backwards in colex
-    order, each set falling.  Enters them into the edge tables, the k-th
+    order, each set falling.  Enters them into the rank table, the k-th
     with rank k."""
     n = r
     while comb(n, r) < m:
         n += 1
     falling = list(combinations(range(n, 0, -1), r))
     edges = tuple(e[::-1] for e in islice(reversed(falling), m))
-    known = _EDGE_RANK.setdefault(r, {})
-    for k, e in enumerate(edges):
-        if e not in known:
-            _EDGE_TEXT[e], known[e] = " ".join(map(str, e)), k
+    _EDGE_RANK.setdefault(r, {}).update(zip(edges, range(m)))
     return edges
 
 
@@ -213,7 +207,7 @@ def build_colex_graph(r: int, m: int) -> RGraph:
     if r < 2:
         raise ValueError(f"uniformity must be >= 2, got {r}")
     edges = _colex_initial(r, m)
-    return RGraph._ordered(r, edges[-1][-1] if edges else 0, m, edges)
+    return RGraph(r, edges[-1][-1] if edges else 0, frozenset(edges))
 
 
 def complement(g: RGraph) -> RGraph:
@@ -264,7 +258,7 @@ def is_left_compressed(g: RGraph) -> bool:
     Lowering one entry by one, where that label is unused, reaches all of
     those replacements step by step, so only those steps (the
     :func:`direct_descendants`) are checked.  A graph from the enumeration
-    or :func:`build_colex_graph` is known to be left-compressed."""
+    is known to be left-compressed."""
     if g._m is not None:
         return True
     for e in g.edges:
@@ -355,7 +349,7 @@ def _pick_table(t: int, text: bool) -> tuple[tuple, ...]:
     """Per byte j of packed picks on [t] and value b, the triples of ranks
     8j .. 8j + 7 whose bits are set in b, in rank order: their edge-list lines
     joined (text) or a tuple; b's lowest bit's item plus the entry of the rest."""
-    items = [_EDGE_TEXT[e] + "\n" if text else (e,) for e in _triple_poset(t)[0]]
+    items = [" ".join(map(str, e)) + "\n" if text else (e,) for e in _triple_poset(t)[0]]
     rows = []
     for group in (items[j:j + 8] for j in range(0, len(items), 8)):
         rows.append(row := [items[0][:0]])
@@ -429,7 +423,7 @@ def enumerate_left_compressed(t: int, m: int) -> Iterator[RGraph]:
     """All left-compressed 3-graphs on [t] with m edges, each exactly once."""
     masks, width = _downset_masks(t, m), (comb(t, 3) + 7) // 8
     for mask in masks:
-        yield RGraph._ordered(3, t, m, picks=mask.to_bytes(width, "little"))
+        yield RGraph._ordered(t, m, mask.to_bytes(width, "little"))
 
 
 def count_left_compressed(t: int, m: int) -> int:
@@ -456,7 +450,7 @@ def count_left_compressed(t: int, m: int) -> int:
 def serialize_edge_list(g: RGraph) -> str:
     """Canonical text form: header ``r n m`` then one edge per line, colex order."""
     if g._picks is None:
-        return "\n".join([f"{g.r} {g.n} {g.m}", *map(_EDGE_TEXT.__getitem__, g._colex()), ""])
+        return "\n".join([f"{g.r} {g.n} {g.m}", *(" ".join(map(str, e)) for e in g._colex()), ""])
     return f"{g.r} {g.n} {g.m}\n" + "".join(map(getitem, _pick_table(g.n, True), g._picks))
 
 

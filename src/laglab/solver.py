@@ -288,11 +288,12 @@ def _solve_rows(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return out, ok
 
 
-def _newton_rows(data: _GraphData, owner: np.ndarray, x0: np.ndarray,
+def _newton_rows(block: _Rows, x0: np.ndarray,
                  faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve equal link values on each row's face (a boolean mask) from x0,
-    whose rows lie on their faces and sum to 1; returns the points (zero
-    rows where unsolved) and the mask of rows solved.
+    whose rows lie on their faces and sum to 1, with the rows' kernels
+    ``block``; returns the points (zero rows where unsolved) and the mask of
+    rows solved.
 
     A row's system: link(i) = mu on its face, weights sum to 1, weights off
     it zero; all rows take one stacked Newton step at a time, with identity
@@ -303,10 +304,9 @@ def _newton_rows(data: _GraphData, owner: np.ndarray, x0: np.ndarray,
     A row whose optimum lies on the boundary of its face may fail: that
     optimum lies on a smaller face, which is another row's (a smaller
     prefix, or another enumerable support)."""
-    n = data.n
+    n = block.shape[1]
     out, solved = np.zeros_like(x0), np.zeros(len(x0), bool)
     row, sup, x = np.arange(len(x0)), faces, x0.copy()  # the rows still iterating
-    block = data.rows(owner, sup)
     grad, sf = block.grad(x), sup.astype(float)
     mu = (grad * sf).sum(axis=1) / sf.sum(axis=1)  # the mean link on the face
     for _ in range(NEWTON_ITERS):
@@ -482,9 +482,10 @@ def _multistart(data: _GraphData, k: int, opts: SolverOptions) -> tuple[list, fl
     starts = np.zeros((opts.starts + 1, data.n))
     starts[0, act] = 1.0 / act.size
     starts[1:, act] = rng.dirichlet(np.ones(act.size), size=opts.starts)
-    owner = np.full(len(starts), k, dtype=np.intp)
-    ends = _replicator_rows(data, owner, starts, START_ASCENT_STOP, ASCENT_ITERS)
-    end_vals = data.rows(owner).eval(ends)
+    # the starts are positive on every active vertex: every edge is inside
+    block = data.rows(np.full(len(starts), k, dtype=np.intp))
+    ends = _replicator_rows(block, starts, START_ASCENT_STOP, ASCENT_ITERS)
+    end_vals = block.eval(ends)
     order = np.argsort(-end_vals, kind="stable")
     faces = list(dict.fromkeys(
         face for idx in order[:2] for face in _candidate_supports(ends[idx])
@@ -693,16 +694,16 @@ def _solve_faces(data: _GraphData, graph: np.ndarray,
     lies on a smaller face, and Newton fails them from wherever the ascent
     left them (on the t = 8 window solved cell by cell, 244 of 565 rows
     fail and take 14,121 of the 18,381 uncapped ascent row-steps).  A row
-    may fail when its face's optimum lies on
-    the face's boundary, since that optimum is another row's: a prefix
-    face's lies on a smaller prefix face, an enumerable support's on a
-    smaller enumerable support, and the multistart route's candidate faces
-    come with the same faces peeled of their smallest weights and with the
-    best end point as a fallback.
+    may fail when its face's optimum lies on the face's boundary, since that
+    optimum is another row's: a prefix face's lies on a smaller prefix face,
+    an enumerable support's on a smaller enumerable support, and the
+    multistart route's candidate faces come with the same faces peeled of
+    their smallest weights and with the best end point as a fallback.
     A row's solve reads only the edges inside its face, so (search, face)
     pairs that share the face and their graphs' edges up to the face's largest
     vertex (for a prefix face, exactly the edges inside it) share one row,
-    solved once; ``CHUNK_ROWS`` such rows go through together.
+    solved once; ``CHUNK_ROWS`` such rows go through together, their ascent,
+    Newton and values on one :class:`_Rows` of the edges inside their faces.
     """
     n = data.n
     search = np.repeat(np.arange(len(faces)), [len(f) for f in faces])
@@ -713,15 +714,12 @@ def _solve_faces(data: _GraphData, graph: np.ndarray,
     masks, top = np.zeros((len(ids), n), bool), np.zeros(len(ids), np.intp)
     for f, i in ids.items():
         masks[i, [v - 1 for v in f]], top[i] = True, max(f) - 1
-    # colex order puts a graph's edges up to vertex j first: below[k, j] of
-    # them, which are one slice of the edges' bytes (edge by edge)
-    size = len(data.graphs)
-    below = np.bincount(data.graph * n + data.vert[-1],
-                        minlength=size * n).reshape(size, n).cumsum(axis=1)
+    # the graphs lie in turn, each in colex order, which sorts by top vertex,
+    # so a pair's edges are one slice of the edges' bytes (edge by edge)
     code = data.vert.T.astype(np.min_scalar_type(n))  # (E, r)
     width = data.r * code.itemsize
     los = data.start[owner] * width
-    his = los + below[owner, top[face]] * width
+    his = np.searchsorted(data.graph * n + data.vert[-1], owner * n + top[face], "right") * width
     blob = code.tobytes()
     keys: dict[tuple[int, bytes], int] = {}
     which = np.fromiter((keys.setdefault((f, blob[lo:hi]), len(keys)) for f, lo, hi in zip(
@@ -731,11 +729,12 @@ def _solve_faces(data: _GraphData, graph: np.ndarray,
     for lo in range(0, first.size, CHUNK_ROWS):
         part = first[lo:lo + CHUNK_ROWS]
         mask = masks[face[part]]
-        ascended = _replicator_rows(data, owner[part], mask / mask.sum(axis=1, keepdims=True),
+        block = data.rows(owner[part], mask)
+        ascended = _replicator_rows(block, mask / mask.sum(axis=1, keepdims=True),
                                     FACE_ASCENT_STOP, FACE_ASCENT_ITERS)
-        x, ok = _newton_rows(data, owner[part], ascended, mask)
+        x, ok = _newton_rows(block, ascended, mask)
         xs[lo:lo + part.size], solved[lo:lo + part.size] = x, ok
-        vals[lo:lo + part.size][ok] = data.rows(owner[part[ok]], mask[ok]).eval(x[ok])
+        vals[lo:lo + part.size][ok] = block.subset(ok).eval(x[ok])
     return search, which, xs, solved, vals
 
 
@@ -748,9 +747,9 @@ def _tie_key(fails: bool, x: np.ndarray) -> tuple:
     return fails, sup.size, sup.tolist(), (-x).tolist()
 
 
-def _replicator_rows(data: _GraphData, owner: np.ndarray, rows: np.ndarray,
-                     stop: float, iters: int) -> np.ndarray:
-    """Batched multiplicative-update ascent x <- x * grad / (r * value).
+def _replicator_rows(block: _Rows, rows: np.ndarray, stop: float, iters: int) -> np.ndarray:
+    """Batched multiplicative-update ascent x <- x * grad / (r * value) of
+    the start ``rows``, with their kernels ``block``.
 
     Supports are invariant under the update and the value never decreases,
     so each row climbs within its own face of the simplex.  Rows whose value
@@ -768,7 +767,6 @@ def _replicator_rows(data: _GraphData, owner: np.ndarray, rows: np.ndarray,
     """
     x = rows.copy()
     live, xl = np.arange(len(x)), x  # rows still climbing
-    block = data.rows(owner, x > 0)
     for _ in range(iters):
         new = xl * block.grad(xl)
         totals = new.sum(axis=1, keepdims=True)

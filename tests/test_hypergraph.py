@@ -231,8 +231,8 @@ class TestRGraph:
 
     def test_table_built_graphs_serialize_in_a_fresh_process(self):
         # no other graph is built first, so only the tables behind these
-        # graphs can have entered their edges' lines and ranks; the t = 9
-        # graph's 84 picks end in a short byte, which holds ranks 80 and 81
+        # graphs can have entered their edges' ranks; the t = 9 graph's 84
+        # picks end in a short byte, which holds ranks 80 and 81
         code = ("from laglab.hypergraph import *\n"
                 "for g in (build_colex_graph(3, 20), build_colex_graph(4, 12),\n"
                 "          next(enumerate_left_compressed(7, 30)),\n"

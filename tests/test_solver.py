@@ -365,6 +365,14 @@ class TestEnumerableSupports:
         g = RGraph.complete(3, solver.CROSS_CHECK_MAX_ACTIVE)
         assert solver._enumerable_supports(g)[1] is False
 
+    def test_budget_covers_fourteen_vertices_at_r_3(self):
+        # SUPPORT_BUDGET (20,000) takes all 16,278 vertex subsets of size 3
+        # up of K_14^(3), and not the 32,647 of K_15^(3): support
+        # enumeration is complete up to 14 active vertices at r = 3
+        supports, cut = solver._enumerable_supports(RGraph.complete(3, 14))
+        assert (len(supports), cut) == (16278, False)
+        assert solver._enumerable_supports(RGraph.complete(3, 15))[1] is True
+
     def test_budget_cuts_the_list_short(self, monkeypatch):
         # K_5^(3) has 16 vertex subsets of size 3 up, every one a support
         g, subsets = RGraph.complete(3, 5), [
@@ -580,9 +588,9 @@ class TestBatchedSolve:
                 for k in range(3, max(e[2] for e in g.edges if e[:2] == (1, e[2] - 1)) + 1)}
         rows, newton = [], solver._newton_rows
 
-        def spy(data, owner, x0, faces):
+        def spy(block, x0, faces):
             rows.append(len(x0))
-            return newton(data, owner, x0, faces)
+            return newton(block, x0, faces)
 
         monkeypatch.setattr(solver, "_newton_rows", spy)
         lagrangians(graphs)
@@ -640,6 +648,21 @@ class TestBatchedSolve:
         assert stacked and built == stacked
         assert sum(built) == 1025
 
+    def test_one_row_set_per_face_chunk(self, monkeypatch):
+        # a face chunk's ascent, Newton and row values share one _Rows: over
+        # the t = 8 window, solved cell by cell, 45 are built in all, 89 when
+        # each of the three built its own
+        builds, init = [], solver._Rows.__init__
+
+        def spy(block, *args):
+            builds.append(block)
+            init(block, *args)
+
+        monkeypatch.setattr(solver._Rows, "__init__", spy)
+        for m in cell_window(8):
+            verify_cell(8, m)
+        assert len(builds) <= 45
+
     def test_face_ascent_hands_off_to_newton(self, monkeypatch):
         # Newton finishes a face row, or fails it when the face's optimum
         # lies on a smaller prefix face, another row, so the ascent stops at
@@ -672,8 +695,8 @@ class TestBatchedSolve:
         # FACE_ASCENT_STOP
         rows, solved, newton = [], [], solver._newton_rows
 
-        def spy(data, owner, x0, faces):
-            out, ok = newton(data, owner, x0, faces)
+        def spy(block, x0, faces):
+            out, ok = newton(block, x0, faces)
             rows.append(len(x0))
             solved.append(int(ok.sum()))
             return out, ok
@@ -772,10 +795,10 @@ class TestBatchedSolve:
                 raise
 
         monkeypatch.setattr(np.linalg, "solve", spy)
-        xs, solved = solver._newton_rows(data, np.zeros(2, np.intp), x0, faces)
+        xs, solved = solver._newton_rows(data.rows(np.zeros(2, np.intp), faces), x0, faces)
         assert (2, 6, 6) in raised
         xs_alone, solved_alone = solver._newton_rows(
-            data, np.zeros(1, np.intp), x0[1:], faces[1:])
+            data.rows(np.zeros(1, np.intp), faces[1:]), x0[1:], faces[1:])
         assert solved.tolist() == [False, True] and solved_alone.tolist() == [True]
         assert np.array_equal(xs[1], xs_alone[0])
         assert np.allclose(xs[1], [1 / 3, 1 / 3, 1 / 3, 0, 0], rtol=0, atol=1e-13)
@@ -786,7 +809,8 @@ class TestBatchedSolve:
         # fails without touching its neighbour's point
         data, owner = solver._GraphData([BLOCKED_ON_8]), np.zeros(2, np.intp)
         faces = np.array([[1] * 8, [1] * 7 + [0]], dtype=bool)
-        x0 = solver._replicator_rows(data, owner, faces / faces.sum(axis=1, keepdims=True),
+        x0 = solver._replicator_rows(data.rows(owner, faces),
+                                     faces / faces.sum(axis=1, keepdims=True),
                                      solver.FACE_ASCENT_STOP, solver.FACE_ASCENT_ITERS)
         calls, solve = [], solver._solve_rows
 
@@ -795,9 +819,10 @@ class TestBatchedSolve:
             return solve(jac, rhs)
 
         monkeypatch.setattr(solver, "_solve_rows", spy)
-        xs, solved = solver._newton_rows(data, owner, x0, faces)
+        xs, solved = solver._newton_rows(data.rows(owner, faces), x0, faces)
         assert calls[:2] == [2, 1]  # the row of [8] takes no step
-        xs_alone, solved_alone = solver._newton_rows(data, owner[1:], x0[1:], faces[1:])
+        xs_alone, solved_alone = solver._newton_rows(
+            data.rows(owner[1:], faces[1:]), x0[1:], faces[1:])
         assert solved.tolist() == [False, True] and solved_alone.tolist() == [True]
         assert not xs[0].any()
         assert np.array_equal(xs[1], xs_alone[0])

@@ -1,5 +1,6 @@
 """Conjecture cells, configuration families, and structural bound checks."""
 
+import concurrent.futures as cf
 import hashlib
 import json
 import tracemalloc
@@ -357,6 +358,20 @@ class TestSweep:
         counts = {m: count_left_compressed(9, m) for m in cell_window(9)}
         shares = [sum(counts[m] for m in group) for group in verifier._groups(cell_window(9), 2)]
         assert sum(shares) == 2974 and max(shares) <= 1.01 * 2974 / 2
+
+    def test_pool_gets_no_more_workers_than_tasks(self, monkeypatch, sweep5_reports):
+        # a process pool forks all its workers at its first task; the t = 4
+        # window is four tasks of one cell, so eight workers would fork four
+        # idle processes; the spy hands the work to a real pool of at most 2
+        sizes, pool = [], cf.ProcessPoolExecutor
+
+        def spy(max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            return pool(max_workers=min(max_workers, 2), **kwargs)
+
+        monkeypatch.setattr(cf, "ProcessPoolExecutor", spy)
+        assert sweep(4, workers=8) == [rep for rep in sweep5_reports if rep.t == 4]
+        assert sizes == [4]
 
     def test_sweep_rejects_bad_t_max(self):
         with pytest.raises(ValueError):
