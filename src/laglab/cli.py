@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="exhaustive verification over all (t, m) cells")
     p.add_argument("--t-max", type=int, required=True, help=f"largest t (4..{T_MAX})")
     p.add_argument("--workers", type=_int_at_least(1), default=None,
-                   help="parallel cell workers (default: available cores)")
+                   help="parallel cell workers (default: the CPUs this process may use)")
     p.add_argument("--out", type=Path, default=Path("laglab-sweep"),
                    help="output directory (default laglab-sweep)")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text",
@@ -228,7 +228,8 @@ def cmd_compute(args) -> int:
 
 def cmd_sweep(args) -> int:
     vopts = _verifier_options(args)
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = args.workers or usable or 1
     # the output directory is made before the solve, so a bad --out fails at
     # once, and after sweep's own range check, so a bad --t-max makes none
     check_t(args.t_max, 4, "t_max")

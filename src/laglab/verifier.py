@@ -11,9 +11,11 @@ reproducible as named families and checked one by one.
 
 from __future__ import annotations
 
+import os
+import pickle
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from itertools import groupby, islice, repeat
+from itertools import groupby, islice
 from math import comb
 from typing import NamedTuple
 
@@ -357,23 +359,52 @@ def sweep(t_max: int, opts: VerifierOptions | None = None,
           workers: int = 1) -> list[VerificationReport]:
     """Run every cell for 4 <= t <= t_max; deterministic (t, m) order.
 
-    Serially each window is one :func:`verify_cells` task; with more
-    workers each window splits into ``workers`` groups of cells
-    (:func:`_groups`), the largest windows first, so the smaller ones fill
-    the workers' last gaps."""
-    opts = opts or VerifierOptions()
+    Worker j verifies group j (:func:`_groups`) of every window, the largest
+    window first.  Worker 0 is the caller; each other worker with cells is a
+    child from POSIX ``os.fork`` that pipes back its pickled reports or its
+    error, raised again here.  A failing caller kills and reaps its children."""
+    opts, workers = opts or VerifierOptions(), max(1, workers)
     check_t(t_max, 4, "t_max")
-    workers = max(1, workers)
-    tasks = [(t, ms) for t in range(t_max, 3, -1) for ms in _groups(cell_window(t), workers) if ms]
-    if workers == 1:
-        done = [verify_cells(t, ms, opts) for t, ms in tasks]
-    else:
-        import concurrent.futures as cf
+    windows = [(t, _groups(cell_window(t), workers)) for t in range(t_max, 3, -1)]
+    shares = [[(t, groups[j]) for t, groups in windows if groups[j]] for j in range(workers)]
+    kids = []  # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for share in filter(None, shares[1:]):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # the child: pipe back the outcome, exit at once
+                try:
+                    with open(write, "wb") as pipe:
+                        try:
+                            pickle.dump(("ok", _verify_share(share, opts)), pipe)
+                        except BaseException as exc:
+                            pickle.dump(("error", exc), pipe)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            kids.append((pid, open(read, "rb")))
+        done = _verify_share(shares[0], opts)
+        while kids:
+            with kids[0][1] as pipe:
+                blob = pipe.read()
+            pid, status = os.waitpid(kids.pop(0)[0], 0)
+            if status or not blob:
+                raise RuntimeError(f"sweep worker {pid} ended with status "
+                                   f"{os.waitstatus_to_exitcode(status)} and no result")
+            kind, value = pickle.loads(blob)
+            if kind == "error":
+                raise value
+            done += value
+    finally:
+        for pid, pipe in kids:
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+    return sorted(done, key=lambda rep: (rep.t, rep.m))
 
-        # a pool forks all its workers at its first task: no more than tasks
-        with cf.ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            done = list(pool.map(verify_cells, *zip(*tasks), repeat(opts)))
-    return sorted((rep for reps in done for rep in reps), key=lambda rep: (rep.t, rep.m))
+
+def _verify_share(share, opts: VerifierOptions) -> list[VerificationReport]:
+    """One worker's reports: :func:`verify_cells` on each (t, ms) of its share."""
+    return [rep for t, ms in share for rep in verify_cells(t, ms, opts)]
 
 
 # ---------------------------------------------------------------------------

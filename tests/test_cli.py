@@ -247,6 +247,17 @@ class TestSweep:
         assert f"--workers: must be >= 1, got {workers}" in err
         assert not out_dir.exists()
 
+    def test_default_workers_are_the_cpus_this_process_may_use(self, capsys, tmp_path,
+                                                               monkeypatch):
+        # under an affinity mask of one CPU on an eight-CPU machine, workers
+        # beyond the first would have no CPU to run on
+        seen = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(cli, "sweep", lambda t_max, opts, workers: seen.append(workers) or [])
+        code, _, _ = run(capsys, "sweep", "--t-max", "4", "--out", str(tmp_path / "s"))
+        assert code == 0 and seen == [1]
+
     def test_one_report_dict_per_cell(self, capsys, tmp_path, monkeypatch):
         # each cell's document feeds both its cell file and sweep.json
         calls, report_dict = [], cli.report_dict

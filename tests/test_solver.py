@@ -828,6 +828,28 @@ class TestBatchedSolve:
         assert np.array_equal(xs[1], xs_alone[0])
 
 
+    def test_step_may_leave_the_face_by_up_to_1e_9(self, monkeypatch):
+        # the first step of two rows of K_4^(3) is forced to points whose
+        # last weight is -5e-10 and -1e-7: the first row takes its step and
+        # converges to the uniform point, the second is blocked and fails
+        data, faces = solver._GraphData([RGraph.complete(3, 4)]), np.ones((2, 4), bool)
+        x0 = np.array([[0.4, 0.2, 0.2, 0.2]] * 2)
+        ends = np.array([[0.5, 0.25, 0.25 + 5e-10, -5e-10], [0.5, 0.25, 0.25 + 1e-7, -1e-7]])
+        calls, solve = [], solver._solve_rows
+
+        def spy(jac, rhs):
+            calls.append(len(jac))
+            out, ok = solve(jac, rhs)
+            if len(calls) == 1:
+                out[:, :4] = ends - x0
+            return out, ok
+
+        monkeypatch.setattr(solver, "_solve_rows", spy)
+        xs, solved = solver._newton_rows(data.rows(np.zeros(2, np.intp), faces), x0, faces)
+        assert calls[:2] == [2, 1]
+        assert solved.tolist() == [True, False]
+        assert np.allclose(xs[0], 0.25, rtol=0, atol=1e-14) and not xs[1].any()
+
 def window_graphs(t):
     """Every graph of the t window, cell after cell: one stack of picks."""
     return [g for m in cell_window(t) for g in enumerate_left_compressed(t, m)]
@@ -1188,6 +1210,12 @@ class TestKKT:
         rep = kkt_check(g, [1 / 3, 1 / 3, 1 / 3, 0.0], 1 / 27)
         assert rep.residual <= 1e-14
         assert rep.support == (1, 2, 3)
+
+    @pytest.mark.parametrize("weight, support", [(1e-9, (1, 2, 3, 4)), (1e-12, (1, 2, 3))])
+    def test_support_is_the_weights_above_positive_eps(self, weight, support):
+        # POSITIVE_EPS (1e-10) lies between the two weights of vertex 4
+        x = [(1 - weight) / 3] * 3 + [weight]
+        assert kkt_check(RGraph.complete(3, 4), x, 1 / 27).support == support
 
     def test_link_excess_off_support(self):
         # a face point of K_4^(3): vertex 4's link 1/3 exceeds 3 * 1/27

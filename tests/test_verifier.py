@@ -1,8 +1,9 @@
 """Conjecture cells, configuration families, and structural bound checks."""
 
-import concurrent.futures as cf
 import hashlib
 import json
+import os
+import time
 import tracemalloc
 from math import comb
 
@@ -359,19 +360,55 @@ class TestSweep:
         shares = [sum(counts[m] for m in group) for group in verifier._groups(cell_window(9), 2)]
         assert sum(shares) == 2974 and max(shares) <= 1.01 * 2974 / 2
 
-    def test_pool_gets_no_more_workers_than_tasks(self, monkeypatch, sweep5_reports):
-        # a process pool forks all its workers at its first task; the t = 4
-        # window is four tasks of one cell, so eight workers would fork four
-        # idle processes; the spy hands the work to a real pool of at most 2
-        sizes, pool = [], cf.ProcessPoolExecutor
-
-        def spy(max_workers=None, **kwargs):
-            sizes.append(max_workers)
-            return pool(max_workers=min(max_workers, 2), **kwargs)
-
-        monkeypatch.setattr(cf, "ProcessPoolExecutor", spy)
+    def test_one_fork_per_other_worker_with_cells(self, monkeypatch, sweep5_reports):
+        # worker 0 is the caller, and a worker without cells forks nothing:
+        # the t = 4 window is four cells, so eight workers fork three children
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
         assert sweep(4, workers=8) == [rep for rep in sweep5_reports if rep.t == 4]
-        assert sizes == [4]
+        assert len(forks) == 3
+        forks.clear()
+        serial = sweep(7)
+        assert forks == []
+        assert sweep(7, workers=2) == serial
+        assert len(forks) == 1
+
+    @staticmethod
+    def _in_children(monkeypatch, child, caller=None):
+        """Run ``child`` in place of verify_cells in the forked workers, and
+        ``caller`` (by default verify_cells itself) in the calling process."""
+        real, pid = verifier.verify_cells, os.getpid()
+
+        def verify_cells(t, ms, opts=None):
+            return ((caller or real) if os.getpid() == pid else child)(t, ms, opts)
+
+        monkeypatch.setattr(verifier, "verify_cells", verify_cells)
+
+    def test_child_error_comes_out_with_its_type_and_message(self, monkeypatch):
+        def child(t, ms, opts):
+            raise ValueError(f"no cells at t={t}")
+
+        self._in_children(monkeypatch, child)
+        with pytest.raises(ValueError, match=r"^no cells at t=5$"):
+            sweep(5, workers=2)
+
+    def test_child_that_exits_without_a_result_raises(self, monkeypatch):
+        self._in_children(monkeypatch, lambda t, ms, opts: os._exit(3))
+        with pytest.raises(RuntimeError, match=r"sweep worker \d+ ended with status 3 "):
+            sweep(5, workers=2)
+
+    def test_failing_caller_leaves_no_child(self, monkeypatch):
+        # the child would sleep for a minute; the caller kills and reaps it
+        def caller(t, ms, opts):
+            raise ArithmeticError("the caller's share failed")
+
+        self._in_children(monkeypatch, lambda t, ms, opts: time.sleep(60), caller)
+        start = time.monotonic()
+        with pytest.raises(ArithmeticError):
+            sweep(5, workers=2)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_sweep_rejects_bad_t_max(self):
         with pytest.raises(ValueError):
