@@ -827,7 +827,6 @@ class TestBatchedSolve:
         assert not xs[0].any()
         assert np.array_equal(xs[1], xs_alone[0])
 
-
     def test_step_may_leave_the_face_by_up_to_1e_9(self, monkeypatch):
         # the first step of two rows of K_4^(3) is forced to points whose
         # last weight is -5e-10 and -1e-7: the first row takes its step and
@@ -849,6 +848,7 @@ class TestBatchedSolve:
         assert calls[:2] == [2, 1]
         assert solved.tolist() == [True, False]
         assert np.allclose(xs[0], 0.25, rtol=0, atol=1e-14) and not xs[1].any()
+
 
 def window_graphs(t):
     """Every graph of the t window, cell after cell: one stack of picks."""
