@@ -25,7 +25,6 @@ from laglab.solver import DEFAULT_SEED, SolverOptions, lagrangian
 from laglab.verifier import (
     ConfigurationSpec,
     FAMILIES,
-    VerifierOptions,
     T_MAX,
     build_configuration,
     check_delta_bound,
@@ -41,16 +40,6 @@ EXIT_USAGE = 1
 EXIT_UNCERTIFIED = 2
 
 
-def _default_seed() -> int:
-    env = os.environ.get("LAGLAB_SEED")
-    if env:
-        try:
-            return int(env, 0)
-        except ValueError:
-            raise ValueError(f"LAGLAB_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
-
-
 def _int_at_least(low: int):
     """An argparse type: an integer of at least ``low``."""
     def integer(text: str) -> int:  # argparse names it on a non-integer
@@ -63,23 +52,6 @@ def _int_at_least(low: int):
 
 def _seed(text: str) -> int:
     return int(text, 0)
-
-
-def tolerance(text: str) -> float:  # NaN refused: no residual exceeds it, so all certify
-    if (value := float(text)) != value:
-        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}")
-    return value
-
-
-def _add_kkt_tol(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kkt-tol", type=tolerance, default=SolverOptions.kkt_tol,
-                   help="certification residual threshold (default %(default)s)")
-
-
-def _verifier_options(args) -> VerifierOptions:
-    """The options of sweep, check and verify-config: every graph they solve
-    is left-compressed, so no seed or random start acts on their results."""
-    return VerifierOptions(solver=SolverOptions(kkt_tol=args.kkt_tol))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,9 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="edge-list file path or builtin spec string")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", type=Path, default=None, help="write output here")
-    p.add_argument("--seed", type=_seed, default=None,
-                   help="seed of the random starts (default: LAGLAB_SEED env or 0xF2F2)")
-    _add_kkt_tol(p)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
+                   help=f"seed of the random starts (default {DEFAULT_SEED:#x})")
     p.add_argument("--starts", type=_int_at_least(0), default=SolverOptions.starts,
                    help="random starts for a graph that is not left-compressed "
                         "(default %(default)s)")
@@ -117,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stdout summary format")
     p.add_argument("--seed", type=_seed, default=None,
                    help="accepted and ignored: no sweep result depends on a seed")
-    _add_kkt_tol(p)
 
     p = sub.add_parser("verify-config", help="check one configuration family instance")
     p.add_argument("--family", required=True, choices=FAMILIES)
@@ -125,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--i", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    _add_kkt_tol(p)
 
     p = sub.add_parser("enumerate", help="left-compressed 3-graphs on [t] with m edges")
     p.add_argument("--t", type=int, required=True)
@@ -138,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    _add_kkt_tol(p)
 
     return parser
 
@@ -208,8 +176,7 @@ def _emit(text: str, out: Path | None) -> None:
 
 def cmd_compute(args) -> int:
     g = _load_graph(args.source)
-    seed = args.seed if args.seed is not None else _default_seed()
-    res = lagrangian(g, SolverOptions(starts=args.starts, kkt_tol=args.kkt_tol, seed=seed))
+    res = lagrangian(g, SolverOptions(starts=args.starts, seed=args.seed))
     doc = asdict(res)
     if args.format == "json":
         _emit(render_json(doc), args.out)
@@ -227,7 +194,6 @@ def cmd_compute(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
-    vopts = _verifier_options(args)
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = args.workers or usable or 1
     # the output directory is made before the solve, so a bad --out fails at
@@ -236,7 +202,7 @@ def cmd_sweep(args) -> int:
     out_dir: Path = args.out
     cells_dir = out_dir / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
-    reports = sweep(args.t_max, vopts, workers=workers)
+    reports = sweep(args.t_max, workers=workers)
     docs = [report_dict(rep) for rep in reports]  # one per cell, for both outputs
 
     for rep, doc in zip(reports, docs):
@@ -273,7 +239,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify_config(args) -> int:
     spec = ConfigurationSpec(family=args.family, t=args.t, a=args.a, i=args.i)
-    chk = check_theorem_inequality(spec, _verifier_options(args))
+    chk = check_theorem_inequality(spec)
     if args.format == "json":
         sys.stdout.write(render_json(report_dict(chk)))
     else:
@@ -292,20 +258,17 @@ def cmd_enumerate(args) -> int:
     check_t(args.t, 3, "--t")
     if args.out is not None and not args.list:
         raise ValueError("--out writes the graphs that --list lists; add --list")
-    if args.list:
-        # one search: the count is the number of graphs listed
-        texts = [serialize_edge_list(g) for g in enumerate_left_compressed(args.t, args.m)]
-        count = len(texts)
-    else:
-        count = count_left_compressed(args.t, args.m)
-    if args.out is not None:  # after the search has checked m, before any output
+    count = count_left_compressed(args.t, args.m)
+    if args.out is not None:  # after the count has checked m, before any output
         args.out.mkdir(parents=True, exist_ok=True)
     print(count)
-    if args.out is not None:
-        for idx, text in enumerate(texts):
-            (args.out / f"graph_{idx:06d}.edges").write_text(text)
-    elif args.list:
-        sys.stdout.writelines(text + "\n" for text in texts)
+    if args.list:  # one graph at a time: serialized, then written
+        texts = map(serialize_edge_list, enumerate_left_compressed(args.t, args.m))
+        if args.out is None:
+            sys.stdout.writelines(text + "\n" for text in texts)
+        else:
+            for idx, text in enumerate(texts):
+                (args.out / f"graph_{idx:06d}.edges").write_text(text)
     return EXIT_OK
 
 
@@ -315,7 +278,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_check(args) -> int:
     check_t(args.t, 4, "--t")
-    rep = verify_cell(args.t, args.m, _verifier_options(args))
+    rep = verify_cell(args.t, args.m)
     checks = [
         check_support_bound(rep),
         check_delta_bound(rep),

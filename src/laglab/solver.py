@@ -55,6 +55,7 @@ from laglab.hypergraph import RGraph, _colex_initial, difference_link, is_left_c
 DEFAULT_SEED = 0xF2F2
 
 TIE_TOL = 1e-9  # values within this of the best count as tied
+KKT_TOL = 1e-8  # certification: largest equal-link residual and link excess
 POSITIVE_EPS = 1e-10  # weights above this are in the support
 CROSS_CHECK_MAX_ACTIVE = 6  # largest active vertex count given the cross-check
 SUPPORT_BUDGET = 20_000  # vertex subsets support enumeration may inspect
@@ -79,14 +80,12 @@ METHOD_SUPPORT_ENUM = "support_enumeration"
 class SolverOptions:
     """Settings of :func:`lagrangian`.
 
-    ``starts`` random Dirichlet starts (32), certification residual
-    ``kkt_tol`` (1e-8) and the random ``seed`` (0xF2F2).  ``starts`` and
-    ``seed`` act only on graphs that are not left-compressed; the prefix
-    route draws no random starts.
+    ``starts`` random Dirichlet starts (32) and the random ``seed``
+    (0xF2F2).  Both act only on graphs that are not left-compressed; the
+    prefix route draws no random starts.
     """
 
     starts: int = 32
-    kkt_tol: float = 1e-8
     seed: int = DEFAULT_SEED
 
 
@@ -370,22 +369,22 @@ class _Stationarity(NamedTuple):
     residual: np.ndarray  # (P,) max |link_i - r * value| over the support (0 if empty)
     link_excess: np.ndarray  # (P,) max_i link_i - r * value over every vertex
 
-    def fails(self, kkt_tol: float) -> np.ndarray:
-        """Per row, whether it fails a first-order condition within ``kkt_tol``.
+    def fails(self) -> np.ndarray:
+        """Per row, whether it fails a first-order condition within ``KKT_TOL``.
 
         A maximum of the edge polynomial on the simplex has every link on its
         support equal to r * value and no link above it; these two conditions
         certify a result on every route.
         """
-        return (self.residual > kkt_tol) | (self.link_excess > kkt_tol)
+        return (self.residual > KKT_TOL) | (self.link_excess > KKT_TOL)
 
-    def failure(self, i: int, kkt_tol: float) -> tuple[str, ...]:
-        """The first-order condition that row i fails within ``kkt_tol``, as
+    def failure(self, i: int) -> tuple[str, ...]:
+        """The first-order condition that row i fails within ``KKT_TOL``, as
         a result's note (no note when it fails none)."""
-        if self.residual[i] > kkt_tol:
+        if self.residual[i] > KKT_TOL:
             return (f"equal-link residual {self.residual[i]:.3g} on the support "
                     "exceeds kkt_tol",)
-        if self.link_excess[i] > kkt_tol:
+        if self.link_excess[i] > KKT_TOL:
             return (f"link of vertex {int(self.grad[i].argmax()) + 1} exceeds "
                     f"r * value by {self.link_excess[i]:.3g} (first-order condition)",)
         return ()
@@ -518,7 +517,7 @@ def lagrangians(graphs: list[RGraph],
     no edge.  Other graphs hand :func:`_best_on_faces` the faces their
     :func:`_multistart` ascent reveals (``multistart_gradient``).
     ``certified`` requires the first-order conditions of
-    :meth:`_Stationarity.failure` within ``opts.kkt_tol`` and (for graphs
+    :meth:`_Stationarity.failure` within ``KKT_TOL`` and (for graphs
     with at most ``CROSS_CHECK_MAX_ACTIVE`` active vertices) agreement with
     :func:`support_enumeration` within 1e-8.
 
@@ -556,12 +555,12 @@ def lagrangians(graphs: list[RGraph],
     # 2 ** CROSS_CHECK_MAX_ACTIVE subsets lie within SUPPORT_BUDGET
     checked = np.flatnonzero(data.active.sum(1) <= CROSS_CHECK_MAX_ACTIVE).tolist()
     found = _best_on_faces(data, [*range(size), *checked], faces + [
-        _enumerable_supports(data.graphs[k])[0] for k in checked], opts.kkt_tol)
+        _enumerable_supports(data.graphs[k])[0] for k in checked])
     for k, (_, value, x) in ends.items():
         if found[k] is None or value > found[k][0] + TIE_TOL:
             found[k] = (value, x)
     results = _results(data, range(size), np.array([x for _, x in found[:size]]),
-                       np.where(prefix, METHOD_SYMMETRY, METHOD_MULTISTART).tolist(), opts.kkt_tol)
+                       np.where(prefix, METHOD_SYMMETRY, METHOD_MULTISTART).tolist())
     for k, check in zip(checked, found[size:]):
         res, value = results[k], 0.0 if check is None else check[0]
         if res.certified and abs(value - res.value) > 1e-8:
@@ -570,18 +569,18 @@ def lagrangians(graphs: list[RGraph],
     return results
 
 
-def _results(data: _GraphData, owner, xs: np.ndarray, methods: list[str],
-             kkt_tol: float) -> list[LagrangianResult]:
+def _results(data: _GraphData, owner, xs: np.ndarray,
+             methods: list[str]) -> list[LagrangianResult]:
     """The result of graph ``owner[i]`` at ``xs[i]``, with method
     ``methods[i]``, for each row, from one batched stationarity report per
     ``CHUNK_ROWS`` rows: certified when the row meets the first-order
-    conditions within ``kkt_tol``."""
+    conditions within ``KKT_TOL``."""
     out = []
     for lo in range(0, len(xs), CHUNK_ROWS):
         block, at = data.rows(owner[lo:lo + CHUNK_ROWS]), xs[lo:lo + CHUNK_ROWS]
         values = block.eval(at)
         st = _stationarity(data.r, block.grad(at), at, values)
-        why = [st.failure(i, kkt_tol) for i in range(len(at))]
+        why = [st.failure(i) for i in range(len(at))]
         out += [LagrangianResult(value, tuple(x), support, residual, method, not w, w)
                 for value, x, support, residual, method, w in zip(
                     values.tolist(), at.tolist(), st.support.sum(axis=1).tolist(),
@@ -593,7 +592,7 @@ def _results(data: _GraphData, owner, xs: np.ndarray, methods: list[str],
 # Cross-check route: support enumeration
 # ---------------------------------------------------------------------------
 
-def support_enumeration(g: RGraph, opts: SolverOptions | None = None) -> LagrangianResult:
+def support_enumeration(g: RGraph) -> LagrangianResult:
     """Best stationary point found over all enumerable supports.
 
     Every candidate support of :func:`_enumerable_supports` (all pairs
@@ -606,16 +605,15 @@ def support_enumeration(g: RGraph, opts: SolverOptions | None = None) -> Lagrang
     one-graph case of the cross-check search that :func:`lagrangians` runs
     inside its block's face solve, and has the same value.
     """
-    opts = opts or SolverOptions()
     if not g.m:
         return _empty_result(g, METHOD_SUPPORT_ENUM)
     data = _GraphData([g])
     supports, budget_hit = _enumerable_supports(g)
-    found, = _best_on_faces(data, [0], [supports], opts.kkt_tol)
+    found, = _best_on_faces(data, [0], [supports])
     if found is None:
         return replace(_empty_result(g, METHOD_SUPPORT_ENUM), certified=False,
                        notes=("no feasible stationary support found",))
-    res, = _results(data, [0], found[1][None], [METHOD_SUPPORT_ENUM], opts.kkt_tol)
+    res, = _results(data, [0], found[1][None], [METHOD_SUPPORT_ENUM])
     if budget_hit:
         res = replace(res, certified=False,
                       notes=res.notes + ("support budget exceeded; partial result",))
@@ -639,8 +637,8 @@ def _enumerable_supports(g: RGraph) -> tuple[list[tuple[int, ...]], bool]:
             next(subsets, None) is not None)
 
 
-def _best_on_faces(data: _GraphData, graph, faces: list[list[tuple[int, ...]]],
-                   kkt_tol: float) -> list[tuple[float, np.ndarray] | None]:
+def _best_on_faces(data: _GraphData, graph,
+                   faces: list[list[tuple[int, ...]]]) -> list[tuple[float, np.ndarray] | None]:
     """Per search i, the best stationary point (value, x) of graph
     ``graph[i]`` of ``data`` over the faces spanned by ``faces[i]`` (tuples
     of 1-based vertices); None when no face yields one.
@@ -669,7 +667,7 @@ def _best_on_faces(data: _GraphData, graph, faces: list[list[tuple[int, ...]]],
         part = tied[lo:lo + CHUNK_ROWS]
         rows, at = which[part], xs[which[part]]
         fails = _stationarity(data.r, data.rows(graph[search[part]]).grad(at), at,
-                              row_value[rows]).fails(kkt_tol)
+                              row_value[rows]).fails()
         for k, fail, row in zip(search[part].tolist(), fails.tolist(), rows.tolist()):
             key = (_tie_key(fail, xs[row]), row)
             ranked[k] = min(ranked.get(k, key), key)
@@ -740,7 +738,7 @@ def _solve_faces(data: _GraphData, graph: np.ndarray,
 
 def _tie_key(fails: bool, x: np.ndarray) -> tuple:
     """Order of the points in a search's band in :func:`_best_on_faces`,
-    least first: the first-order conditions met within ``kkt_tol``, then the
+    least first: the first-order conditions met within ``KKT_TOL``, then the
     smaller support, then the lexicographically first support (a prefix,
     when one ties), then the lexicographically largest weighting."""
     sup = np.flatnonzero(x > POSITIVE_EPS)

@@ -265,17 +265,19 @@ class _Cell:
                 f"C({t},3)={comb(t, 3)} for t={t}"
             )
         self.t, self.m = t, m
-        # the enumeration's picks of the colex graph: ranks 0 .. m-1
-        self.colex_picks = (2**m - 1).to_bytes((comb(t, 3) + 7) // 8, "little")
         self.colex, self.max_value, self.witnesses = None, -float("inf"), []
         self.count = self.uncertified = 0
 
     def add(self, solved: list[tuple[RGraph, LagrangianResult]]) -> None:
-        """Take in a run of this cell's graphs with their results."""
+        """Take in a run of this cell's graphs with their results; the
+        enumeration yields the colex graph, ranks 0 .. m-1, first."""
+        if self.colex is None:
+            g, self.colex = solved[0]
+            if g.colex_ranks() != list(range(self.m)):
+                raise RuntimeError(
+                    f"colex graph missing from enumeration at (t={self.t}, m={self.m})")
         self.count += len(solved)
         self.uncertified += sum(not res.certified for _g, res in solved)
-        self.colex = self.colex or next(
-            (res for g, res in solved if g._picks == self.colex_picks), None)
         self.max_value = max(self.max_value, max(res.value for _g, res in solved))
         # a graph within WITNESS_TIE of the final maximum is within it of
         # every running maximum, so dropping the others loses no witness
@@ -284,10 +286,6 @@ class _Cell:
 
     def report(self) -> VerificationReport:
         t, m, colex, witnesses = self.t, self.m, self.colex, self.witnesses
-        if colex is None:
-            raise RuntimeError(
-                f"colex graph missing from enumeration at (t={t}, m={m})"
-            )
         witnesses.sort(key=lambda pair: pair[0].colex_ranks())
         gap = colex.value - self.max_value
         all_pass = (
@@ -363,8 +361,10 @@ def sweep(t_max: int, opts: VerifierOptions | None = None,
     window first.  Worker 0 is the caller; each other worker with cells is a
     child from POSIX ``os.fork`` that pipes back its pickled reports or its
     error, raised again here.  A failing caller kills and reaps its children."""
-    opts, workers = opts or VerifierOptions(), max(1, workers)
+    opts = opts or VerifierOptions()
     check_t(t_max, 4, "t_max")
+    # the largest window holds the most cells: a group beyond it is always empty
+    workers = max(1, min(workers, len(cell_window(t_max))))
     windows = [(t, _groups(cell_window(t), workers)) for t in range(t_max, 3, -1)]
     shares = [[(t, groups[j]) for t, groups in windows if groups[j]] for j in range(workers)]
     kids = []  # (pid, read end of its pipe) of each child not yet reaped

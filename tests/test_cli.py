@@ -1,12 +1,14 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import os
+import sys
 
 import pytest
 
-from laglab import cli
+from laglab import cli, solver
 from laglab.cli import main
 from laglab.hypergraph import RGraph, build_colex_graph, parse_edge_list, serialize_edge_list
 from laglab.reporting import fmt_float, render_json, reports_csv
@@ -53,14 +55,14 @@ class TestCompute:
         assert doc["support"] == 4
         assert doc["certified"] is True
 
-    def test_uncertified_result_carries_its_note(self, capsys):
-        code, out, _ = run(capsys, "compute", "complete:r=3,t=5", "--kkt-tol=-1",
-                           "--format", "json")
+    def test_uncertified_result_carries_its_note(self, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "KKT_TOL", -1.0)
+        code, out, _ = run(capsys, "compute", "complete:r=3,t=5", "--format", "json")
         assert code == 2
         doc = json.loads(out)
         assert doc["certified"] is False
         assert len(doc["notes"]) == 1 and "exceeds kkt_tol" in doc["notes"][0]
-        code, out, _ = run(capsys, "compute", "complete:r=3,t=5", "--kkt-tol=-1")
+        code, out, _ = run(capsys, "compute", "complete:r=3,t=5")
         assert code == 2
         assert f"note: {doc['notes'][0]}" in out.splitlines()
 
@@ -92,8 +94,9 @@ class TestCompute:
         assert out == ""
         assert err.startswith("error: ") and named in err
 
-    def test_uncertified_exit_2(self, capsys):
-        code, out, _ = run(capsys, "compute", "complete:r=3,t=5", "--kkt-tol", "-1")
+    def test_uncertified_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "KKT_TOL", -1.0)
+        code, out, _ = run(capsys, "compute", "complete:r=3,t=5")
         assert code == 2
         assert "certified: false" in out
 
@@ -158,16 +161,17 @@ class TestEnumerate:
         blocks = [b for b in out.split("\n\n") if b.strip() and not b.strip().isdigit()]
         assert len(blocks) == 2
 
-    def test_list_searches_once(self, capsys, monkeypatch):
-        # the count line comes from the listing, not from a second search
-        def no_second_search(t, m):
-            raise AssertionError("count_left_compressed called by --list")
-
-        monkeypatch.setattr("laglab.cli.count_left_compressed", no_second_search)
-        code, out, _ = run(capsys, "enumerate", "--t", "5", "--m", "5", "--list")
-        assert code == 0
-        assert out == ("2\n3 5 5\n1 2 3\n1 2 4\n1 3 4\n2 3 4\n1 2 5\n\n"
-                       "3 5 5\n1 2 3\n1 2 4\n1 3 4\n1 2 5\n1 3 5\n\n")
+    def test_list_prints_the_count_first(self, monkeypatch):
+        # the count comes from count_left_compressed, then each graph is
+        # serialized only once the texts before it are written
+        out, written = io.StringIO(), []
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(cli, "serialize_edge_list",
+                            lambda g: written.append(out.getvalue()) or serialize_edge_list(g))
+        first = "3 5 5\n1 2 3\n1 2 4\n1 3 4\n2 3 4\n1 2 5\n\n"
+        assert main(["enumerate", "--t", "5", "--m", "5", "--list"]) == 0
+        assert written == ["2\n", "2\n" + first]
+        assert out.getvalue() == "2\n" + first + "3 5 5\n1 2 3\n1 2 4\n1 3 4\n1 2 5\n1 3 5\n\n"
 
     def test_list_roundtrip_through_compute(self, capsys, tmp_path):
         out_dir = tmp_path / "graphs"
@@ -254,7 +258,7 @@ class TestSweep:
         seen = []
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(cli, "sweep", lambda t_max, opts, workers: seen.append(workers) or [])
+        monkeypatch.setattr(cli, "sweep", lambda t_max, workers: seen.append(workers) or [])
         code, _, _ = run(capsys, "sweep", "--t-max", "4", "--out", str(tmp_path / "s"))
         assert code == 0 and seen == [1]
 
@@ -365,13 +369,12 @@ class TestUsageErrors:
         ("check", "--t", "6", "--m", "15"),
         ("verify-config", "--family", "lemma3.5", "--t", "6"),
     ])
-    def test_nan_kkt_tol_exits_1(self, capsys, tmp_path, monkeypatch, argv):
-        # no residual compares above NaN, so it would certify every result;
-        # a negative tolerance stays accepted and certifies none
+    def test_kkt_tol_flag_is_gone(self, capsys, tmp_path, monkeypatch, argv):
+        # the certification tolerance is solver.KKT_TOL, which no flag sets
         monkeypatch.chdir(tmp_path)  # where sweep would write laglab-sweep
-        code, out, err = run(capsys, *argv, "--kkt-tol", "nan")
+        code, out, err = run(capsys, *argv, "--kkt-tol", "1")
         assert code == 1 and out == ""
-        assert "--kkt-tol: must be a number, got 'nan'" in err
+        assert "unrecognized arguments: --kkt-tol 1" in err
         assert not any(tmp_path.iterdir())
 
     def test_help_exits_0(self, capsys):
@@ -409,13 +412,13 @@ class TestSeeding:
             return seen.pop()
         return compute
 
-    def test_default_seed(self, monkeypatch, compute_seed):
-        monkeypatch.delenv("LAGLAB_SEED", raising=False)
+    def test_default_seed(self, compute_seed):
         assert compute_seed() == SolverOptions.seed
 
-    def test_env_seed_override(self, monkeypatch, compute_seed):
-        monkeypatch.setenv("LAGLAB_SEED", "0x1234")
-        assert compute_seed() == 0x1234
+    def test_env_seed_is_ignored(self, monkeypatch, compute_seed):
+        # --seed is the one way to set the seed; no environment variable is read
+        monkeypatch.setenv("LAGLAB_SEED", "xyz")
+        assert compute_seed() == 0xF2F2
 
     def test_flag_beats_env(self, monkeypatch, compute_seed):
         monkeypatch.setenv("LAGLAB_SEED", "7")
@@ -482,10 +485,6 @@ class TestOutputBytes:
     """Each format pinned against its fields formatted one by one, and the
     paths that cannot be read or written reported as usage errors."""
 
-    @pytest.fixture(autouse=True)
-    def default_seed(self, monkeypatch):
-        monkeypatch.delenv("LAGLAB_SEED", raising=False)
-
     def test_reports_csv_columns(self, sweep5_reports):
         rows = ["t,m,a,colex_value,max_value,gap,graph_count,all_pass"]
         for rep in sorted(sweep5_reports, key=lambda r: (r.t, r.m)):
@@ -509,18 +508,19 @@ class TestOutputBytes:
         ]
         return "\n".join(lines) + "\n"
 
-    @pytest.mark.parametrize("source, flags, kkt_tol", [
-        ("complete:r=3,t=5", (), SolverOptions.kkt_tol),
-        ("c5.edges", (), SolverOptions.kkt_tol),
-        ("complete:r=3,t=5", ("--kkt-tol=-1",), -1.0),
+    @pytest.mark.parametrize("source, kkt_tol", [
+        ("complete:r=3,t=5", solver.KKT_TOL),
+        ("c5.edges", solver.KKT_TOL),
+        ("complete:r=3,t=5", -1.0),
     ], ids=["k5", "five-cycle", "uncertified"])
-    def test_compute_text(self, capsys, tmp_path, monkeypatch, source, flags, kkt_tol):
+    def test_compute_text(self, capsys, tmp_path, monkeypatch, source, kkt_tol):
+        monkeypatch.setattr(solver, "KKT_TOL", kkt_tol)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "c5.edges").write_text(FIVE_CYCLE_TEXT)
         g = (parse_edge_list(FIVE_CYCLE_TEXT) if source == "c5.edges"
              else RGraph.complete(3, 5))
-        res = lagrangian(g, SolverOptions(kkt_tol=kkt_tol))
-        code, out, err = run(capsys, "compute", source, *flags)
+        res = lagrangian(g)
+        code, out, err = run(capsys, "compute", source)
         assert code == (0 if res.certified else 2)
         assert out == self._compute_text(res)
         assert err == ""
@@ -567,8 +567,3 @@ class TestOutputBytes:
         target.write_text("")
         self._usage_error(capsys, "sweep", "--t-max", "4", "--workers", "1",
                           "--out", str(target))
-
-    def test_bad_env_seed_returns_1(self, capsys, monkeypatch):
-        monkeypatch.setenv("LAGLAB_SEED", "xyz")
-        err = self._usage_error(capsys, "compute", "complete:r=3,t=4")
-        assert err == "error: LAGLAB_SEED must be an integer, got 'xyz'\n"

@@ -243,8 +243,8 @@ class TestCrossCheck:
         # enumerable supports
         calls, best_on_faces = [], solver._best_on_faces
 
-        def shifted(data, graph, faces, kkt_tol):
-            found = best_on_faces(data, graph, faces, kkt_tol)
+        def shifted(data, graph, faces):
+            found = best_on_faces(data, graph, faces)
             for i in range(len(data.graphs), len(found)):
                 calls.append(data.graphs[graph[i]])
                 found[i] = (found[i][0] + shift, found[i][1])
@@ -288,9 +288,9 @@ class TestCrossCheck:
         graphs, seen = list(enumerate_left_compressed(6, 15)), []
         best_on_faces = solver._best_on_faces
 
-        def spy(data, graph, faces, kkt_tol):
+        def spy(data, graph, faces):
             seen.append((len(data.graphs), list(graph)))
-            return best_on_faces(data, graph, faces, kkt_tol)
+            return best_on_faces(data, graph, faces)
 
         monkeypatch.setattr(solver, "_best_on_faces", spy)
         lagrangians(graphs)
@@ -302,8 +302,8 @@ class TestCrossCheck:
         # of the public support_enumeration of that graph alone, exactly
         seen, best_on_faces = [], solver._best_on_faces
 
-        def spy(data, graph, faces, kkt_tol):
-            found = best_on_faces(data, graph, faces, kkt_tol)
+        def spy(data, graph, faces):
+            found = best_on_faces(data, graph, faces)
             seen.extend((data.graphs[graph[i]], found[i][0])
                         for i in range(len(data.graphs), len(found)))
             return found
@@ -412,8 +412,8 @@ class TestPrefixRoute:
         best_on_faces = solver._best_on_faces
         monkeypatch.setattr(
             solver, "_best_on_faces",
-            lambda data, graph, faces, kkt_tol: best_on_faces(
-                data, graph, [f[:1] for f in faces], kkt_tol))
+            lambda data, graph, faces: best_on_faces(
+                data, graph, [f[:1] for f in faces]))
         res = lagrangian(RGraph.complete(3, 4))
         assert res.value == pytest.approx(1 / 27, abs=1e-15)
         assert res.kkt_residual <= 1e-14
@@ -555,9 +555,8 @@ class TestMultistartRoute:
         # the face [8] alone yields no point: its row fails at the step that
         # would leave the simplex; the optimum is the row of the face [7]
         data, se = solver._GraphData([BLOCKED_ON_8]), support_enumeration(BLOCKED_ON_8)
-        assert solver._best_on_faces(data, [0], [[tuple(range(1, 9))]], 1e-8) == [None]
-        found, = solver._best_on_faces(data, [0], [[tuple(range(1, 8)), tuple(range(1, 9))]],
-                                       1e-8)
+        assert solver._best_on_faces(data, [0], [[tuple(range(1, 9))]]) == [None]
+        found, = solver._best_on_faces(data, [0], [[tuple(range(1, 8)), tuple(range(1, 9))]])
         assert abs(found[0] - se.value) <= 1e-12
         assert found[1][7] == 0.0
         res = lagrangian(BLOCKED_ON_8)
@@ -894,8 +893,8 @@ class TestJudgeByRow:
             seen.append([data, graph, solve(data, graph, faces)])
             return seen[-1][2]
 
-        def best_spy(data, graph, faces, kkt_tol):
-            found = best_on_faces(data, graph, faces, kkt_tol)
+        def best_spy(data, graph, faces):
+            found = best_on_faces(data, graph, faces)
             seen[-1].append(list(found))  # lagrangians puts end points into its list
             return found
 
@@ -904,7 +903,7 @@ class TestJudgeByRow:
         return seen
 
     @staticmethod
-    def every_pair_on_its_graph(data, graph, search, which, xs, solved, kkt_tol):
+    def every_pair_on_its_graph(data, graph, search, which, xs, solved):
         """The tie band judged with every solved pair evaluated on its whole
         graph: of each search's pairs within TIE_TOL of its highest value,
         the one of least tie key."""
@@ -915,7 +914,7 @@ class TestJudgeByRow:
             x, one = xs[row], solver._GraphData([data.graphs[graph[k]]]).rows()
             val = float(one.eval(x[None])[0])
             fail = bool(solver._stationarity(data.r, one.grad(x[None]), x[None],
-                                             np.array([val])).fails(kkt_tol)[0])
+                                             np.array([val])).fails()[0])
             pairs.setdefault(k, []).append((val, fail, x))
         best = [None] * len(graph)
         for k, found in pairs.items():
@@ -947,8 +946,7 @@ class TestJudgeByRow:
         for g in general_corpus(26, 60):
             lagrangian(g)
         for data, graph, solved, found in seen:
-            want = self.every_pair_on_its_graph(data, graph, *solved[:4],
-                                                SolverOptions().kkt_tol)
+            want = self.every_pair_on_its_graph(data, graph, *solved[:4])
             for got, ref in zip(found, want):
                 assert (got is None) == (ref is None)
                 if got is not None:
@@ -995,8 +993,9 @@ class TestTieBand:
         assert keys[0] > keys[1] > keys[2]
         three = np.zeros(3, np.intp), np.arange(3), xs, np.ones(3, bool), vals
         monkeypatch.setattr(solver, "_solve_faces", lambda data, graph, faces: three)
+        monkeypatch.setattr(solver, "KKT_TOL", 1.0)  # every point meets the conditions
         faces = [(1, 2, 3), (1, 2, 4), (1, 3, 4)]
-        (value, x), = solver._best_on_faces(solver._GraphData([g]), [0], [faces], 1.0)
+        (value, x), = solver._best_on_faces(solver._GraphData([g]), [0], [faces])
         assert value == vals[1] and np.array_equal(x, xs[1])
 
     def test_face_order_does_not_matter(self, monkeypatch):
@@ -1004,9 +1003,9 @@ class TestTieBand:
         # faces changes no row, and the band picks the same point
         seen, best_on_faces = [], solver._best_on_faces
 
-        def spy(data, graph, faces, kkt_tol):
-            found = best_on_faces(data, graph, faces, kkt_tol)
-            seen.append((data, graph, faces, kkt_tol, list(found)))
+        def spy(data, graph, faces):
+            found = best_on_faces(data, graph, faces)
+            seen.append((data, graph, faces, list(found)))
             return found
 
         monkeypatch.setattr(solver, "_best_on_faces", spy)
@@ -1017,8 +1016,8 @@ class TestTieBand:
             lagrangian(g)
         monkeypatch.undo()
         searches = 0
-        for data, graph, faces, kkt_tol, found in seen:
-            flipped = solver._best_on_faces(data, graph, [f[::-1] for f in faces], kkt_tol)
+        for data, graph, faces, found in seen:
+            flipped = solver._best_on_faces(data, graph, [f[::-1] for f in faces])
             for got, ref in zip(flipped, found):
                 assert (got is None) == (ref is None)
                 if got is not None:
@@ -1037,9 +1036,9 @@ class TestCoveredPrefixes:
     def spy_faces(monkeypatch) -> list:
         seen, best_on_faces = [], solver._best_on_faces
 
-        def spy(data, graph, faces, kkt_tol):
+        def spy(data, graph, faces):
             seen.append(faces)
-            return best_on_faces(data, graph, faces, kkt_tol)
+            return best_on_faces(data, graph, faces)
 
         monkeypatch.setattr(solver, "_best_on_faces", spy)
         return seen
@@ -1098,8 +1097,7 @@ class TestCoveredPrefixes:
             data = solver._GraphData(graphs)
             every = [[tuple(range(1, k + 1)) for k in range(data.r, int(act) + 1)]
                      for act in data.active.sum(axis=1)]
-            found = solver._best_on_faces(data, range(len(graphs)), every,
-                                          SolverOptions().kkt_tol)
+            found = solver._best_on_faces(data, range(len(graphs)), every)
             results = lagrangians(graphs)
             for g, res, (value, x) in zip(graphs, results, found):
                 assert value <= res.value + 1e-15, sorted(g.edges)
@@ -1224,13 +1222,13 @@ class TestKKT:
         assert rep.link_excess == pytest.approx(2 / 9, abs=1e-15)
 
     @pytest.mark.parametrize("kkt_tol", [1e-8, 1e-16])
-    def test_report_agrees_with_certificate(self, no_cross_check, kkt_tol):
-        opts = SolverOptions(kkt_tol=kkt_tol)
+    def test_report_agrees_with_certificate(self, monkeypatch, no_cross_check, kkt_tol):
+        monkeypatch.setattr(solver, "KKT_TOL", kkt_tol)
         graphs = [RGraph.complete(3, 4), RGraph.from_edges(3, [(1, 2, 3)], n=4),
                   build_configuration(ConfigurationSpec("lemma3.5", 6))]
         graphs += [g for m in cell_window(5) for g in enumerate_left_compressed(5, m)]
         for g in graphs:
-            res = lagrangian(g, opts)
+            res = lagrangian(g)
             rep = kkt_check(g, res.weighting, res.value)
             assert rep.residual == res.kkt_residual
             assert len(rep.support) == res.support
@@ -1253,8 +1251,9 @@ class TestKKT:
 
 
 class TestOptionsAndDeterminism:
-    def test_impossible_kkt_tol_flags_uncertified(self):
-        res = lagrangian(RGraph.complete(3, 5), SolverOptions(kkt_tol=-1.0))
+    def test_impossible_kkt_tol_flags_uncertified(self, monkeypatch):
+        monkeypatch.setattr(solver, "KKT_TOL", -1.0)
+        res = lagrangian(RGraph.complete(3, 5))
         assert not res.certified
         assert res.notes
 

@@ -244,14 +244,13 @@ class TestVerdictTolerances:
 
     @staticmethod
     def _report(colex_value, others):
-        """The cell's report with its colex graph at ``colex_value`` and the
-        other graphs, in enumeration order, at ``others`` and then at 0."""
-        cell, rest = verifier._Cell(6, 10), iter(others)
-        cell.add([
-            (g, LagrangianResult(colex_value if g._picks == cell.colex_picks else next(rest, 0.0),
-                                 (), 6, 0.0, "made-up", True))
-            for g in enumerate_left_compressed(6, 10)
-        ])
+        """The cell's report with its colex graph, the first enumerated, at
+        ``colex_value`` and the other graphs, in enumeration order, at
+        ``others`` and then at 0."""
+        values = iter([colex_value, *others])
+        cell = verifier._Cell(6, 10)
+        cell.add([(g, LagrangianResult(next(values, 0.0), (), 6, 0.0, "made-up", True))
+                  for g in enumerate_left_compressed(6, 10)])
         return cell.report()
 
     @pytest.mark.parametrize("gap, passes", [(-1e-8, True), (-1e-6, False)])
@@ -302,6 +301,21 @@ class TestStreamedCells:
         monkeypatch.setattr(verifier, "CELL_BLOCK", 16)
         assert verify_cell(8, 35).graph_count == sum(sizes) == 79
         assert max(sizes) <= 16
+
+    def test_colex_graph_comes_first(self):
+        # _Cell takes the colex result from the first graph of its cell
+        for t in range(4, 10):
+            for m in cell_window(t):
+                first = next(enumerate_left_compressed(t, m))
+                assert first.colex_ranks() == list(range(m)), (t, m)
+                assert first.edges == build_colex_graph(3, m).edges, (t, m)
+
+    def test_cell_refuses_a_first_graph_that_is_not_colex(self):
+        cell = verifier._Cell(6, 10)
+        graphs = list(enumerate_left_compressed(6, 10))[::-1]
+        result = LagrangianResult(0.1, (), 6, 0.0, "made-up", True)
+        with pytest.raises(RuntimeError, match=r"colex graph missing .* \(t=6, m=10\)"):
+            cell.add([(g, result) for g in graphs])
 
     def test_cells_reject_bad_input(self):
         assert verify_cells(7, []) == []
@@ -372,6 +386,15 @@ class TestSweep:
         assert forks == []
         assert sweep(7, workers=2) == serial
         assert len(forks) == 1
+
+    def test_workers_capped_at_the_largest_window(self, monkeypatch, sweep5_reports):
+        # the t = 4 window has four cells, so a fifth group would be empty
+        sizes, groups, forks, fork = [], verifier._groups, [], os.fork
+        monkeypatch.setattr(verifier, "_groups",
+                            lambda window, workers: sizes.append(workers) or groups(window, workers))
+        monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+        assert sweep(4, workers=1000) == [rep for rep in sweep5_reports if rep.t == 4]
+        assert sizes == [4] and len(forks) == 3
 
     @staticmethod
     def _in_children(monkeypatch, child, caller=None):
