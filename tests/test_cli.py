@@ -567,3 +567,13 @@ class TestOutputBytes:
         target.write_text("")
         self._usage_error(capsys, "sweep", "--t-max", "4", "--workers", "1",
                           "--out", str(target))
+
+    def test_bad_env_seed_returns_0(self, capsys, tmp_path, monkeypatch):
+        # LAGLAB_SEED is no longer read, so a value that is not an integer
+        # changes neither the exit code nor a byte of the output
+        (tmp_path / "c5.edges").write_text(FIVE_CYCLE_TEXT)
+        source = str(tmp_path / "c5.edges")
+        expected = run(capsys, "compute", source)
+        monkeypatch.setenv("LAGLAB_SEED", "xyz")
+        assert run(capsys, "compute", source) == expected == (
+            0, self._compute_text(lagrangian(parse_edge_list(FIVE_CYCLE_TEXT))), "")
