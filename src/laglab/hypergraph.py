@@ -248,23 +248,16 @@ def difference_link(g: RGraph, i: int, j: int) -> frozenset[Edge]:
 # Left compression
 # ---------------------------------------------------------------------------
 
-# The direct descendants of each edge :func:`is_left_compressed` has seen.
-_DIRECT_DOWN: dict[Edge, frozenset[Edge]] = {}
-
-
 def is_left_compressed(g: RGraph) -> bool:
     """True iff replacing any edge entry by any smaller unused label stays an edge.
 
     Lowering one entry by one, where that label is unused, reaches all of
     those replacements step by step, so only those steps (the
-    :func:`direct_descendants`) are checked.  A graph from the enumeration
-    is known to be left-compressed."""
+    :func:`direct_descendants`, cached per edge) are checked.  A graph from
+    the enumeration is known to be left-compressed."""
     if g._m is not None:
         return True
-    for e in g.edges:
-        if e not in _DIRECT_DOWN:
-            _DIRECT_DOWN[e] = direct_descendants(e)
-    return g.edges.issuperset(chain.from_iterable(map(_DIRECT_DOWN.__getitem__, g.edges)))
+    return g.edges.issuperset(chain.from_iterable(map(_direct_down, g.edges)))
 
 
 def compress(g: RGraph) -> RGraph:
@@ -315,6 +308,9 @@ def direct_descendants(edge: Edge) -> frozenset[Edge]:
         if v > lower:
             out.add(e[:pos] + (v,) + e[pos + 1:])
     return frozenset(out)
+
+
+_direct_down = cache(direct_descendants)  # the steps is_left_compressed checks, per edge
 
 
 def ancestors(edge: Edge, within: int) -> frozenset[Edge]:

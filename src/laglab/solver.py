@@ -271,19 +271,15 @@ def link_values(g: RGraph, x) -> np.ndarray:
 
 def _solve_rows(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked linear solve and the mask of rows solved.  One singular matrix
-    makes a stacked call raise; then each half is solved, down to single
-    rows, so one singular row among R costs about 2 log2(R) calls."""
-    out, ok = np.zeros_like(rhs), np.ones(len(jac), bool)
-    todo = [(0, len(jac))]
-    while todo:
-        lo, hi = todo.pop()
-        try:
-            out[lo:hi] = np.linalg.solve(jac[lo:hi], rhs[lo:hi, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            if hi - lo == 1:
-                ok[lo] = False
-            else:
-                todo += [(lo, (lo + hi) // 2), ((lo + hi) // 2, hi)]
+    makes a stacked call raise; then the rows whose LU factorization has no
+    zero pivot (``slogdet`` sign nonzero: the same factorization, whose zero
+    pivot is what makes ``solve`` raise) are solved in one more call."""
+    try:
+        return np.linalg.solve(jac, rhs[:, :, None])[:, :, 0], np.ones(len(jac), bool)
+    except np.linalg.LinAlgError:
+        ok = np.linalg.slogdet(jac)[0] != 0
+    out = np.zeros_like(rhs)
+    out[ok] = np.linalg.solve(jac[ok], rhs[ok, :, None])[:, :, 0]
     return out, ok
 
 

@@ -194,24 +194,20 @@ def build_configuration(spec: ConfigurationSpec) -> RGraph:
     return g
 
 
-def check_theorem_inequality(spec: ConfigurationSpec,
-                             opts: VerifierOptions | None = None) -> InequalityCheck:
+def check_theorem_inequality(spec: ConfigurationSpec) -> InequalityCheck:
     """Solve the family graph and its colex rival; pass iff the colex value
     is not beaten beyond tolerance (both solves must certify)."""
-    opts = opts or VerifierOptions()
     g = build_configuration(spec)
-    a = comb(spec.t, 3) - g.m
-    m = g.m
-    res_g = lagrangian(g, opts.solver)
-    res_c = lagrangian(build_colex_graph(3, m), opts.solver)
+    res_g = lagrangian(g)
+    res_c = lagrangian(build_colex_graph(3, g.m))
     margin = res_c.value - res_g.value
     certified = res_g.certified and res_c.certified
     return InequalityCheck(
         family=spec.family,
         t=spec.t,
-        a=a,
+        a=comb(spec.t, 3) - g.m,
         i=spec.i,
-        m=m,
+        m=g.m,
         config_value=res_g.value,
         colex_value=res_c.value,
         margin=margin,
@@ -309,8 +305,7 @@ class _Cell:
         )
 
 
-def verify_cells(t: int, ms: Iterable[int],
-                 opts: VerifierOptions | None = None) -> list[VerificationReport]:
+def verify_cells(t: int, ms: Iterable[int]) -> list[VerificationReport]:
     """Enumerate the left-compressed class at each (t, m), m in ``ms``, and
     compare Lagrangians; the reports come in ``ms`` order.
 
@@ -321,13 +316,12 @@ def verify_cells(t: int, ms: Iterable[int],
     depends on the graphs solved beside it, so the reports depend neither
     on the block size nor on which cells are verified together.
     """
-    opts = opts or VerifierOptions()
     if t < 4:
         raise ValueError(f"cells need t >= 4, got t={t}")
     cells = [_Cell(t, m) for m in ms]
     graphs = ((cell, g) for cell in cells for g in enumerate_left_compressed(t, cell.m))
     while block := list(islice(graphs, CELL_BLOCK)):
-        results = lagrangians([g for _cell, g in block], opts.solver)
+        results = lagrangians([g for _cell, g in block])
         for cell, run in groupby(zip(block, results), key=lambda item: item[0][0]):
             cell.add([(g, res) for (_cell, g), res in run])
     return [cell.report() for cell in cells]
@@ -335,8 +329,10 @@ def verify_cells(t: int, ms: Iterable[int],
 
 def verify_cell(t: int, m: int, opts: VerifierOptions | None = None) -> VerificationReport:
     """Enumerate the left-compressed class at (t, m) and compare Lagrangians:
-    :func:`verify_cells` on the one cell."""
-    return verify_cells(t, [m], opts)[0]
+    :func:`verify_cells` on the one cell.  ``opts`` is accepted and ignored:
+    every graph of a cell is left-compressed, and the prefix route reads no
+    solver option."""
+    return verify_cells(t, [m])[0]
 
 
 def check_t(t: int, lowest: int, name: str) -> None:
@@ -353,15 +349,13 @@ def _groups(window: range, workers: int) -> list[list[int]]:
     return [sorted([*window[j::turn], *window[turn - 1 - j::turn]]) for j in range(workers)]
 
 
-def sweep(t_max: int, opts: VerifierOptions | None = None,
-          workers: int = 1) -> list[VerificationReport]:
+def sweep(t_max: int, workers: int = 1) -> list[VerificationReport]:
     """Run every cell for 4 <= t <= t_max; deterministic (t, m) order.
 
     Worker j verifies group j (:func:`_groups`) of every window, the largest
     window first.  Worker 0 is the caller; each other worker with cells is a
     child from POSIX ``os.fork`` that pipes back its pickled reports or its
     error, raised again here.  A failing caller kills and reaps its children."""
-    opts = opts or VerifierOptions()
     check_t(t_max, 4, "t_max")
     # the largest window holds the most cells: a group beyond it is always empty
     workers = max(1, min(workers, len(cell_window(t_max))))
@@ -375,14 +369,14 @@ def sweep(t_max: int, opts: VerifierOptions | None = None,
                 try:
                     with open(write, "wb") as pipe:
                         try:
-                            pickle.dump(("ok", _verify_share(share, opts)), pipe)
+                            pickle.dump(("ok", _verify_share(share)), pipe)
                         except BaseException as exc:
                             pickle.dump(("error", exc), pipe)
                 finally:
                     os._exit(0)
             os.close(write)
             kids.append((pid, open(read, "rb")))
-        done = _verify_share(shares[0], opts)
+        done = _verify_share(shares[0])
         while kids:
             with kids[0][1] as pipe:
                 blob = pipe.read()
@@ -402,9 +396,9 @@ def sweep(t_max: int, opts: VerifierOptions | None = None,
     return sorted(done, key=lambda rep: (rep.t, rep.m))
 
 
-def _verify_share(share, opts: VerifierOptions) -> list[VerificationReport]:
+def _verify_share(share) -> list[VerificationReport]:
     """One worker's reports: :func:`verify_cells` on each (t, ms) of its share."""
-    return [rep for t, ms in share for rep in verify_cells(t, ms, opts)]
+    return [rep for t, ms in share for rep in verify_cells(t, ms)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ For each mutant of ``MUTANTS`` (or only those whose name is given), copies
 ``src/`` to a temporary directory, replaces the mutant's text in that copy
 (it must occur there exactly once), and runs tier-1 on the copy with ``-x``.
 Prints one line per mutant: its name, the changed text, and the first failing
-test or ``SURVIVED``.  The first failing test need not be the only one that
+test or ``SURVIVED``, then a last line "N killed, M survived"; exits 1 when
+any mutant survived.  The first failing test need not be the only one that
 notices the mutant.  A surviving mutant runs the whole of tier-1, so the
 full list takes about 15 min on two cores.  The scan is not part of tier-1
 and changes no file of the repository.
@@ -51,6 +52,7 @@ MUTANTS = [  # (name, file under src/laglab, text, replacement)
      "abs(value - res.value) > 1e-8", "abs(value - res.value) > 1e-5"),
     ("peel depth", "solver.py",
      "range(min(3, len(base)))", "range(min(2, len(base)))"),
+    ("support cut", "solver.py", "x > 1e-9", "x > 1e-12"),
     ("Newton convergence", "solver.py", ")) < 1e-14", ")) < 1e-12"),
     ("Newton step bound", "solver.py", ".min(axis=1) >= -1e-9", ".min(axis=1) >= 0"),
     ("Newton step bound", "solver.py", ".min(axis=1) >= -1e-9", ".min(axis=1) >= -1e-6"),
@@ -88,9 +90,13 @@ def main(argv: list[str]) -> int:
     chosen = [m for m in MUTANTS if not argv or m[0] in argv]
     if not chosen:
         raise SystemExit(f"no mutant named {' or '.join(argv)}")
+    survived = 0
     for name, file, text, mutant in chosen:
-        print(f"{name}: {mutant.strip()}: {first_failure(name, file, text, mutant)}", flush=True)
-    return 0
+        outcome = first_failure(name, file, text, mutant)
+        survived += outcome == "SURVIVED"
+        print(f"{name}: {mutant.strip()}: {outcome}", flush=True)
+    print(f"{len(chosen) - survived} killed, {survived} survived")
+    return 1 if survived else 0
 
 
 if __name__ == "__main__":

@@ -170,12 +170,12 @@ class TestRGraph:
         for t in (8, 10):  # a poset lists direct descendants once, when first built
             count_left_compressed(t, comb(t, 3))
         calls = []
-        post_init, down = RGraph.__post_init__, hypergraph.direct_descendants
+        post_init, down = RGraph.__post_init__, hypergraph._direct_down
         monkeypatch.setattr(RGraph, "__post_init__",
                             lambda g: calls.append(("validate", g)) or post_init(g))
-        monkeypatch.setattr(hypergraph, "direct_descendants",
+        # is_left_compressed reads each edge's steps through the cached helper
+        monkeypatch.setattr(hypergraph, "_direct_down",
                             lambda e: calls.append(("retest", e)) or down(e))
-        monkeypatch.setattr(hypergraph, "_DIRECT_DOWN", {})  # nothing cached to re-test with
         graphs = []
 
         def enumerate_and_keep(t, m):

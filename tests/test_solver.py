@@ -759,12 +759,21 @@ class TestBatchedSolve:
         with pytest.raises(ValueError, match="share r and n"):
             lagrangians(graphs)
 
-    def test_singular_row_halves_the_stack(self, monkeypatch):
-        # one singular system among 64: halving around it takes 1 + 2 * 6
-        # stacked solves, where solving every row alone would take 65
+    @pytest.mark.parametrize("singular, near", [
+        pytest.param((37,), (), id="one-singular"),
+        pytest.param((5, 37, 60), (21,), id="three-singular-one-near"),
+    ])
+    def test_singular_rows_cost_one_more_solve(self, monkeypatch, singular, near):
+        # singular systems among 64 (two equal rows, which for these rows
+        # leave LU an exact zero pivot) make the stacked solve raise; the
+        # rest are solved in one more stacked call.  A near-singular system
+        # (two rows 1e-10 apart) has no zero pivot and is solved
         rng = np.random.default_rng(11)
         jac, rhs = rng.random((64, 6, 6)) + 6 * np.eye(6), rng.random((64, 6))
-        jac[37, 4] = jac[37, 2]
+        for k in singular + near:
+            jac[k, 4] = jac[k, 2]
+        for k in near:
+            jac[k, 4, 0] += 1e-10
         solve, calls = np.linalg.solve, []
 
         def spy(a, b):
@@ -773,9 +782,17 @@ class TestBatchedSolve:
 
         monkeypatch.setattr(np.linalg, "solve", spy)
         out, ok = solver._solve_rows(jac, rhs)
-        assert len(calls) <= 13
-        assert ok.tolist() == [k != 37 for k in range(64)]
-        assert all(np.array_equal(out[k], solve(jac[k], rhs[k])) for k in range(64) if k != 37)
+        assert calls == [64, 64 - len(singular)]
+        assert ok.tolist() == [k not in singular for k in range(64)]
+        assert all(np.array_equal(out[k], solve(jac[k], rhs[k]))
+                   for k in range(64) if k not in singular)
+        assert not out[list(singular)].any()
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_stack_of_singular_rows_solves_none(self, size):
+        # the second stacked solve gets an empty stack
+        out, ok = solver._solve_rows(np.zeros((size, 4, 4)), np.ones((size, 4)))
+        assert not ok.any() and not out.any()
 
     def test_singular_face_fails_alone(self, monkeypatch):
         # vertices 4 and 5 lie in no edge, so the Jacobian on the face [5]

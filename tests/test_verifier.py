@@ -9,7 +9,7 @@ from math import comb
 
 import pytest
 
-from laglab import verifier
+from laglab import solver, verifier
 from laglab.hypergraph import (
     RGraph,
     build_colex_graph,
@@ -19,11 +19,12 @@ from laglab.hypergraph import (
     is_left_compressed,
     parse_edge_list,
 )
-from laglab.solver import LagrangianResult
+from laglab.solver import LagrangianResult, SolverOptions
 from laglab.verifier import (
     ConfigurationError,
     ConfigurationSpec,
     FAMILIES,
+    VerifierOptions,
     build_configuration,
     cell_window,
     check_delta_bound,
@@ -402,13 +403,13 @@ class TestSweep:
         ``caller`` (by default verify_cells itself) in the calling process."""
         real, pid = verifier.verify_cells, os.getpid()
 
-        def verify_cells(t, ms, opts=None):
-            return ((caller or real) if os.getpid() == pid else child)(t, ms, opts)
+        def verify_cells(t, ms):
+            return ((caller or real) if os.getpid() == pid else child)(t, ms)
 
         monkeypatch.setattr(verifier, "verify_cells", verify_cells)
 
     def test_child_error_comes_out_with_its_type_and_message(self, monkeypatch):
-        def child(t, ms, opts):
+        def child(t, ms):
             raise ValueError(f"no cells at t={t}")
 
         self._in_children(monkeypatch, child)
@@ -416,16 +417,16 @@ class TestSweep:
             sweep(5, workers=2)
 
     def test_child_that_exits_without_a_result_raises(self, monkeypatch):
-        self._in_children(monkeypatch, lambda t, ms, opts: os._exit(3))
+        self._in_children(monkeypatch, lambda t, ms: os._exit(3))
         with pytest.raises(RuntimeError, match=r"sweep worker \d+ ended with status 3 "):
             sweep(5, workers=2)
 
     def test_failing_caller_leaves_no_child(self, monkeypatch):
         # the child would sleep for a minute; the caller kills and reaps it
-        def caller(t, ms, opts):
+        def caller(t, ms):
             raise ArithmeticError("the caller's share failed")
 
-        self._in_children(monkeypatch, lambda t, ms, opts: time.sleep(60), caller)
+        self._in_children(monkeypatch, lambda t, ms: time.sleep(60), caller)
         start = time.monotonic()
         with pytest.raises(ArithmeticError):
             sweep(5, workers=2)
@@ -466,6 +467,26 @@ class TestSweep:
                 for g in enumerate_left_compressed(6, m):
                     if len(pair_link(g, 5, 6)) <= b + 3:
                         assert lagrangian(g).value <= colex_val + 1e-7
+
+
+class TestNoSolverOptions:
+    """Every graph the verifier solves is left-compressed, and the prefix
+    route reads no solver option."""
+
+    def test_verify_cell_ignores_its_options(self, one_block_reports):
+        opts = VerifierOptions(SolverOptions(starts=0, seed=1))
+        for m in cell_window(7):
+            assert verify_cell(7, m, opts) == one_block_reports[7, m], m
+
+    def test_no_solve_reaches_the_multistart_route(self, monkeypatch):
+        calls, multistart = [], solver._multistart
+        monkeypatch.setattr(solver, "_multistart",
+                            lambda data, k, opts: calls.append(k) or multistart(data, k, opts))
+        assert all(rep.all_pass for rep in sweep(6))
+        checks = [check_theorem_inequality(spec) for family in FAMILIES for t in (7, 8)
+                  for spec in in_range_instances(family, t)]
+        assert len(checks) > len(FAMILIES)
+        assert calls == []
 
 
 class TestBoundChecks:
