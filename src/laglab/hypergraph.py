@@ -15,7 +15,7 @@ from functools import cache
 from itertools import chain, combinations, islice
 from math import comb
 from operator import ge, getitem, itemgetter, le
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 Edge = tuple[int, ...]
 
@@ -235,13 +235,8 @@ def difference_link(g: RGraph, i: int, j: int) -> frozenset[Edge]:
     """The (r-1)-sets A with A+{i} an edge but A+{j} a non-edge (j not in A)."""
     _check_vertex(g, i)
     _check_vertex(g, j)
-    out = []
-    for a in link(g, i):
-        if j in a:
-            continue
-        if tuple(sorted(a + (j,))) not in g.edges:
-            out.append(a)
-    return frozenset(out)
+    return frozenset(a for a in link(g, i)
+                     if j not in a and tuple(sorted(a + (j,))) not in g.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +349,9 @@ def _pick_table(t: int, text: bool) -> tuple[tuple, ...]:
     return tuple(map(tuple, rows))
 
 
-def _downset_search(t: int, m: int) -> tuple[int, Callable[[int, int], list[tuple[int, int]]]]:
-    """The search behind :func:`_downset_masks`: validates (t, m) and returns
-    a, the number of ranks the up-set U must hold, and the branch rule, which
-    maps a search state (U, floor) to its children (U', floor'), in the order
-    they are tried.
+class _StateGraph(dict):
+    """The down-set search on [t] as a graph of its states, shared by every
+    cell on [t] and worked out one state at a time, on first use.
 
     A down-set is the complement of an up-set U of a = C(t,3) - m ranks,
     and U is the up-set of its minimal triples.  Each level of the search
@@ -374,69 +367,76 @@ def _downset_search(t: int, m: int) -> tuple[int, Callable[[int, int], list[tupl
     is tried only if the c ranks it adds fit (c <= b) and at least b - 1
     free ranks lie above s.  The top b - c free ranks above s then complete
     U, since an ancestor of one of them is in U already or free and higher.
-    Only ranks whose up-set has at most a ranks are ever tried.  A child
-    depends only on the bits of U at and above the floor and on b.
+
+    Both tests and the child read only the bits of U at and above the
+    floor, so a state is (U >> floor, floor, b) for every m.  Its entry is
+    its children in the order tried, each (s, the child's entry), and its
+    leaf count; a complete U is a leaf, with the entry ((), 1).
     """
+
+    def __init__(self, t: int):
+        # the ancestors of each rank s, as a bitmask shifted down by s + 1
+        self.above = [c >> s + 1 for s, c in enumerate(_triple_poset(t)[1])]
+
+    def __missing__(self, state: tuple[int, int, int]) -> tuple[tuple, int]:
+        u, floor, left = state
+        kids, free = [], ~u & (1 << len(self.above) - floor) - 1
+        for _ in range(left - 1):  # at least b - 1 free ranks lie above s
+            free ^= 1 << free.bit_length() - 1
+        while free:
+            s = floor + free.bit_length() - 1
+            free ^= 1 << s - floor
+            hi = u >> s + 1 - floor
+            up = hi | self.above[s]
+            rest = left - 1 - up.bit_count() + hi.bit_count()  # b - c
+            if rest >= 0:
+                kids.append((s, self[up, s + 1, rest] if rest else ((), 1)))
+        return self.setdefault(state, (tuple(kids), sum(kid[1] for _s, kid in kids)))
+
+
+_state_graph = cache(_StateGraph)  # one per t, built on first use
+
+
+def _search_root(t: int, m: int) -> tuple[tuple, int]:
+    """Validates (t, m); the entry of the root state (0, 0, C(t,3) - m), a leaf if m = C(t,3)."""
     if t < 3:
         raise ValueError(f"need t >= 3, got {t}")
     if not 0 <= m <= comb(t, 3):
         raise ValueError(f"need 0 <= m <= C({t},3)={comb(t, 3)}, got {m}")
-    closure = _triple_poset(t)[1]
-    total, a = len(closure), len(closure) - m
-    candidates = sum(1 << k for k in range(total) if closure[k].bit_count() <= a)
-
-    def children(up: int, floor: int) -> list[tuple[int, int]]:
-        left, out = a - up.bit_count(), []
-        options = (candidates & ~up) >> floor << floor
-        while options:
-            s = options.bit_length() - 1
-            options ^= 1 << s
-            if total - s - (up >> s).bit_count() >= left and (up | closure[s]).bit_count() <= a:
-                out.append((up | closure[s], s + 1))
-        return out
-
-    return a, children
+    a, graph = comb(t, 3) - m, _state_graph(t)
+    return graph[0, 0, a] if a else ((), 1)
 
 
 def _downset_masks(t: int, m: int) -> Iterator[int]:
     """Yield each size-m down-set of the triple poset on [t] as a rank
-    bitmask, in colex-prefix order (see :func:`_downset_search`)."""
-    a, children = _downset_search(t, m)
-    full = (1 << comb(t, 3)) - 1
-
-    def rec(up: int, floor: int) -> Iterator[int]:
-        # a complete child is yielded here, in its parent's frame
-        for child, low in children(up, floor):
-            if child.bit_count() == a:
-                yield full ^ child
-            else:
-                yield from rec(child, low)
-
-    return rec(0, 0) if a else iter((full,))
+    bitmask, in colex-prefix order, by a walk of :class:`_StateGraph`."""
+    root, closure, full = _search_root(t, m), _triple_poset(t)[1], (1 << comb(t, 3)) - 1
+    if not root[0]:
+        yield full
+    stack = [(0, iter(root[0]))]  # per state on the path, U and the children still to try
+    while stack:
+        up, kids = stack[-1]
+        for s, kid in kids:
+            if kid[0]:
+                stack.append((up | closure[s], iter(kid[0])))
+                break
+            yield full ^ (up | closure[s])
+        else:
+            stack.pop()
 
 
 def enumerate_left_compressed(t: int, m: int) -> Iterator[RGraph]:
-    """All left-compressed 3-graphs on [t] with m edges, each exactly once."""
+    """All left-compressed 3-graphs on [t] with m edges, each exactly once,
+    in colex-prefix order: the masks of :func:`_downset_masks` as picks."""
     masks, width = _downset_masks(t, m), (comb(t, 3) + 7) // 8
     for mask in masks:
         yield RGraph._ordered(t, m, mask.to_bytes(width, "little"))
 
 
 def count_left_compressed(t: int, m: int) -> int:
-    """Number of left-compressed 3-graphs on [t] with m edges: the leaves
-    below the search's root, counted once per state (the bits of U at and
-    above the floor, the floor, and the ranks still to place)."""
-    a, children = _downset_search(t, m)
-    memo: dict[tuple[int, int, int], int] = {}
-
-    def leaves(up: int, floor: int) -> int:
-        key = (up >> floor, floor, a - up.bit_count())
-        if key not in memo:
-            memo[key] = sum(1 if child.bit_count() == a else leaves(child, low)
-                            for child, low in children(up, floor))
-        return memo[key]
-
-    return leaves(0, 0) if a else 1
+    """Number of left-compressed 3-graphs on [t] with m edges, listing none:
+    the leaf count of the search's root in the state graph of [t]."""
+    return _search_root(t, m)[1]
 
 
 # ---------------------------------------------------------------------------

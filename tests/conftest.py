@@ -4,7 +4,7 @@ import pytest
 def pytest_addoption(parser):
     parser.addoption(
         "--runslow", action="store_true", default=False,
-        help="run slow checks (the t=13 window total)",
+        help="run slow checks (the t=14 window total)",
     )
 
 

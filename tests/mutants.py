@@ -39,6 +39,7 @@ MUTANTS = [  # (name, file under src/laglab, text, replacement)
     const("TIE_TOL", "solver.py", "1e-9", "1e-12"),
     const("TIE_TOL", "solver.py", "1e-9", "1e-6"),
     const("KKT_TOL", "solver.py", "1e-8", "1e-5"),
+    const("KKT_TOL", "solver.py", "1e-8", "1e-15"),
     const("POSITIVE_EPS", "solver.py", "1e-10", "1e-8"),
     const("POSITIVE_EPS", "solver.py", "1e-10", "1e-13"),
     const("CROSS_CHECK_MAX_ACTIVE", "solver.py", "6", "0"),

@@ -476,6 +476,46 @@ class TestEnumeration:
         for m in range(comb(t, 3) + 1):
             assert count_left_compressed(t, m) == sum(1 for _ in _downset_masks(t, m))
 
+    def test_shared_states_leak_nothing_between_cells(self):
+        # one state graph per t serves every cell on [t]: cells taken in
+        # falling m order, between counts of cells on other t, read as alone
+        hypergraph._state_graph.cache_clear()
+        others = iter([*((8, m) for m in cell_window(8)), *((9, m) for m in cell_window(9))])
+        for t in (7, 8):
+            for m in reversed(cell_window(t)):
+                masks = list(_downset_masks(t, m))
+                assert masks == list(downset_masks_unpruned(t, m)), (t, m)
+                assert count_left_compressed(t, m) == len(masks)
+                u, k = next(others)
+                assert count_left_compressed(u, k) == DIGEST[f"{u},{k}"]["graph_count"]
+
+    def test_window_states_are_worked_out_once(self, monkeypatch):
+        # a deterministic work count: the states behind all 37 cells of the
+        # t = 10 window, none of which enumerating the window works out again
+        hypergraph._state_graph.cache_clear()
+        counts = [count_left_compressed(10, m) for m in cell_window(10)]
+        assert len(hypergraph._state_graph(10)) == 1252
+        worked_out, missing = [], hypergraph._StateGraph.__missing__
+        monkeypatch.setattr(hypergraph._StateGraph, "__missing__",
+                            lambda graph, state: worked_out.append(state) or missing(graph, state))
+        assert [sum(1 for _ in enumerate_left_compressed(10, m))
+                for m in cell_window(10)] == counts
+        assert worked_out == []
+        assert len(hypergraph._state_graph(10)) == 1252
+
+    @pytest.mark.parametrize("t, m, message", [
+        (2, 0, "need t >= 3, got 2"),
+        (5, -1, "need 0 <= m <= C(5,3)=10, got -1"),
+        (5, 11, "need 0 <= m <= C(5,3)=10, got 11"),
+    ])
+    def test_bad_cell_raises_and_leaves_no_state(self, t, m, message):
+        hypergraph._state_graph.cache_clear()
+        for search in (count_left_compressed, lambda t, m: next(enumerate_left_compressed(t, m))):
+            with pytest.raises(ValueError) as err:
+                search(t, m)
+            assert str(err.value) == message
+        assert hypergraph._state_graph.cache_info().currsize == 0
+
     @pytest.mark.parametrize("t", range(4, 10))
     def test_picks_are_packed_rank_bits(self, t):
         # C(t,3) bits in whole bytes, bit k & 7 of byte k >> 3 for rank k
@@ -497,9 +537,12 @@ class TestEnumeration:
     def test_t12_window_total(self):
         assert sum(count_left_compressed(12, m) for m in cell_window(12)) == 691_348
 
-    @pytest.mark.slow
     def test_t13_window_total(self):
         assert sum(count_left_compressed(13, m) for m in cell_window(13)) == 5_079_445
+
+    @pytest.mark.slow
+    def test_t14_window_total(self):
+        assert sum(count_left_compressed(14, m) for m in cell_window(14)) == 40_291_801
 
     @pytest.mark.parametrize("t", [4, 5, 6])
     def test_colex_graph_enumerated(self, t):
