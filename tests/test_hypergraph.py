@@ -478,7 +478,8 @@ class TestEnumeration:
 
     def test_shared_states_leak_nothing_between_cells(self):
         # one state graph per t serves every cell on [t]: cells taken in
-        # falling m order, between counts of cells on other t, read as alone
+        # falling m order, with counts of cells on other t in between, still
+        # give the unpruned search's masks
         hypergraph._state_graph.cache_clear()
         others = iter([*((8, m) for m in cell_window(8)), *((9, m) for m in cell_window(9))])
         for t in (7, 8):
