@@ -12,7 +12,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, combinations, islice
+from itertools import accumulate, chain, combinations, islice
 from math import comb
 from operator import ge, getitem, itemgetter, le
 from typing import Iterable, Iterator
@@ -81,12 +81,12 @@ def colex_unrank(r: int, rank: int) -> Edge:
 # compares ranks, and RGraph checks only unknown edges.  Edges get in by
 # passing RGraph's checks or from the tables that list them (triple poset,
 # colex-initial r-sets).  Trust invariant: only enumerate_left_compressed
-# calls RGraph._ordered, with the picks of a left-compressed 3-graph on [n]
-# from the triple poset: bit k & 7 of byte k >> 3 of ceil(C(n,3)/8) bytes
-# set iff the triple of rank k is an edge, read a byte at a time through
-# _pick_table; the graph keeps its picks and builds the rest only when
-# asked.  Only _ordered sets _m, so is_left_compressed trusts every graph
-# whose _m is set.
+# builds a graph from a template (r = 3, n, _m = m) plus the picks of a
+# left-compressed 3-graph on [n] from the triple poset: bit k & 7 of byte
+# k >> 3 of ceil(C(n,3)/8) bytes set iff the triple of rank k is an edge,
+# read a byte at a time through _pick_table; the graph keeps its picks and
+# builds the rest only when asked.  Only that template sets _m, so
+# is_left_compressed trusts every graph whose _m is set.
 _EDGE_RANK: dict[int, dict[Edge, int]] = {}
 
 
@@ -121,7 +121,7 @@ class RGraph:
             raise ValueError(f"edge {top} exceeds vertex bound n={self.n}")
 
     def __getattr__(self, name):
-        # the edges field of a graph from _ordered, built on first access
+        # the edges field of an enumerated graph, built on first access
         if name != "edges" or self._m is None:
             raise AttributeError(name)
         edges = self.__dict__["edges"] = frozenset(self._colex())
@@ -130,14 +130,6 @@ class RGraph:
     def __reduce__(self):
         # copies and unpickled graphs pass through __post_init__ too
         return type(self), (self.r, self.n, self.edges)
-
-    @classmethod
-    def _ordered(cls, n: int, m: int, picks: bytes) -> "RGraph":
-        """Trusted: a left-compressed 3-graph on [n] of m registered edges,
-        given as the packed bitset of their colex ranks."""
-        g = object.__new__(cls)
-        g.__dict__.update(r=3, n=n, _m=m, _picks=picks)
-        return g
 
     def _colex(self) -> tuple[Edge, ...]:
         """The edges in colex order, selected or sorted at most once per graph."""
@@ -349,6 +341,18 @@ def _pick_table(t: int, text: bool) -> tuple[tuple, ...]:
     return tuple(map(tuple, rows))
 
 
+@cache
+def _pick_text(t: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple[tuple, ...]]:
+    """For the packed picks of a 3-graph on [t]: the header of each m, the
+    lines of the first i bytes when all their triples are edges (i up to the
+    number of whole bytes), and the text table of :func:`_pick_table` from
+    byte i on."""
+    table = _pick_table(t, True)
+    heads = tuple(f"3 {t} {m}\n" for m in range(comb(t, 3) + 1))
+    prefix = tuple(accumulate((row[255] for row in table if len(row) == 256), initial=""))
+    return heads, prefix, tuple(table[i:] for i in range(len(prefix)))
+
+
 class _StateGraph(dict):
     """The down-set search on [t] as a graph of its states, shared by every
     cell on [t] and worked out one state at a time, on first use.
@@ -370,15 +374,22 @@ class _StateGraph(dict):
 
     Both tests and the child read only the bits of U at and above the
     floor, so a state is (U >> floor, floor, b) for every m.  Its entry is
-    its children in the order tried, each (s, the child's entry), and its
-    leaf count; a complete U is a leaf, with the entry ((), 1).
+    (keep, children, leaf count): keep is the rank bitmask of the triples
+    outside the up-set of the skip that led to it (rank floor - 1; all
+    ranks at the root), so a down-set is the AND of the keeps along its
+    path, and the children are their entries in the order tried.  A
+    complete U is a leaf, with the entry (keep, (), 1), one per floor.
     """
 
     def __init__(self, t: int):
+        closure = _triple_poset(t)[1]
+        full = (1 << len(closure)) - 1
         # the ancestors of each rank s, as a bitmask shifted down by s + 1
-        self.above = [c >> s + 1 for s, c in enumerate(_triple_poset(t)[1])]
+        self.above = [c >> s + 1 for s, c in enumerate(closure)]
+        self.keep = [full, *(full ^ c for c in closure)]  # by floor
+        self.leaf = [(keep, (), 1) for keep in self.keep]
 
-    def __missing__(self, state: tuple[int, int, int]) -> tuple[tuple, int]:
+    def __missing__(self, state: tuple[int, int, int]) -> tuple[int, tuple, int]:
         u, floor, left = state
         kids, free = [], ~u & (1 << len(self.above) - floor) - 1
         for _ in range(left - 1):  # at least b - 1 free ranks lie above s
@@ -390,53 +401,51 @@ class _StateGraph(dict):
             up = hi | self.above[s]
             rest = left - 1 - up.bit_count() + hi.bit_count()  # b - c
             if rest >= 0:
-                kids.append((s, self[up, s + 1, rest] if rest else ((), 1)))
-        return self.setdefault(state, (tuple(kids), sum(kid[1] for _s, kid in kids)))
+                kids.append(self[up, s + 1, rest] if rest else self.leaf[s + 1])
+        return self.setdefault(state, (self.keep[floor], tuple(kids), sum(kid[2] for kid in kids)))
 
 
 _state_graph = cache(_StateGraph)  # one per t, built on first use
 
 
-def _search_root(t: int, m: int) -> tuple[tuple, int]:
+def _search_root(t: int, m: int) -> tuple[int, tuple, int]:
     """Validates (t, m); the entry of the root state (0, 0, C(t,3) - m), a leaf if m = C(t,3)."""
     if t < 3:
         raise ValueError(f"need t >= 3, got {t}")
     if not 0 <= m <= comb(t, 3):
         raise ValueError(f"need 0 <= m <= C({t},3)={comb(t, 3)}, got {m}")
     a, graph = comb(t, 3) - m, _state_graph(t)
-    return graph[0, 0, a] if a else ((), 1)
-
-
-def _downset_masks(t: int, m: int) -> Iterator[int]:
-    """Yield each size-m down-set of the triple poset on [t] as a rank
-    bitmask, in colex-prefix order, by a walk of :class:`_StateGraph`."""
-    root, closure, full = _search_root(t, m), _triple_poset(t)[1], (1 << comb(t, 3)) - 1
-    if not root[0]:
-        yield full
-    stack = [(0, iter(root[0]))]  # per state on the path, U and the children still to try
-    while stack:
-        up, kids = stack[-1]
-        for s, kid in kids:
-            if kid[0]:
-                stack.append((up | closure[s], iter(kid[0])))
-                break
-            yield full ^ (up | closure[s])
-        else:
-            stack.pop()
+    return graph[0, 0, a] if a else graph.leaf[0]
 
 
 def enumerate_left_compressed(t: int, m: int) -> Iterator[RGraph]:
     """All left-compressed 3-graphs on [t] with m edges, each exactly once,
-    in colex-prefix order: the masks of :func:`_downset_masks` as picks."""
-    masks, width = _downset_masks(t, m), (comb(t, 3) + 7) // 8
-    for mask in masks:
-        yield RGraph._ordered(t, m, mask.to_bytes(width, "little"))
+    in colex-prefix order: a walk of :class:`_StateGraph` with an explicit
+    stack, each leaf's down-set as the picks of a trusted graph."""
+    root, width, new = _search_root(t, m), (comb(t, 3) + 7) // 8, object.__new__
+    template = {"r": 3, "n": t, "_m": m}
+    # per state on the path, its down-set and the children still to try,
+    # under a first frame of all ranks whose one child is the root
+    stack = [(root[0], iter((root,)))]
+    while stack:
+        down, kids = stack[-1]
+        for keep, grandkids, _count in kids:
+            if grandkids:
+                stack.append((down & keep, iter(grandkids)))
+                break
+            g = new(RGraph)
+            d = g.__dict__
+            d.update(template)
+            d["_picks"] = (down & keep).to_bytes(width, "little")
+            yield g
+        else:
+            stack.pop()
 
 
 def count_left_compressed(t: int, m: int) -> int:
     """Number of left-compressed 3-graphs on [t] with m edges, listing none:
     the leaf count of the search's root in the state graph of [t]."""
-    return _search_root(t, m)[1]
+    return _search_root(t, m)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +456,11 @@ def serialize_edge_list(g: RGraph) -> str:
     """Canonical text form: header ``r n m`` then one edge per line, colex order."""
     if g._picks is None:
         return "\n".join([f"{g.r} {g.n} {g.m}", *(" ".join(map(str, e)) for e in g._colex()), ""])
-    return f"{g.r} {g.n} {g.m}\n" + "".join(map(getitem, _pick_table(g.n, True), g._picks))
+    heads, prefix, tables = _pick_text(g.n)
+    body = g._picks.rstrip(b"\0")  # up to the last byte with an edge
+    rest = body.lstrip(b"\xff")  # from the first byte not 0xFF
+    whole = len(body) - len(rest)
+    return heads[g._m] + prefix[whole] + "".join(map(getitem, tables[whole], rest))
 
 
 def parse_edge_list(text: str) -> RGraph:

@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from functools import cmp_to_key
 from itertools import combinations
@@ -23,7 +24,6 @@ from laglab.hypergraph import (
     EdgeListParseError,
     RGraph,
     UniformityError,
-    _downset_masks,
     ancestors,
     as_edge,
     build_colex_graph,
@@ -53,6 +53,25 @@ from oracles import (
 
 SRC = str(Path(laglab.__file__).resolve().parent.parent)
 DIGEST = json.loads((Path(__file__).parent / "cell_digest.json").read_text())["cells"]
+
+
+def mask_of(g: RGraph) -> int:
+    """The rank bitmask of an enumerated graph's down-set, read from its picks."""
+    return int.from_bytes(g._picks, "little")
+
+
+def window_count_and_graph_size(t: int) -> tuple[int, int]:
+    """The graph count of the t window and the bytes its state graph keeps
+    (tracemalloc), the graph built afresh."""
+    hypergraph._triple_poset(t)
+    hypergraph._state_graph.cache_clear()
+    tracemalloc.start()
+    try:
+        total = sum(count_left_compressed(t, m) for m in cell_window(t))
+        return total, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
 
 # the first 21 triples in colex order
 COLEX_LISTING = [
@@ -155,9 +174,11 @@ class TestRGraph:
         edges.reverse()  # a fresh list: the graph's order stays as it was
         assert g.sorted_edges() == h.sorted_edges() == edges[::-1]
 
-    @pytest.mark.parametrize("t", [8, 9])
+    @pytest.mark.parametrize("t", range(4, 10))
     def test_kept_order_matches_rebuilt_and_unpickled_graphs(self, t):
-        for m in cell_window(t):
+        # every m of t <= 7: the empty and complete graphs, picks of all-edge
+        # bytes, and last bytes with 4, 2, 4 and 3 ranks in use
+        for m in range(comb(t, 3) + 1) if t <= 7 else cell_window(t):
             for g in enumerate_left_compressed(t, m):
                 want = (g.sorted_edges(), g.colex_ranks(), serialize_edge_list(g),
                         is_left_compressed(g))
@@ -468,13 +489,14 @@ class TestEnumeration:
     @pytest.mark.parametrize("t", range(3, 9))
     def test_pruned_search_matches_unpruned_order(self, t):
         for m in range(comb(t, 3) + 1):
-            assert list(_downset_masks(t, m)) == list(downset_masks_unpruned(t, m))
+            assert list(map(mask_of, enumerate_left_compressed(t, m))) == list(
+                downset_masks_unpruned(t, m))
 
     @pytest.mark.parametrize("t", range(3, 9))
     def test_count_matches_search(self, t):
-        # the count walks memoized search states, never the masks themselves
+        # the count reads the states' leaf counts, never the masks themselves
         for m in range(comb(t, 3) + 1):
-            assert count_left_compressed(t, m) == sum(1 for _ in _downset_masks(t, m))
+            assert count_left_compressed(t, m) == sum(1 for _ in enumerate_left_compressed(t, m))
 
     def test_shared_states_leak_nothing_between_cells(self):
         # one state graph per t serves every cell on [t]: cells taken in
@@ -484,7 +506,7 @@ class TestEnumeration:
         others = iter([*((8, m) for m in cell_window(8)), *((9, m) for m in cell_window(9))])
         for t in (7, 8):
             for m in reversed(cell_window(t)):
-                masks = list(_downset_masks(t, m))
+                masks = list(map(mask_of, enumerate_left_compressed(t, m)))
                 assert masks == list(downset_masks_unpruned(t, m)), (t, m)
                 assert count_left_compressed(t, m) == len(masks)
                 u, k = next(others)
@@ -538,12 +560,24 @@ class TestEnumeration:
     def test_t12_window_total(self):
         assert sum(count_left_compressed(12, m) for m in cell_window(12)) == 691_348
 
+    def test_t12_state_graph_size(self):
+        # what the state graph keeps after the window count: 2.2 MB in a
+        # fresh process, where one (rank, child) pair per child kept 5.0 MB;
+        # tuples taken from the interpreter's free lists escape tracemalloc,
+        # so after other tests it reads lower (1.5 MB in tier-1)
+        total, size = window_count_and_graph_size(12)
+        assert total == 691_348
+        assert 1e6 < size < 2.6e6
+
     def test_t13_window_total(self):
         assert sum(count_left_compressed(13, m) for m in cell_window(13)) == 5_079_445
 
     @pytest.mark.slow
     def test_t14_window_total(self):
-        assert sum(count_left_compressed(14, m) for m in cell_window(14)) == 40_291_801
+        # 13.8 MB kept, where one (rank, child) pair per child kept 49 MB
+        total, size = window_count_and_graph_size(14)
+        assert total == 40_291_801
+        assert size < 16e6
 
     @pytest.mark.parametrize("t", [4, 5, 6])
     def test_colex_graph_enumerated(self, t):
@@ -562,6 +596,14 @@ class TestEdgeListFormat:
         back = parse_edge_list(text)
         assert back == g
         assert serialize_edge_list(back) == text
+
+    def test_t9_window_serializes_to_pinned_bytes(self):
+        # every text of the window as one table lookup per picks byte wrote it
+        texts = [serialize_edge_list(g) for m in cell_window(9)
+                 for g in enumerate_left_compressed(9, m)]
+        assert len(texts) == 2974
+        assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+            "60ea54b9be02e42331ebda0ff2ad5e54f2f2338417ae901134b6665c44ae1c20")
 
     def test_cell_10_100_serializes_to_pinned_bytes(self):
         # the (10, 100) entry of the benchmark reference
