@@ -74,9 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None, help="write output here")
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                    help=f"seed of the random starts (default {DEFAULT_SEED:#x})")
-    p.add_argument("--starts", type=_int_at_least(0), default=SolverOptions.starts,
-                   help="random starts for a graph that is not left-compressed "
-                        "(default %(default)s)")
 
     p = sub.add_parser("sweep", help="exhaustive verification over all (t, m) cells")
     p.add_argument("--t-max", type=int, required=True, help=f"largest t (4..{T_MAX})")
@@ -125,8 +122,6 @@ _BUILTIN_KEYS = {
 
 def _parse_builtin(source: str) -> RGraph:
     kind, _, rest = source.partition(":")
-    if kind not in _BUILTIN_KEYS:
-        raise ValueError(f"unknown builtin kind {kind!r} (use colex/complete/family)")
     fields = [f for f in rest.split(",") if f]
     if kind == "family":
         if not fields:
@@ -158,7 +153,7 @@ def _parse_builtin(source: str) -> RGraph:
 
 
 def _load_graph(source: str) -> RGraph:
-    if source.startswith(("colex:", "complete:", "family:")):
+    if source.startswith(tuple(f"{kind}:" for kind in _BUILTIN_KEYS)):
         return _parse_builtin(source)
     path = Path(source)
     if not path.exists():
@@ -176,7 +171,7 @@ def _emit(text: str, out: Path | None) -> None:
 
 def cmd_compute(args) -> int:
     g = _load_graph(args.source)
-    res = lagrangian(g, SolverOptions(starts=args.starts, seed=args.seed))
+    res = lagrangian(g, SolverOptions(seed=args.seed))
     doc = asdict(res)
     if args.format == "json":
         _emit(render_json(doc), args.out)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, chain, combinations, islice
 from math import comb
-from operator import ge, getitem, itemgetter, le
+from operator import ge, getitem, index, itemgetter, le
 from typing import Iterable, Iterator
 
 Edge = tuple[int, ...]
@@ -34,8 +34,9 @@ class EdgeListParseError(ValueError):
 
 
 def as_edge(vertices: Iterable[int]) -> Edge:
-    """Validate and normalize an edge: strictly increasing positive integers."""
-    e = tuple(int(v) for v in vertices)
+    """Validate and normalize an edge: strictly increasing positive integers,
+    each an int or an integer type that :func:`operator.index` converts."""
+    e = tuple(map(_vertex, vertices))
     if not e:
         raise ValueError("edge must be non-empty")
     if e[0] < 1:
@@ -44,6 +45,13 @@ def as_edge(vertices: Iterable[int]) -> Edge:
         if a >= b:
             raise ValueError(f"edge vertices must be strictly increasing, got {e}")
     return e
+
+
+def _vertex(v) -> int:
+    try:
+        return index(v)
+    except TypeError:
+        raise ValueError(f"vertex {v!r} is not an integer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +91,9 @@ def colex_unrank(r: int, rank: int) -> Edge:
 # colex-initial r-sets).  Trust invariant: only enumerate_left_compressed
 # builds a graph from a template (r = 3, n, _m = m) plus the picks of a
 # left-compressed 3-graph on [n] from the triple poset: bit k & 7 of byte
-# k >> 3 of ceil(C(n,3)/8) bytes set iff the triple of rank k is an edge,
-# read a byte at a time through _pick_table; the graph keeps its picks and
-# builds the rest only when asked.  Only that template sets _m, so
-# is_left_compressed trusts every graph whose _m is set.
+# k >> 3 of ceil(C(n,3)/8) bytes set iff the triple of rank k is an edge;
+# the graph keeps its picks and builds the rest only when asked.  Only that
+# template sets _m, so is_left_compressed trusts every graph whose _m is set.
 _EDGE_RANK: dict[int, dict[Edge, int]] = {}
 
 
@@ -108,6 +115,11 @@ class RGraph:
             raise ValueError(f"uniformity must be >= 2, got {self.r}")
         if self.n < 0:
             raise ValueError(f"vertex bound must be >= 0, got {self.n}")
+        # 3.0 == 3 and True == 1, so an edge may equal a known one and still
+        # hold a vertex that is not an int: every vertex is checked
+        for v in chain.from_iterable(self.edges):
+            if type(v) is not int:
+                raise ValueError(f"vertex {v!r} is not an int")
         known = _EDGE_RANK.setdefault(self.r, {})
         for e in self.edges.difference(known):
             if len(e) != self.r:
@@ -132,12 +144,14 @@ class RGraph:
         return type(self), (self.r, self.n, self.edges)
 
     def _colex(self) -> tuple[Edge, ...]:
-        """The edges in colex order, selected or sorted at most once per graph."""
+        """The edges in colex order, selected or sorted at most once per graph
+        (an enumerated graph's: the set bits of its picks, lowest rank first)."""
         if self._order is None:
             object.__setattr__(self, "_order", tuple(
                 sorted(self.edges, key=_EDGE_RANK[self.r].__getitem__)
                 if self._picks is None
-                else chain.from_iterable(map(getitem, _pick_table(self.n, False), self._picks))))
+                else (e for e, bit in zip(_triple_poset(self.n)[0], reversed(
+                    f"{int.from_bytes(self._picks, 'little'):b}")) if bit == "1")))
         return self._order
 
     @classmethod
@@ -328,26 +342,20 @@ def _triple_poset(t: int) -> tuple[tuple[Edge, ...], list[int]]:
 
 
 @cache
-def _pick_table(t: int, text: bool) -> tuple[tuple, ...]:
-    """Per byte j of packed picks on [t] and value b, the triples of ranks
-    8j .. 8j + 7 whose bits are set in b, in rank order: their edge-list lines
-    joined (text) or a tuple; b's lowest bit's item plus the entry of the rest."""
-    items = [" ".join(map(str, e)) + "\n" if text else (e,) for e in _triple_poset(t)[0]]
-    rows = []
-    for group in (items[j:j + 8] for j in range(0, len(items), 8)):
-        rows.append(row := [items[0][:0]])
-        for b in range(1, 1 << len(group)):
-            row.append(group[(b & -b).bit_length() - 1] + row[b & b - 1])
-    return tuple(map(tuple, rows))
-
-
-@cache
 def _pick_text(t: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple[tuple, ...]]:
     """For the packed picks of a 3-graph on [t]: the header of each m, the
     lines of the first i bytes when all their triples are edges (i up to the
-    number of whole bytes), and the text table of :func:`_pick_table` from
-    byte i on."""
-    table = _pick_table(t, True)
+    number of whole bytes), and the text table from byte i on.  Per byte j
+    of the picks and value b, the table holds the edge-list lines of the
+    triples of ranks 8j .. 8j + 7 whose bits are set in b, in rank order:
+    b's lowest bit's line plus the entry of the rest."""
+    lines = [" ".join(map(str, e)) + "\n" for e in _triple_poset(t)[0]]
+    rows = []
+    for group in (lines[j:j + 8] for j in range(0, len(lines), 8)):
+        rows.append(row := [""])
+        for b in range(1, 1 << len(group)):
+            row.append(group[(b & -b).bit_length() - 1] + row[b & b - 1])
+    table = tuple(map(tuple, rows))
     heads = tuple(f"3 {t} {m}\n" for m in range(comb(t, 3) + 1))
     prefix = tuple(accumulate((row[255] for row in table if len(row) == 256), initial=""))
     return heads, prefix, tuple(table[i:] for i in range(len(prefix)))

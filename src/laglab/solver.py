@@ -60,6 +60,7 @@ POSITIVE_EPS = 1e-10  # weights above this are in the support
 CROSS_CHECK_MAX_ACTIVE = 6  # largest active vertex count given the cross-check
 SUPPORT_BUDGET = 20_000  # vertex subsets support enumeration may inspect
 NEWTON_ITERS = 60  # Newton steps per face row
+STARTS = 32  # random Dirichlet starts of the multistart route
 ASCENT_ITERS = 300  # multiplicative ascent steps per multistart start
 # a face row's ascent hands off to Newton after FACE_ASCENT_ITERS steps or
 # at the first step that moves no weight by FACE_ASCENT_STOP; a row that
@@ -78,14 +79,11 @@ METHOD_SUPPORT_ENUM = "support_enumeration"
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Settings of :func:`lagrangian`.
-
-    ``starts`` random Dirichlet starts (32) and the random ``seed``
-    (0xF2F2).  Both act only on graphs that are not left-compressed; the
-    prefix route draws no random starts.
+    """Settings of :func:`lagrangian`: the random ``seed`` (0xF2F2) of the
+    ``STARTS`` random starts.  It acts only on graphs that are not
+    left-compressed; the prefix route draws no random starts.
     """
 
-    starts: int = 32
     seed: int = DEFAULT_SEED
 
 
@@ -124,7 +122,7 @@ class _GraphData:
     vertices: graph k's edges are the columns ``start[k]`` up to
     ``start[k + 1]``, and ``graph`` holds each column's graph.  Also the
     (G,) edge counts ``m`` and the (G, n) mask of each graph's active
-    vertices; kernels run on weight rows through :meth:`rows`."""
+    vertices; kernels run on weight rows through :class:`_Rows`."""
 
     def __init__(self, graphs: list[RGraph]):
         g = graphs[0]
@@ -148,9 +146,6 @@ class _GraphData:
         self.start = np.concatenate([[0], np.cumsum(self.m)])
         self.active = np.zeros((len(graphs), g.n), bool)
         self.active[self.graph, self.vert] = True
-
-    def rows(self, owner=(0,), support: np.ndarray | None = None) -> _Rows:
-        return _Rows(self, np.asarray(owner, dtype=np.intp), support)
 
 
 @cache
@@ -188,8 +183,8 @@ class _Rows:
     zeros.  Gathers and scatters use flat indices into x and every sum runs
     in edge order within its row, so no row depends on the rows beside it."""
 
-    def __init__(self, data: _GraphData, owner: np.ndarray,
-                 support: np.ndarray | None = None):
+    def __init__(self, data: _GraphData, owner=(0,), support: np.ndarray | None = None):
+        owner = np.asarray(owner, np.intp)
         self.shape = (owner.size, data.n)
         count = data.m[owner]  # each owner's edge range, gathered in order
         self.row = np.repeat(np.arange(owner.size), count)
@@ -257,12 +252,12 @@ def check_legal_weighting(x) -> np.ndarray:
 
 def evaluate(g: RGraph, x) -> float:
     """The edge-monomial sum at a weight vector (0 for the empty graph)."""
-    return float(_GraphData([g]).rows().eval(_as_vector(g, x))[0])
+    return float(_Rows(_GraphData([g])).eval(_as_vector(g, x))[0])
 
 
 def link_values(g: RGraph, x) -> np.ndarray:
     """Vector of link weights for every vertex (the gradient)."""
-    return _GraphData([g]).rows().grad(_as_vector(g, x))
+    return _Rows(_GraphData([g])).grad(_as_vector(g, x))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +399,7 @@ def kkt_check(g: RGraph, x, value: float) -> KKTReport:
     certification tests, whether an edge covers every pair of the support,
     and (for left-compressed graphs) the difference-link identity residual."""
     arr = check_legal_weighting(_as_vector(g, x))
-    one = _GraphData([g]).rows()
+    one = _Rows(_GraphData([g]))
     st = _stationarity(g.r, one.grad(arr[None]), arr[None], np.array([float(value)]))
     support = tuple(int(i) + 1 for i in np.flatnonzero(st.support[0]))
     cover = one.pair(np.ones(g.n))[0] > 0  # some edge holds both vertices
@@ -463,7 +458,7 @@ def _prefix_faces(r: int, top: int) -> list[tuple[int, ...]]:
 
 def _multistart(data: _GraphData, k: int, opts: SolverOptions) -> tuple[list, float, np.ndarray]:
     """The multistart route's ascent for graph k of ``data``: the uniform
-    point of its active vertices and ``opts.starts`` Dirichlet random points
+    point of its active vertices and ``STARTS`` Dirichlet random points
     on them climb by multiplicative ascent.  Returns the candidate supports of
     the two best end points, the faces it hands :func:`_best_on_faces`, and
     the best end point's value and point, which :func:`lagrangians` keeps
@@ -474,11 +469,11 @@ def _multistart(data: _GraphData, k: int, opts: SolverOptions) -> tuple[list, fl
         [opts.seed & 0xFFFFFFFFFFFFFFFF, data.graphs[k].canonical_hash()]
     )
     act = np.flatnonzero(data.active[k])
-    starts = np.zeros((opts.starts + 1, data.n))
+    starts = np.zeros((STARTS + 1, data.n))
     starts[0, act] = 1.0 / act.size
-    starts[1:, act] = rng.dirichlet(np.ones(act.size), size=opts.starts)
+    starts[1:, act] = rng.dirichlet(np.ones(act.size), size=STARTS)
     # the starts are positive on every active vertex: every edge is inside
-    block = data.rows(np.full(len(starts), k, dtype=np.intp))
+    block = _Rows(data, np.full(len(starts), k))
     ends = _replicator_rows(block, starts, START_ASCENT_STOP, ASCENT_ITERS)
     end_vals = block.eval(ends)
     order = np.argsort(-end_vals, kind="stable")
@@ -573,7 +568,7 @@ def _results(data: _GraphData, owner, xs: np.ndarray,
     conditions within ``KKT_TOL``."""
     out = []
     for lo in range(0, len(xs), CHUNK_ROWS):
-        block, at = data.rows(owner[lo:lo + CHUNK_ROWS]), xs[lo:lo + CHUNK_ROWS]
+        block, at = _Rows(data, owner[lo:lo + CHUNK_ROWS]), xs[lo:lo + CHUNK_ROWS]
         values = block.eval(at)
         st = _stationarity(data.r, block.grad(at), at, values)
         why = [st.failure(i) for i in range(len(at))]
@@ -662,7 +657,7 @@ def _best_on_faces(data: _GraphData, graph,
     for lo in range(0, tied.size, CHUNK_ROWS):
         part = tied[lo:lo + CHUNK_ROWS]
         rows, at = which[part], xs[which[part]]
-        fails = _stationarity(data.r, data.rows(graph[search[part]]).grad(at), at,
+        fails = _stationarity(data.r, _Rows(data, graph[search[part]]).grad(at), at,
                               row_value[rows]).fails()
         for k, fail, row in zip(search[part].tolist(), fails.tolist(), rows.tolist()):
             key = (_tie_key(fail, xs[row]), row)
@@ -723,7 +718,7 @@ def _solve_faces(data: _GraphData, graph: np.ndarray,
     for lo in range(0, first.size, CHUNK_ROWS):
         part = first[lo:lo + CHUNK_ROWS]
         mask = masks[face[part]]
-        block = data.rows(owner[part], mask)
+        block = _Rows(data, owner[part], mask)
         ascended = _replicator_rows(block, mask / mask.sum(axis=1, keepdims=True),
                                     FACE_ASCENT_STOP, FACE_ASCENT_ITERS)
         x, ok = _newton_rows(block, ascended, mask)

@@ -44,6 +44,8 @@ MUTANTS = [  # (name, file under src/laglab, text, replacement)
     const("POSITIVE_EPS", "solver.py", "1e-10", "1e-13"),
     const("CROSS_CHECK_MAX_ACTIVE", "solver.py", "6", "0"),
     const("NEWTON_ITERS", "solver.py", "60", "20"),
+    const("STARTS", "solver.py", "32", "4"),
+    const("STARTS", "solver.py", "32", "128"),
     const("ASCENT_ITERS", "solver.py", "300", "100"),
     const("FACE_ASCENT_ITERS", "solver.py", "30", "100"),
     const("FACE_ASCENT_STOP", "solver.py", "1e-4", "1e-2"),

@@ -86,8 +86,12 @@ class TestCompute:
         ("family:thm1.10,t=x", "t must be an integer"),
         ("colex:r=3,m=1.5", "m must be an integer"),
         ("colex:r=3,m=5,m=17", "repeated key 'm'"),
+        ("family:", "family spec needs a name"),
+        ("colex:r3", "expected key=value, got 'r3'"),
+        ("colex", "no such file: colex"),  # without a colon, a path
     ], ids=["colex-missing-m", "complete-missing-r", "family-missing-t", "colex-unknown-k",
-            "family-unknown-x", "family-t-not-int", "colex-m-not-int", "colex-repeated-m"])
+            "family-unknown-x", "family-t-not-int", "colex-m-not-int", "colex-repeated-m",
+            "family-missing-name", "colex-missing-eq", "colex-without-colon"])
     def test_bad_builtin_exit_1(self, capsys, source, named):
         code, out, err = run(capsys, "compute", source)
         assert code == 1
@@ -350,12 +354,12 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv", [
         ("sweep",),  # --t-max is required
-        ("compute", "complete:r=3,t=4", "--starts", "x"),
-        ("compute", "complete:r=3,t=4", "--starts", "-3"),
+        ("sweep", "--t-max", "4", "--workers", "x"),  # not an integer
+        ("compute", "complete:r=3,t=4", "--seed", "x"),  # not an integer
         ("compute", "complete:r=3,t=4", "--tol", "1e-9"),  # no such flag
         ("frobnicate",),
         ("enumerate", "--t", "5", "--m", "2", "--r", "4"),  # 3-graphs only
-        ("sweep", "--t-max", "4", "--starts", "3"),  # a compute flag only
+        ("sweep", "--t-max", "4", "--starts", "3"),  # no command takes it
     ])
     def test_parser_errors_exit_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -380,15 +384,13 @@ class TestUsageErrors:
     def test_help_exits_0(self, capsys):
         code, out, _ = run(capsys, "compute", "--help")
         assert code == 0
-        assert "--starts" in out
+        assert "--seed" in out
 
-    def test_zero_starts_accepted(self, capsys, tmp_path):
-        # a general graph, so the multistart route runs without random starts
-        path = tmp_path / "c5.edges"
-        path.write_text("2 5 5\n1 2\n2 3\n3 4\n4 5\n1 5\n")
-        code, out, _ = run(capsys, "compute", str(path), "--starts", "0")
-        assert code == 0
-        assert "value: 0.25" in out
+    def test_starts_flag_is_gone(self, capsys):
+        # the multistart route's start count is the constant solver.STARTS
+        code, out, err = run(capsys, "compute", "complete:r=3,t=4", "--starts", "3")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --starts 3" in err
 
 
 class TestSeeding:

@@ -129,6 +129,12 @@ class TestColexOrder:
         for k in range(300):
             assert colex_rank(colex_unrank(r, k)) == k
 
+    def test_unrank_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="uniformity must be >= 1, got 0"):
+            colex_unrank(0, 0)
+        with pytest.raises(ValueError, match="rank must be non-negative, got -1"):
+            colex_unrank(3, -1)
+
 
 class TestRGraph:
     def test_validation(self):
@@ -140,6 +146,30 @@ class TestRGraph:
             as_edge((2, 2, 3))
         with pytest.raises(ValueError):
             RGraph(1, 4)
+        with pytest.raises(ValueError, match="edge must be non-empty"):
+            as_edge(())
+        with pytest.raises(ValueError, match="vertex bound must be >= 0, got -1"):
+            RGraph(3, -1)
+
+    @pytest.mark.parametrize("vertices, bad", [
+        ((1, 2.5, 3), "2.5"), (("1", "2", "3"), "'1'"), ((1.5, 2, 3), "1.5")])
+    def test_edge_vertices_must_be_integers(self, vertices, bad):
+        # int() would take 2.5 as 2 and '1' as 1
+        with pytest.raises(ValueError, match=f"vertex {bad} is not an integer"):
+            as_edge(vertices)
+        with pytest.raises(ValueError, match=f"vertex {bad} is not an integer"):
+            RGraph.from_edges(3, [vertices])
+        assert as_edge(np.array([1, 2, 3])) == (1, 2, 3)  # integer types convert
+
+    @pytest.mark.parametrize("edges, bad", [
+        ({(1, 2, 3.0)}, "3.0"), ({(True, 2, 4)}, "True"), ({("1", "2", "3")}, "'1'"),
+        ({(1.5, 2, 3)}, "1.5")])
+    def test_graph_vertices_must_be_ints(self, edges, bad):
+        # (1, 2, 3.0) == (1, 2, 3) and (True, 2, 4) == (1, 2, 4), so such an
+        # edge passes as a known one unless its vertices are checked
+        RGraph(3, 4, frozenset({(1, 2, 3), (1, 2, 4)}))
+        with pytest.raises(ValueError, match=f"vertex {bad} is not an int"):
+            RGraph(3, 4, frozenset(edges))
 
     def test_known_edge_is_still_checked(self):
         # (1, 2, 5) passes on n = 5, then must still fail where it is invalid
@@ -307,6 +337,12 @@ class TestColexGraphs:
         g = build_colex_graph(3, 5)
         assert g.edges == RGraph.complete(3, 4).edges | {(1, 2, 5)}
 
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError, match="edge count must be >= 0, got -1"):
+            build_colex_graph(3, -1)
+        with pytest.raises(ValueError, match="uniformity must be >= 2, got 1"):
+            build_colex_graph(1, 3)
+
     @pytest.mark.parametrize("r", [2, 3, 4])
     @pytest.mark.parametrize("t", [3, 4, 5, 6, 7, 8])
     def test_binomial_prefix_is_complete(self, r, t):
@@ -426,6 +462,8 @@ class TestDescendantPoset:
             if all(a >= b for a, b in zip(c, (4, 5, 7))) and sum(c) > 16
         }
         assert anc == brute
+        with pytest.raises(ValueError, match=r"edge \(4, 5, 7\) exceeds bound 6"):
+            ancestors((4, 5, 7), within=6)
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_descendants_are_the_closure_of_direct_descendants(self, r):
@@ -624,6 +662,10 @@ class TestEdgeListFormat:
             parse_edge_list("")
         with pytest.raises(EdgeListParseError, match="line 1"):
             parse_edge_list("3 x 1\n1 2 3\n")
+        for head, count in (("3 5", 2), ("3 5 1 0", 4)):
+            with pytest.raises(EdgeListParseError, match=(
+                    f"line 1, column 1: header must be 'r n m', got {count} fields")):
+                parse_edge_list(f"{head}\n1 2 3\n")
         with pytest.raises(EdgeListParseError, match="line 2, column 3"):
             parse_edge_list("3 5 1\n1 q 3\n")
         with pytest.raises(EdgeListParseError, match="line 2"):
@@ -670,3 +712,5 @@ class TestEdgeListFormat:
         # a lone zero is canonical, and edges out of colex order are accepted
         assert parse_edge_list("3 0 0\n") == RGraph(3, 0, frozenset())
         assert parse_edge_list("3 4 2\n1 2 4\n1 2 3\n").m == 2
+        # a blank line inside the body is skipped
+        assert parse_edge_list("3 4 2\n1 2 3\n\n  \n1 2 4\n").m == 2

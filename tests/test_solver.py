@@ -87,6 +87,14 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(RGraph.complete(3, 4), [0.5, 0.5])
 
+    def test_illegal_weightings_rejected(self):
+        with pytest.raises(ValueError, match="weighting must be one-dimensional"):
+            check_legal_weighting([[0.5, 0.5]])
+        with pytest.raises(ValueError, match="weighting has negative entry -0.5"):
+            check_legal_weighting([1.5, -0.5])
+        with pytest.raises(ValueError, match="weighting sums to 0.9, expected 1"):
+            check_legal_weighting([0.5, 0.4])
+
 
 class TestLinkValue:
     def test_single_edge(self):
@@ -482,9 +490,11 @@ class TestMultistartRoute:
 
     def test_second_end_point_with_its_cut_finds_the_optimal_face(self):
         # a 3-graph that is not left-compressed: from the best end point
-        # alone, or with the candidate supports cut at POSITIVE_EPS rather
-        # than 1e-9, the route stops uncertified at 0.07954448596961287 on
-        # support 9
+        # alone, with the candidate supports cut at POSITIVE_EPS rather than
+        # 1e-9, or from 4 or 128 random starts rather than STARTS (32), the
+        # route stops uncertified on support 9 (at 0.07954448596961287 from
+        # the best end point alone); it is kept graph 293 of the
+        # random.Random(12345) corpus that CHANGES.md describes
         g = graph_from_words(3, 9, "124 134 234 235 145 345 136 236 246 346 156 256 127 "
                                    "147 347 157 257 357 467 567 128 238 148 348 158 258 "
                                    "358 458 268 368 568 178 278 378 478 578 678 129 139 "
@@ -495,6 +505,16 @@ class TestMultistartRoute:
         assert res.certified
         assert res.value == pytest.approx(0.07954755278516008, abs=1e-15)
         assert res.support == 6
+
+    def test_uniform_start_alone_peels_two_weights(self, monkeypatch):
+        # with no random start the five-cycle's one end point is its uniform
+        # point, stationary at 0.2 with every weight tied: only that point
+        # without its two smallest weights, the path 3-4-5, holds the
+        # optimum 1/4; peeling one weight at most returns 0.2, uncertified
+        monkeypatch.setattr(solver, "STARTS", 0)
+        res = lagrangian(FIVE_CYCLE)
+        assert res.method == "multistart_gradient" and res.certified
+        assert res.value == pytest.approx(0.25, abs=1e-15)
 
     def test_end_point_above_the_face_solutions_is_kept(self):
         # the best face solution of this graph lies below the best ascent end
@@ -811,10 +831,10 @@ class TestBatchedSolve:
                 raise
 
         monkeypatch.setattr(np.linalg, "solve", spy)
-        xs, solved = solver._newton_rows(data.rows(np.zeros(2, np.intp), faces), x0, faces)
+        xs, solved = solver._newton_rows(solver._Rows(data, [0, 0], faces), x0, faces)
         assert (2, 6, 6) in raised
         xs_alone, solved_alone = solver._newton_rows(
-            data.rows(np.zeros(1, np.intp), faces[1:]), x0[1:], faces[1:])
+            solver._Rows(data, [0], faces[1:]), x0[1:], faces[1:])
         assert solved.tolist() == [False, True] and solved_alone.tolist() == [True]
         assert np.array_equal(xs[1], xs_alone[0])
         assert np.allclose(xs[1], [1 / 3, 1 / 3, 1 / 3, 0, 0], rtol=0, atol=1e-13)
@@ -825,7 +845,7 @@ class TestBatchedSolve:
         # fails without touching its neighbour's point
         data, owner = solver._GraphData([BLOCKED_ON_8]), np.zeros(2, np.intp)
         faces = np.array([[1] * 8, [1] * 7 + [0]], dtype=bool)
-        x0 = solver._replicator_rows(data.rows(owner, faces),
+        x0 = solver._replicator_rows(solver._Rows(data, owner, faces),
                                      faces / faces.sum(axis=1, keepdims=True),
                                      solver.FACE_ASCENT_STOP, solver.FACE_ASCENT_ITERS)
         calls, solve = [], solver._solve_rows
@@ -835,10 +855,10 @@ class TestBatchedSolve:
             return solve(jac, rhs)
 
         monkeypatch.setattr(solver, "_solve_rows", spy)
-        xs, solved = solver._newton_rows(data.rows(owner, faces), x0, faces)
+        xs, solved = solver._newton_rows(solver._Rows(data, owner, faces), x0, faces)
         assert calls[:2] == [2, 1]  # the row of [8] takes no step
         xs_alone, solved_alone = solver._newton_rows(
-            data.rows(owner[1:], faces[1:]), x0[1:], faces[1:])
+            solver._Rows(data, owner[1:], faces[1:]), x0[1:], faces[1:])
         assert solved.tolist() == [False, True] and solved_alone.tolist() == [True]
         assert not xs[0].any()
         assert np.array_equal(xs[1], xs_alone[0])
@@ -860,7 +880,7 @@ class TestBatchedSolve:
             return out, ok
 
         monkeypatch.setattr(solver, "_solve_rows", spy)
-        xs, solved = solver._newton_rows(data.rows(np.zeros(2, np.intp), faces), x0, faces)
+        xs, solved = solver._newton_rows(solver._Rows(data, [0, 0], faces), x0, faces)
         assert calls[:2] == [2, 1]
         assert solved.tolist() == [True, False]
         assert np.allclose(xs[0], 0.25, rtol=0, atol=1e-14) and not xs[1].any()
@@ -928,7 +948,7 @@ class TestJudgeByRow:
         for k, row in zip(search.tolist(), which.tolist()):
             if not solved[row]:
                 continue
-            x, one = xs[row], solver._GraphData([data.graphs[graph[k]]]).rows()
+            x, one = xs[row], solver._Rows(solver._GraphData([data.graphs[graph[k]]]))
             val = float(one.eval(x[None])[0])
             fail = bool(solver._stationarity(data.r, one.grad(x[None]), x[None],
                                              np.array([val])).fails()[0])

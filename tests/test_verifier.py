@@ -474,7 +474,7 @@ class TestNoSolverOptions:
     route reads no solver option."""
 
     def test_verify_cell_ignores_its_options(self, one_block_reports):
-        opts = VerifierOptions(SolverOptions(starts=0, seed=1))
+        opts = VerifierOptions(SolverOptions(seed=1))
         for m in cell_window(7):
             assert verify_cell(7, m, opts) == one_block_reports[7, m], m
 
