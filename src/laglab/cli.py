@@ -20,7 +20,8 @@ from laglab.hypergraph import (
     parse_edge_list,
     serialize_edge_list,
 )
-from laglab.reporting import fmt_float, fmt_value, render_json, report_dict, reports_csv
+from laglab.reporting import (SCHEMA_VERSION, fmt_float, fmt_value, render_json, report_dict,
+                              reports_csv)
 from laglab.solver import DEFAULT_SEED, SolverOptions, lagrangian
 from laglab.verifier import (
     ConfigurationSpec,
@@ -202,18 +203,19 @@ def cmd_sweep(args) -> int:
 
     for rep, doc in zip(reports, docs):
         (cells_dir / f"t{rep.t}_m{rep.m}.json").write_text(render_json(doc))
-    (out_dir / "summary.csv").write_text(reports_csv(reports))
-    aggregate = {
-        "schema": 1,
+    summary = reports_csv(reports)  # each output rendered once, for its file and stdout
+    (out_dir / "summary.csv").write_text(summary)
+    aggregate = render_json({
+        "schema": SCHEMA_VERSION,
         "t_max": args.t_max,
         "cells": docs,
-    }
-    (out_dir / "sweep.json").write_text(render_json(aggregate))
+    })
+    (out_dir / "sweep.json").write_text(aggregate)
 
     if args.format == "json":
-        sys.stdout.write(render_json(aggregate))
+        sys.stdout.write(aggregate)
     elif args.format == "csv":
-        sys.stdout.write(reports_csv(reports))
+        sys.stdout.write(summary)
     else:
         for rep in reports:
             status = "pass" if rep.all_pass else "FAIL"
@@ -280,7 +282,7 @@ def cmd_check(args) -> int:
     ]
     if args.format == "json":
         doc = {
-            "schema": 1,
+            "schema": SCHEMA_VERSION,
             "cell": report_dict(rep),
             "checks": [asdict(c) for c in checks],
         }

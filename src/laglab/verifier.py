@@ -27,10 +27,9 @@ from laglab.hypergraph import (
     parse_edge_list,
     serialize_edge_list,
 )
-from laglab.solver import LagrangianResult, SolverOptions, lagrangian, lagrangians
+from laglab.solver import TIE_TOL, LagrangianResult, SolverOptions, lagrangian, lagrangians
 
 INEQ_TOL = 1e-7
-WITNESS_TIE = 1e-9
 T_MAX = 12  # largest t that a sweep or an enumeration accepts
 CELL_BLOCK = 1024  # graphs that verify_cells hands lagrangians at a time
 
@@ -251,8 +250,8 @@ def cell_window(t: int) -> range:
 class _Cell:
     """What :func:`verify_cells` keeps of one cell while its graphs stream
     through: the colex result, the running maximum, the results within
-    ``WITNESS_TIE`` of it and the counts, so memory does not grow with the
-    cell."""
+    ``TIE_TOL`` of it in enumeration order (the report's witness order)
+    and the counts, so memory does not grow with the cell."""
 
     def __init__(self, t: int, m: int):
         if m not in cell_window(t):
@@ -275,14 +274,13 @@ class _Cell:
         self.count += len(solved)
         self.uncertified += sum(not res.certified for _g, res in solved)
         self.max_value = max(self.max_value, max(res.value for _g, res in solved))
-        # a graph within WITNESS_TIE of the final maximum is within it of
-        # every running maximum, so dropping the others loses no witness
+        # a graph within TIE_TOL of the final maximum is within it of every
+        # running maximum, so dropping the others loses no witness
         self.witnesses = [(g, res) for g, res in self.witnesses + solved
-                          if res.value >= self.max_value - WITNESS_TIE]
+                          if res.value >= self.max_value - TIE_TOL]
 
     def report(self) -> VerificationReport:
         t, m, colex, witnesses = self.t, self.m, self.colex, self.witnesses
-        witnesses.sort(key=lambda pair: pair[0].colex_ranks())
         gap = colex.value - self.max_value
         all_pass = (
             gap >= -INEQ_TOL

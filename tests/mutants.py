@@ -62,8 +62,6 @@ MUTANTS = [  # (name, file under src/laglab, text, replacement)
     const("CELL_BLOCK", "verifier.py", "1024", "3"),
     const("INEQ_TOL", "verifier.py", "1e-7", "1e-12"),
     const("INEQ_TOL", "verifier.py", "1e-7", "1e-4"),
-    const("WITNESS_TIE", "verifier.py", "1e-9", "1e-12"),
-    const("WITNESS_TIE", "verifier.py", "1e-9", "1e-6"),
 ]
 
 

@@ -5,30 +5,31 @@
     python3 tests/record_digest.py --check 8 9 10 11
 
 Without ``--check``: solves every (t, m) cell with 4 <= t <= 11 under
-laglab's default options, on two worker processes, and writes
-``tests/cell_digest.json``: per cell the graph count, verdict, uncertified
-count, witness supports and values, colex and maximum values, and a SHA-256
-of the witness texts, under a ``recorded_at`` that names the code behind
-it: ``git describe --always --dirty`` and perfbench's ``src_digest``, a
-SHA-256 over the names and bytes of the Python files under ``src/``.
-Record it at the commit whose results a solver change must keep; the whole
-run takes about 10 s on two cores, most of it the t = 11 window (the
-t <= 10 windows take about 2 s).
+laglab's default options with ``laglab.verifier.sweep`` on two workers (the
+calling process and one forked child, as ``laglab sweep --workers 2`` runs
+them), and writes ``tests/cell_digest.json``: per cell the graph count,
+verdict, uncertified count, witness supports and values, colex and maximum
+values, and a SHA-256 of the witness texts in report order, under a
+``recorded_at`` that names the code behind it: ``git describe --always
+--dirty`` and perfbench's ``src_digest``, a SHA-256 over the names and
+bytes of the Python files under ``src/``.  Record it at the commit whose
+results a solver change must keep; the whole run takes about 10 s on two
+cores, most of it the t = 11 window (the t <= 10 windows take about 2 s).
 
-With ``--check T ...``: solves the windows of the given t, on two worker
-processes, and compares every cell with the stored digest, values within
-1e-12 and every other field exactly.  It rewrites nothing, prints one line
-per mismatch and exits 1 if there is any.  Both modes end with a summary
-line that gives the solve's wall time.
+With ``--check T ...``: runs the same two-worker ``sweep`` up to the
+largest t given, so it solves every smaller window too (``--check 11``
+also solves t <= 10, about a second more), and compares every cell of the
+given windows with the stored digest, values within 1e-12 and every other
+field exactly.  It rewrites nothing, prints one line per mismatch and
+exits 1 if there is any.  Both modes end with a summary line that gives
+the solve's wall time.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures as cf
 import hashlib
 import json
-import multiprocessing
 import subprocess
 import sys
 import time
@@ -91,14 +92,10 @@ def git_describe() -> str:
 
 
 def solve_windows(ts) -> list:
-    """The reports of the windows of ``ts`` in (t, m) order, each window
-    split into ``WORKERS`` groups of cells as ``sweep`` splits it."""
-    groups = [(t, ms) for t in sorted(ts, reverse=True)
-              for ms in verifier._groups(verifier.cell_window(t), WORKERS)]
-    ctx = multiprocessing.get_context("spawn")
-    with cf.ProcessPoolExecutor(max_workers=WORKERS, mp_context=ctx) as pool:
-        reports = [rep for reps in pool.map(verifier.verify_cells, *zip(*groups)) for rep in reps]
-    return sorted(reports, key=lambda rep: (rep.t, rep.m))
+    """The reports of the windows of ``ts`` in (t, m) order: ``sweep`` on
+    ``WORKERS`` workers up to the largest t, kept for the t asked for."""
+    ts = set(ts)
+    return [rep for rep in verifier.sweep(max(ts), WORKERS) if rep.t in ts]
 
 
 def main(argv=None) -> int:

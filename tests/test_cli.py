@@ -279,6 +279,23 @@ class TestSweep:
             path = out_dir / "cells" / f"t{doc['t']}_m{doc['m']}.json"
             assert path.read_text() == render_json(doc)
 
+    @pytest.mark.parametrize("fmt, name", [("json", "sweep.json"), ("csv", "summary.csv")])
+    def test_stdout_echoes_the_file_rendered_once(self, capsys, tmp_path, monkeypatch,
+                                                  fmt, name):
+        # one render of each cell file, one of sweep.json and one CSV, each
+        # written to its file and, when asked for, echoed to stdout
+        renders, csvs = [], []
+        render, csv = cli.render_json, cli.reports_csv
+        monkeypatch.setattr(cli, "render_json", lambda obj: renders.append(obj) or render(obj))
+        monkeypatch.setattr(cli, "reports_csv", lambda reps: csvs.append(reps) or csv(reps))
+        out_dir = tmp_path / "s"
+        code, out, _ = run(capsys, "sweep", "--t-max", "5", "--workers", "1",
+                           "--out", str(out_dir), "--format", fmt)
+        assert code == 0
+        assert out.encode() == (out_dir / name).read_bytes()
+        assert len(renders) == len(list((out_dir / "cells").glob("*.json"))) + 1 == 12
+        assert len(csvs) == 1
+
     def test_t7_json_bytes(self, capsys, tmp_path):
         # pins the bits that the cell digest's 1e-12 tolerance lets through.
         # Recorded while every (graph, face) pair was still judged on all of

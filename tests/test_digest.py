@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from laglab.verifier import cell_window, verify_cell, verify_cells
-from record_digest import mismatches
+from laglab.verifier import cell_window, sweep, verify_cell, verify_cells
+from record_digest import mismatches, solve_windows
 
 DIGEST = json.loads((Path(__file__).parent / "cell_digest.json").read_text())["cells"]
 
@@ -42,3 +42,12 @@ def test_cells_t9_match_digest():
 def test_window_blocks_match_digest(t):
     # the cells of a window solved together, as a sweep solves them
     assert_matches_digest(verify_cells(t, cell_window(t)))
+
+
+def test_digest_tool_solves_through_sweep():
+    # the tool's two-worker sweep, kept for the windows asked for, against
+    # a serial sweep
+    reports = solve_windows([5, 7])
+    assert reports == [rep for rep in sweep(7) if rep.t in (5, 7)]
+    assert [(rep.t, rep.m) for rep in reports] == [
+        (t, m) for t in (5, 7) for m in cell_window(t)]

@@ -239,9 +239,10 @@ class TestCells:
 
 
 class TestVerdictTolerances:
-    """``INEQ_TOL`` and ``WITNESS_TIE`` on cell (6, 10)'s six enumerated
-    graphs, with results made up so that the gaps fall between the
-    constants' neighbouring decades."""
+    """``INEQ_TOL``, and ``solver.TIE_TOL`` as the witness band that each
+    block is filtered by against the running maximum, on cell (6, 10)'s six
+    enumerated graphs, with results made up so that the gaps fall between
+    the constants' neighbouring decades."""
 
     @staticmethod
     def _report(colex_value, others):
@@ -268,6 +269,21 @@ class TestVerdictTolerances:
         assert rep.graph_count == 6
         assert sorted(rep.witness_values) == [0.1 - 1e-10, 0.1]
         assert rep.all_pass
+
+
+def test_witnesses_come_in_enumeration_order(monkeypatch):
+    # the cells with the most witnesses at t <= 9: the enumeration yields a
+    # cell's graphs in ascending colex order and the report keeps that
+    # order, so colex_ranks is read once per cell, for the colex check
+    calls, colex_ranks = [], RGraph.colex_ranks
+    monkeypatch.setattr(RGraph, "colex_ranks", lambda g: calls.append(g) or colex_ranks(g))
+    reports = verify_cells(8, range(44, 48)) + verify_cells(9, range(69, 73))
+    assert len(calls) == len(reports) == 8
+    monkeypatch.undo()
+    for rep in reports:
+        ranks = [parse_edge_list(w).colex_ranks() for w in rep.witnesses]
+        assert len(ranks) == {8: 5, 9: 8}[rep.t], (rep.t, rep.m)
+        assert all(a < b for a, b in zip(ranks, ranks[1:])), (rep.t, rep.m)
 
 
 @pytest.fixture(scope="module")
