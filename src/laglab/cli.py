@@ -7,7 +7,6 @@ read or written included), 2 uncertified or failing numeric result.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -41,16 +40,6 @@ EXIT_USAGE = 1
 EXIT_UNCERTIFIED = 2
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer of at least ``low``."""
-    def integer(text: str) -> int:  # argparse names it on a non-integer
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-    return integer
-
-
 def _seed(text: str) -> int:
     return int(text, 0)
 
@@ -78,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="exhaustive verification over all (t, m) cells")
     p.add_argument("--t-max", type=int, required=True, help=f"largest t (4..{T_MAX})")
-    p.add_argument("--workers", type=_int_at_least(1), default=None,
-                   help="parallel cell workers (default: the CPUs this process may use)")
+    p.add_argument("--workers", type=int, default=None,
+                   help="accepted and ignored: one process verifies every window")
     p.add_argument("--out", type=Path, default=Path("laglab-sweep"),
                    help="output directory (default laglab-sweep)")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text",
@@ -190,15 +179,13 @@ def cmd_compute(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = args.workers or usable or 1
     # the output directory is made before the solve, so a bad --out fails at
     # once, and after sweep's own range check, so a bad --t-max makes none
     check_t(args.t_max, 4, "t_max")
     out_dir: Path = args.out
     cells_dir = out_dir / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
-    reports = sweep(args.t_max, workers=workers)
+    reports = sweep(args.t_max)
     docs = [report_dict(rep) for rep in reports]  # one per cell, for both outputs
 
     for rep, doc in zip(reports, docs):

@@ -15,7 +15,7 @@ from functools import cache
 from itertools import accumulate, chain, combinations, islice
 from math import comb
 from operator import ge, getitem, index, itemgetter, le
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 Edge = tuple[int, ...]
 
@@ -88,12 +88,12 @@ def colex_unrank(r: int, rank: int) -> Edge:
 # Each edge known valid, per uniformity, with its colex rank: sorting
 # compares ranks, and RGraph checks only unknown edges.  Edges get in by
 # passing RGraph's checks or from the tables that list them (triple poset,
-# colex-initial r-sets).  Trust invariant: only enumerate_left_compressed
-# builds a graph from a template (r = 3, n, _m = m) plus the picks of a
-# left-compressed 3-graph on [n] from the triple poset: bit k & 7 of byte
-# k >> 3 of ceil(C(n,3)/8) bytes set iff the triple of rank k is an edge;
-# the graph keeps its picks and builds the rest only when asked.  Only that
-# template sets _m, so is_left_compressed trusts every graph whose _m is set.
+# colex-initial r-sets).  Trust invariant: only _down_set_graph builds a
+# graph (r = 3, n, _m its edge count) from the picks of a down-set of the
+# triple poset on [n], that is a left-compressed 3-graph on [n]: bit k & 7
+# of byte k >> 3 of ceil(C(n,3)/8) bytes set iff the triple of rank k is an
+# edge; the graph keeps its picks and builds the rest only when asked.  Only
+# it sets _m, so is_left_compressed trusts every graph whose _m is set.
 _EDGE_RANK: dict[int, dict[Edge, int]] = {}
 
 
@@ -426,28 +426,43 @@ def _search_root(t: int, m: int) -> tuple[int, tuple, int]:
     return graph[0, 0, a] if a else graph.leaf[0]
 
 
-def enumerate_left_compressed(t: int, m: int) -> Iterator[RGraph]:
-    """All left-compressed 3-graphs on [t] with m edges, each exactly once,
-    in colex-prefix order: a walk of :class:`_StateGraph` with an explicit
-    stack, each leaf's down-set as the picks of a trusted graph."""
-    root, width, new = _search_root(t, m), (comb(t, 3) + 7) // 8, object.__new__
-    template = {"r": 3, "n": t, "_m": m}
-    # per state on the path, its down-set and the children still to try,
-    # under a first frame of all ranks whose one child is the root
-    stack = [(root[0], iter((root,)))]
+def _leaf_downs(down: int, kids: tuple) -> Iterator[int]:
+    """The down-sets of the leaves below ``kids``, the entries of a state
+    whose down-set is ``down``, in the order tried: a walk of
+    :class:`_StateGraph` with an explicit stack, one frame per state on the
+    path holding its down-set and the children still to try."""
+    stack = [(down, iter(kids))]
     while stack:
         down, kids = stack[-1]
         for keep, grandkids, _count in kids:
             if grandkids:
                 stack.append((down & keep, iter(grandkids)))
                 break
-            g = new(RGraph)
-            d = g.__dict__
-            d.update(template)
-            d["_picks"] = (down & keep).to_bytes(width, "little")
-            yield g
+            yield down & keep
         else:
             stack.pop()
+
+
+def _down_set_graph(t: int) -> Callable[[int], RGraph]:
+    """The function from the rank bitmask of a down-set of the triple poset
+    on [t] to its graph, trusted as built: its picks and its edge count."""
+    width, new, template = (comb(t, 3) + 7) // 8, object.__new__, {"r": 3, "n": t}
+
+    def graph(down: int) -> RGraph:
+        g = new(RGraph)
+        d = g.__dict__
+        d.update(template)
+        d["_m"], d["_picks"] = down.bit_count(), down.to_bytes(width, "little")
+        return g
+    return graph
+
+
+def enumerate_left_compressed(t: int, m: int) -> Iterator[RGraph]:
+    """All left-compressed 3-graphs on [t] with m edges, each exactly once,
+    in colex-prefix order: the leaves of the search's root (under a first
+    frame of all ranks whose one child is the root), each a trusted graph."""
+    root = _search_root(t, m)
+    return map(_down_set_graph(t), _leaf_downs(root[0], (root,)))
 
 
 def count_left_compressed(t: int, m: int) -> int:

@@ -2,25 +2,28 @@
 
 A cell (t, m) enumerates every left-compressed 3-graph on [t] with m edges
 (compression preserves the extremal value, so the class maximum equals the
-maximum over all m-edge 3-graphs), solves their Lagrangians with
-certification in blocks as the enumeration yields them (the cells of a
-window share blocks), and compares the class maximum against the
-colex-initial graph.  Known extremal configurations from the literature are
-reproducible as named families and checked one by one.
+maximum over all m-edge 3-graphs) and compares the class maximum against
+the colex-initial graph: one walk of the down-set search solves, with
+certification, the graphs that it cannot bound below colex by the solve
+of a larger down-set above them (the cells of a window walk together).
+Known extremal configurations from the literature are reproducible as
+named families and checked one by one.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from itertools import groupby, islice
+from itertools import groupby
 from math import comb
+from operator import itemgetter
 from typing import NamedTuple
 
-from laglab.hypergraph import (
+from laglab.hypergraph import (  # enumerate_left_compressed: a name the benchmark traces
     RGraph,
+    _down_set_graph,
+    _leaf_downs,
+    _search_root,
     build_colex_graph,
     enumerate_left_compressed,
     is_left_compressed,
@@ -31,7 +34,7 @@ from laglab.solver import TIE_TOL, LagrangianResult, SolverOptions, lagrangian, 
 
 INEQ_TOL = 1e-7
 T_MAX = 12  # largest t that a sweep or an enumeration accepts
-CELL_BLOCK = 1024  # graphs that verify_cells hands lagrangians at a time
+CELL_BLOCK = 1024  # most graphs per lagrangians call; verify_cells walks only above it
 
 
 class ConfigurationError(ValueError):
@@ -45,7 +48,12 @@ class VerifierOptions:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one exhaustive cell: the class max against the colex value."""
+    """Outcome of one exhaustive cell: the class max against the colex value.
+
+    ``graph_count`` counts every graph of the cell, ``uncertified`` the
+    solved graphs that did not certify: a graph below a settled state of
+    :func:`verify_cells`'s walk is bounded by its state's certified solve,
+    not solved."""
 
     t: int
     m: int
@@ -248,10 +256,9 @@ def cell_window(t: int) -> range:
 
 
 class _Cell:
-    """What :func:`verify_cells` keeps of one cell while its graphs stream
-    through: the colex result, the running maximum, the results within
-    ``TIE_TOL`` of it in enumeration order (the report's witness order)
-    and the counts, so memory does not grow with the cell."""
+    """One cell of a :func:`verify_cells` call: its search root, whose leaf
+    count is the report's graph count, and the down-set of its colex graph,
+    ranks 0 .. m-1."""
 
     def __init__(self, t: int, m: int):
         if m not in cell_window(t):
@@ -259,29 +266,20 @@ class _Cell:
                 f"m={m} outside the window C({t-1},3)={comb(t-1, 3)} .. "
                 f"C({t},3)={comb(t, 3)} for t={t}"
             )
-        self.t, self.m = t, m
-        self.colex, self.max_value, self.witnesses = None, -float("inf"), []
-        self.count = self.uncertified = 0
+        self.t, self.m, self.root, self.colex = t, m, _search_root(t, m), (1 << m) - 1
 
-    def add(self, solved: list[tuple[RGraph, LagrangianResult]]) -> None:
-        """Take in a run of this cell's graphs with their results; the
-        enumeration yields the colex graph, ranks 0 .. m-1, first."""
-        if self.colex is None:
-            g, self.colex = solved[0]
-            if g.colex_ranks() != list(range(self.m)):
-                raise RuntimeError(
-                    f"colex graph missing from enumeration at (t={self.t}, m={self.m})")
-        self.count += len(solved)
-        self.uncertified += sum(not res.certified for _g, res in solved)
-        self.max_value = max(self.max_value, max(res.value for _g, res in solved))
-        # a graph within TIE_TOL of the final maximum is within it of every
-        # running maximum, so dropping the others loses no witness
-        self.witnesses = [(g, res) for g, res in self.witnesses + solved
-                          if res.value >= self.max_value - TIE_TOL]
-
-    def report(self) -> VerificationReport:
-        t, m, colex, witnesses = self.t, self.m, self.colex, self.witnesses
-        gap = colex.value - self.max_value
+    def report(self, solved: list[tuple[RGraph, LagrangianResult]]) -> VerificationReport:
+        """The report from the cell's solved graphs with their results, in
+        enumeration order (the witness order), the colex graph first; every
+        graph left out lies below the colex value less ``TIE_TOL``, so it is
+        neither the maximum nor within ``TIE_TOL`` of it."""
+        t, m = self.t, self.m
+        g, colex = solved[0]
+        if g.colex_ranks() != list(range(m)):
+            raise RuntimeError(f"colex graph missing from enumeration at (t={t}, m={m})")
+        max_value = max(res.value for _g, res in solved)
+        witnesses = [(g, res) for g, res in solved if res.value >= max_value - TIE_TOL]
+        gap = colex.value - max_value
         all_pass = (
             gap >= -INEQ_TOL
             and colex.certified
@@ -292,37 +290,68 @@ class _Cell:
             m=m,
             a=comb(t, 3) - m,
             colex_value=colex.value,
-            max_value=self.max_value,
+            max_value=max_value,
             gap=gap,
-            graph_count=self.count,
+            graph_count=self.root[2],
             witnesses=tuple(serialize_edge_list(g) for g, _res in witnesses),
             all_pass=bool(all_pass),
             witness_supports=tuple(res.support for _g, res in witnesses),
             witness_values=tuple(res.value for _g, res in witnesses),
-            uncertified=self.uncertified,
+            uncertified=sum(not res.certified for _g, res in solved),
         )
 
 
 def verify_cells(t: int, ms: Iterable[int]) -> list[VerificationReport]:
-    """Enumerate the left-compressed class at each (t, m), m in ``ms``, and
-    compare Lagrangians; the reports come in ``ms`` order.
+    """Verify the cells (t, m), m in ``ms``, by one walk of the down-set
+    search's state graph on [t]; the reports come in ``ms`` order.
 
-    The cells' enumerations stream one after another through
-    :func:`lagrangians` in blocks of ``CELL_BLOCK`` graphs, so a block may
-    span cells (every graph on [t] shares r and n); each cell keeps only
-    its colex result, running maximum, near-ties and counts.  No result
-    depends on the graphs solved beside it, so the reports depend neither
-    on the block size nor on which cells are verified together.
+    A state's down-set D is the AND of the keeps along its path, and holds
+    every graph below the state.  A Lagrangian cannot fall when edges are
+    added, so when D's solve is certified and below the cell's colex value
+    less ``TIE_TOL``, the state is settled: none of its graphs can be a
+    witness, and none is solved.  The cells walk together one level at a
+    time.  Each level solves the D's of its open inner states and each
+    cell's colex graph, which no state holding it can settle, in one
+    :func:`lagrangians` call; then each inner state is settled or opens its
+    children (an uncertified D is always opened).  Once the open states
+    hold at most ``CELL_BLOCK`` graphs, all their leaves are solved in one
+    more call, in enumeration order; so cells of at most ``CELL_BLOCK``
+    graphs in all are solved in one call, with no level.  Each down-set is
+    solved once per call, and no call takes more than ``CELL_BLOCK``
+    graphs.  No result depends on the graphs solved beside it, so a report
+    depends neither on the block size nor on which cells are verified
+    together, but for its ``uncertified`` count of solved graphs: a graph
+    below a settled state is not solved.
     """
     if t < 4:
         raise ValueError(f"cells need t >= 4, got t={t}")
     cells = [_Cell(t, m) for m in ms]
-    graphs = ((cell, g) for cell in cells for g in enumerate_left_compressed(t, cell.m))
-    while block := list(islice(graphs, CELL_BLOCK)):
-        results = lagrangians([g for _cell, g in block])
-        for cell, run in groupby(zip(block, results), key=lambda item: item[0][0]):
-            cell.add([(g, res) for (_cell, g), res in run])
-    return [cell.report() for cell in cells]
+    graph, solved = _down_set_graph(t), {}  # per down-set of the call, its graph and result
+
+    def solve(downs: Iterable[int]) -> None:
+        new = list(dict.fromkeys(down for down in downs if down not in solved))
+        for i in range(0, len(new), CELL_BLOCK):
+            graphs = list(map(graph, new[i:i + CELL_BLOCK]))
+            solved.update(zip(new[i:i + CELL_BLOCK], zip(graphs, lagrangians(graphs))))
+
+    # the open states, each (cell, D, entry), in cell order, then enumeration order
+    states = [(cell, cell.root[0], cell.root) for cell in cells]
+    while sum(entry[2] for *_, entry in states) > CELL_BLOCK and (
+            inner := [down for _cell, down, entry in states if entry[1]]):
+        solve([cell.colex for cell in cells] + inner)
+        opened = []
+        for cell, down, entry in states:
+            if not entry[1]:  # a leaf waits for the last call
+                opened.append((cell, down, entry))
+                continue
+            res = solved[down][1]
+            if not (res.certified and res.value < solved[cell.colex][1].value - TIE_TOL):
+                opened += [(cell, down & kid[0], kid) for kid in entry[1]]
+        states = opened
+    leaves = [(cell, leaf) for cell, down, entry in states for leaf in _leaf_downs(down, (entry,))]
+    solve(leaf for _cell, leaf in leaves)
+    return [cell.report([solved[leaf] for _cell, leaf in run])
+            for cell, run in groupby(leaves, key=itemgetter(0))]
 
 
 def verify_cell(t: int, m: int, opts: VerifierOptions | None = None) -> VerificationReport:
@@ -339,64 +368,12 @@ def check_t(t: int, lowest: int, name: str) -> None:
         raise ValueError(f"{name} must be within {lowest}..{T_MAX}, got {t}")
 
 
-def _groups(window: range, workers: int) -> list[list[int]]:
-    """The cells of ``window`` dealt to ``workers`` groups back and forth
-    (groups 0, 1, ..., w-1, then w-1, ..., 1, 0, and again): cells shrink
-    as m grows, so the groups get near-equal shares of the graphs."""
-    turn = 2 * workers
-    return [sorted([*window[j::turn], *window[turn - 1 - j::turn]]) for j in range(workers)]
-
-
 def sweep(t_max: int, workers: int = 1) -> list[VerificationReport]:
-    """Run every cell for 4 <= t <= t_max; deterministic (t, m) order.
-
-    Worker j verifies group j (:func:`_groups`) of every window, the largest
-    window first.  Worker 0 is the caller; each other worker with cells is a
-    child from POSIX ``os.fork`` that pipes back its pickled reports or its
-    error, raised again here.  A failing caller kills and reaps its children."""
+    """Run every cell for 4 <= t <= t_max in (t, m) order: :func:`verify_cells`
+    on each window, t ascending.  ``workers`` is accepted and ignored: one
+    walk verifies the largest window in well under a second."""
     check_t(t_max, 4, "t_max")
-    # the largest window holds the most cells: a group beyond it is always empty
-    workers = max(1, min(workers, len(cell_window(t_max))))
-    windows = [(t, _groups(cell_window(t), workers)) for t in range(t_max, 3, -1)]
-    shares = [[(t, groups[j]) for t, groups in windows if groups[j]] for j in range(workers)]
-    kids = []  # (pid, read end of its pipe) of each child not yet reaped
-    try:
-        for share in filter(None, shares[1:]):
-            read, write = os.pipe()
-            if (pid := os.fork()) == 0:  # the child: pipe back the outcome, exit at once
-                try:
-                    with open(write, "wb") as pipe:
-                        try:
-                            pickle.dump(("ok", _verify_share(share)), pipe)
-                        except BaseException as exc:
-                            pickle.dump(("error", exc), pipe)
-                finally:
-                    os._exit(0)
-            os.close(write)
-            kids.append((pid, open(read, "rb")))
-        done = _verify_share(shares[0])
-        while kids:
-            with kids[0][1] as pipe:
-                blob = pipe.read()
-            pid, status = os.waitpid(kids.pop(0)[0], 0)
-            if status or not blob:
-                raise RuntimeError(f"sweep worker {pid} ended with status "
-                                   f"{os.waitstatus_to_exitcode(status)} and no result")
-            kind, value = pickle.loads(blob)
-            if kind == "error":
-                raise value
-            done += value
-    finally:
-        for pid, pipe in kids:
-            pipe.close()
-            os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
-    return sorted(done, key=lambda rep: (rep.t, rep.m))
-
-
-def _verify_share(share) -> list[VerificationReport]:
-    """One worker's reports: :func:`verify_cells` on each (t, ms) of its share."""
-    return [rep for t, ms in share for rep in verify_cells(t, ms)]
+    return [rep for t in range(4, t_max + 1) for rep in verify_cells(t, cell_window(t))]
 
 
 # ---------------------------------------------------------------------------

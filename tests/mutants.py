@@ -62,6 +62,9 @@ MUTANTS = [  # (name, file under src/laglab, text, replacement)
     const("CELL_BLOCK", "verifier.py", "1024", "3"),
     const("INEQ_TOL", "verifier.py", "1e-7", "1e-12"),
     const("INEQ_TOL", "verifier.py", "1e-7", "1e-4"),
+    ("settle margin", "verifier.py",
+     "solved[cell.colex][1].value - TIE_TOL", "solved[cell.colex][1].value + 1e-6"),
+    ("settle uncertified", "verifier.py", "res.certified and res.value <", "res.value <"),
 ]
 
 

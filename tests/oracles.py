@@ -2,7 +2,8 @@
 
 Everything here is deliberately brute force and stays independent of the
 code paths it validates: subset filtering or an unpruned search instead of
-the pruned poset DFS, dense grid scans instead of ascent, and for 2-graphs
+the pruned poset DFS, every graph of a cell solved instead of the walk that
+settles whole subtrees, dense grid scans instead of ascent, and for 2-graphs
 the Motzkin-Straus closed form from an exact clique number (a branch and
 bound, itself checked against an itertools subset scan).  Also the helpers
 only the tests use: colex comparison, the descendant down-closure test, pair
@@ -11,7 +12,7 @@ links, single link values and vertex relabeling.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import numpy as np
@@ -111,6 +112,45 @@ def downset_masks_unpruned(t: int, m: int):
                 yield from rec(mask | 1 << k, count + 1, k)
 
     yield from rec(0, 0, -1)
+
+
+def verify_cells_leaf_by_leaf(t: int, ms, block: int = 1024) -> list:
+    """The reports of ``verifier.verify_cells(t, ms)`` with every graph of
+    every cell solved: the cells' enumerations stream one after another
+    through ``lagrangians`` in blocks of ``block`` graphs, so a block may
+    span cells, and each cell keeps its colex result (its first graph),
+    running maximum, the graphs within ``TIE_TOL`` of it and its counts."""
+    from laglab.hypergraph import enumerate_left_compressed, serialize_edge_list
+    from laglab.solver import TIE_TOL, lagrangians
+    from laglab.verifier import INEQ_TOL, VerificationReport
+
+    cells = [{"m": m, "colex": None, "max": -float("inf"), "witnesses": [], "count": 0,
+              "uncertified": 0} for m in ms]
+    graphs = ((cell, g) for cell in cells for g in enumerate_left_compressed(t, cell["m"]))
+    while chunk := list(islice(graphs, block)):
+        for (cell, g), res in zip(chunk, lagrangians([g for _cell, g in chunk])):
+            if cell["colex"] is None:
+                assert g.colex_ranks() == list(range(cell["m"]))
+                cell["colex"] = res
+            cell["count"] += 1
+            cell["uncertified"] += not res.certified
+            cell["max"] = max(cell["max"], res.value)
+            cell["witnesses"] = [(h, r) for h, r in cell["witnesses"] + [(g, res)]
+                                 if r.value >= cell["max"] - TIE_TOL]
+    reports = []
+    for cell in cells:
+        m, colex, witnesses = cell["m"], cell["colex"], cell["witnesses"]
+        gap = colex.value - cell["max"]
+        reports.append(VerificationReport(
+            t=t, m=m, a=comb(t, 3) - m, colex_value=colex.value, max_value=cell["max"],
+            gap=gap, graph_count=cell["count"],
+            witnesses=tuple(serialize_edge_list(g) for g, _res in witnesses),
+            all_pass=bool(gap >= -INEQ_TOL and colex.certified
+                          and all(res.certified for _g, res in witnesses)),
+            witness_supports=tuple(res.support for _g, res in witnesses),
+            witness_values=tuple(res.value for _g, res in witnesses),
+            uncertified=cell["uncertified"]))
+    return reports
 
 
 def simplex_grid(n: int, resolution: int) -> np.ndarray:

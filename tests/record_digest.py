@@ -5,20 +5,18 @@
     python3 tests/record_digest.py --check 8 9 10 11
 
 Without ``--check``: solves every (t, m) cell with 4 <= t <= 11 under
-laglab's default options with ``laglab.verifier.sweep`` on two workers (the
-calling process and one forked child, as ``laglab sweep --workers 2`` runs
-them), and writes ``tests/cell_digest.json``: per cell the graph count,
-verdict, uncertified count, witness supports and values, colex and maximum
-values, and a SHA-256 of the witness texts in report order, under a
-``recorded_at`` that names the code behind it: ``git describe --always
---dirty`` and perfbench's ``src_digest``, a SHA-256 over the names and
-bytes of the Python files under ``src/``.  Record it at the commit whose
-results a solver change must keep; the whole run takes about 10 s on two
-cores, most of it the t = 11 window (the t <= 10 windows take about 2 s).
+laglab's default options with ``laglab.verifier.sweep``, as ``laglab
+sweep`` solves them, and writes ``tests/cell_digest.json``: per cell the
+graph count, verdict, uncertified count, witness supports and values,
+colex and maximum values, and a SHA-256 of the witness texts in report
+order, under a ``recorded_at`` that names the code behind it: ``git
+describe --always --dirty`` and perfbench's ``src_digest``, a SHA-256 over
+the names and bytes of the Python files under ``src/``.  Record it at the
+commit whose results a solver change must keep; the solve takes about
+0.2 s on two cores, most of it the t = 11 window.
 
-With ``--check T ...``: runs the same two-worker ``sweep`` up to the
-largest t given, so it solves every smaller window too (``--check 11``
-also solves t <= 10, about a second more), and compares every cell of the
+With ``--check T ...``: runs the same ``sweep`` up to the largest t given,
+so it solves every smaller window too, and compares every cell of the
 given windows with the stored digest, values within 1e-12 and every other
 field exactly.  It rewrites nothing, prints one line per mismatch and
 exits 1 if there is any.  Both modes end with a summary line that gives
@@ -43,7 +41,6 @@ sys.path.insert(0, str(ROOT / "src"))
 import laglab.verifier as verifier  # noqa: E402
 
 T_MAX = 11
-WORKERS = 2
 VALUE_FIELDS = ("witness_values", "colex_value", "max_value")
 VALUE_TOL = 1e-12
 
@@ -92,10 +89,10 @@ def git_describe() -> str:
 
 
 def solve_windows(ts) -> list:
-    """The reports of the windows of ``ts`` in (t, m) order: ``sweep`` on
-    ``WORKERS`` workers up to the largest t, kept for the t asked for."""
+    """The reports of the windows of ``ts`` in (t, m) order: ``sweep`` up to
+    the largest t, kept for the t asked for."""
     ts = set(ts)
-    return [rep for rep in verifier.sweep(max(ts), WORKERS) if rep.t in ts]
+    return [rep for rep in verifier.sweep(max(ts)) if rep.t in ts]
 
 
 def main(argv=None) -> int:

@@ -3,7 +3,6 @@
 import hashlib
 import io
 import json
-import os
 import sys
 
 import pytest
@@ -245,26 +244,6 @@ class TestSweep:
         assert code_a == code_b == 0
         assert (a_dir / "sweep.json").read_bytes() == (b_dir / "sweep.json").read_bytes()
         assert (a_dir / "summary.csv").read_bytes() == (b_dir / "summary.csv").read_bytes()
-
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_one_exit_1(self, capsys, tmp_path, workers):
-        out_dir = tmp_path / "s"
-        code, out, err = run(capsys, "sweep", "--t-max", "4", "--workers", workers,
-                             "--out", str(out_dir))
-        assert code == 1 and out == ""
-        assert f"--workers: must be >= 1, got {workers}" in err
-        assert not out_dir.exists()
-
-    def test_default_workers_are_the_cpus_this_process_may_use(self, capsys, tmp_path,
-                                                               monkeypatch):
-        # under an affinity mask of one CPU on an eight-CPU machine, workers
-        # beyond the first would have no CPU to run on
-        seen = []
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(cli, "sweep", lambda t_max, workers: seen.append(workers) or [])
-        code, _, _ = run(capsys, "sweep", "--t-max", "4", "--out", str(tmp_path / "s"))
-        assert code == 0 and seen == [1]
 
     def test_one_report_dict_per_cell(self, capsys, tmp_path, monkeypatch):
         # each cell's document feeds both its cell file and sweep.json

@@ -38,15 +38,14 @@ def test_cells_t9_match_digest():
     assert_matches_digest([verify_cell(9, m) for m in cell_window(9)])
 
 
-@pytest.mark.parametrize("t", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("t", range(4, 12))
 def test_window_blocks_match_digest(t):
-    # the cells of a window solved together, as a sweep solves them
+    # the cells of a window walked together, as a sweep walks them
     assert_matches_digest(verify_cells(t, cell_window(t)))
 
 
 def test_digest_tool_solves_through_sweep():
-    # the tool's two-worker sweep, kept for the windows asked for, against
-    # a serial sweep
+    # the tool's sweep, kept for the windows asked for, against the sweep
     reports = solve_windows([5, 7])
     assert reports == [rep for rep in sweep(7) if rep.t in (5, 7)]
     assert [(rep.t, rep.m) for rep in reports] == [

@@ -1,9 +1,9 @@
 """Conjecture cells, configuration families, and structural bound checks."""
 
+import dataclasses
+import functools
 import hashlib
 import json
-import os
-import time
 import tracemalloc
 from math import comb
 
@@ -38,6 +38,7 @@ from laglab.verifier import (
     verify_cell,
     verify_cells,
 )
+from oracles import verify_cells_leaf_by_leaf
 
 
 class TestConfigurations:
@@ -239,10 +240,10 @@ class TestCells:
 
 
 class TestVerdictTolerances:
-    """``INEQ_TOL``, and ``solver.TIE_TOL`` as the witness band that each
-    block is filtered by against the running maximum, on cell (6, 10)'s six
-    enumerated graphs, with results made up so that the gaps fall between
-    the constants' neighbouring decades."""
+    """``INEQ_TOL``, and ``solver.TIE_TOL`` as the witness band below a
+    cell's maximum, on cell (6, 10)'s six enumerated graphs, with results
+    made up so that the gaps fall between the constants' neighbouring
+    decades."""
 
     @staticmethod
     def _report(colex_value, others):
@@ -250,10 +251,9 @@ class TestVerdictTolerances:
         ``colex_value`` and the other graphs, in enumeration order, at
         ``others`` and then at 0."""
         values = iter([colex_value, *others])
-        cell = verifier._Cell(6, 10)
-        cell.add([(g, LagrangianResult(next(values, 0.0), (), 6, 0.0, "made-up", True))
-                  for g in enumerate_left_compressed(6, 10)])
-        return cell.report()
+        return verifier._Cell(6, 10).report([
+            (g, LagrangianResult(next(values, 0.0), (), 6, 0.0, "made-up", True))
+            for g in enumerate_left_compressed(6, 10)])
 
     @pytest.mark.parametrize("gap, passes", [(-1e-8, True), (-1e-6, False)])
     def test_ineq_tol(self, gap, passes):
@@ -308,6 +308,8 @@ class TestStreamedCells:
         assert verify_cells(7, window[::-3]) == [one_block_reports[7, m] for m in window[::-3]]
 
     def test_no_solve_exceeds_the_block(self, monkeypatch):
+        # above the block the walk settles subtrees: of (8, 35)'s 79 graphs
+        # it solves 16 graphs and down-sets in all
         sizes, solve = [], verifier.lagrangians
 
         def spy(graphs, opts=None):
@@ -316,7 +318,8 @@ class TestStreamedCells:
 
         monkeypatch.setattr(verifier, "lagrangians", spy)
         monkeypatch.setattr(verifier, "CELL_BLOCK", 16)
-        assert verify_cell(8, 35).graph_count == sum(sizes) == 79
+        assert verify_cell(8, 35).graph_count == 79
+        assert sum(sizes) == 16
         assert max(sizes) <= 16
 
     def test_colex_graph_comes_first(self):
@@ -332,7 +335,7 @@ class TestStreamedCells:
         graphs = list(enumerate_left_compressed(6, 10))[::-1]
         result = LagrangianResult(0.1, (), 6, 0.0, "made-up", True)
         with pytest.raises(RuntimeError, match=r"colex graph missing .* \(t=6, m=10\)"):
-            cell.add([(g, result) for g in graphs])
+            cell.report([(g, result) for g in graphs])
 
     def test_cells_reject_bad_input(self):
         assert verify_cells(7, []) == []
@@ -354,7 +357,85 @@ class TestStreamedCells:
         reports = sweep(7)
         assert len(reports) == 38
         assert sizes == [sum(rep.graph_count for rep in reports if rep.t == t)
-                         for t in (7, 6, 5, 4)]  # the largest window first
+                         for t in (4, 5, 6, 7)]  # t ascending
+
+
+@functools.cache
+def leaf_by_leaf(t):
+    """The window's reports with every graph solved."""
+    return verify_cells_leaf_by_leaf(t, cell_window(t))
+
+
+class TestWalk:
+    """The walk that settles whole subtrees of the down-set search against
+    the oracle that solves every graph, and what it solves."""
+
+    @pytest.mark.parametrize("cell_block", [1, 7, 1024])
+    @pytest.mark.parametrize("t", range(4, 10))
+    def test_reports_equal_leaf_by_leaf(self, monkeypatch, t, cell_block):
+        monkeypatch.setattr(verifier, "CELL_BLOCK", cell_block)
+        assert verify_cells(t, cell_window(t)) == leaf_by_leaf(t)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("t", [10, 11])
+    def test_large_windows_equal_leaf_by_leaf(self, t):
+        assert verify_cells(t, cell_window(t)) == leaf_by_leaf(t)
+
+    @pytest.mark.parametrize("t", range(4, 9))
+    def test_every_solved_down_set_bounds_the_graphs_below_it(self, monkeypatch, t):
+        # at a block of 1 the walk solves the down-set of every state it
+        # opens: each is left-compressed, checked as an untrusted graph, and
+        # no graph of the window inside it has a higher value
+        graphs = [g for m in cell_window(t) for g in enumerate_left_compressed(t, m)]
+        inside = [(int.from_bytes(g._picks, "little"), res.value)
+                  for g, res in zip(graphs, verifier.lagrangians(graphs))]
+        solved, solve = [], verifier.lagrangians
+
+        def spy(graphs, opts=None):
+            results = solve(graphs, opts)
+            solved.extend(zip(graphs, results))
+            return results
+
+        monkeypatch.setattr(verifier, "lagrangians", spy)
+        monkeypatch.setattr(verifier, "CELL_BLOCK", 1)
+        verify_cells(t, cell_window(t))
+        pairs = 0
+        for g, res in solved:
+            assert is_left_compressed(RGraph(3, t, g.edges)), g
+            down = int.from_bytes(g._picks, "little")
+            below = [value for leaf, value in inside if leaf & ~down == 0]
+            assert all(res.value >= value - 1e-12 for value in below), g
+            pairs += len(below)
+        assert pairs > len(solved)
+
+    def test_an_uncertified_down_set_is_opened(self, monkeypatch):
+        # with every result uncertified no state settles, and the t = 9
+        # window solves every one of its 2,974 graphs
+        sizes, solve = [], verifier.lagrangians
+
+        def uncertified(graphs, opts=None):
+            sizes.append(len(graphs))
+            return [dataclasses.replace(res, certified=False) for res in solve(graphs, opts)]
+
+        monkeypatch.setattr(verifier, "lagrangians", uncertified)
+        reports = verify_cells(9, cell_window(9))
+        assert sum(sizes) == sum(rep.uncertified for rep in reports) == 2974
+
+    @pytest.mark.parametrize("t, calls, graphs", [(9, 3, 266), (10, 3, 532), (11, 4, 662)])
+    def test_solves_per_window(self, monkeypatch, t, calls, graphs):
+        # one lagrangians call per level and one for the leaves; each
+        # down-set solved once, the graphs of the window and the down-sets
+        # above them alike
+        sizes, solve = [], verifier.lagrangians
+
+        def spy(batch, opts=None):
+            sizes.append(len(batch))
+            return solve(batch, opts)
+
+        monkeypatch.setattr(verifier, "lagrangians", spy)
+        reports = verify_cells(t, cell_window(t))
+        assert (len(sizes), sum(sizes)) == (calls, graphs)
+        assert sum(rep.graph_count for rep in reports) == {9: 2974, 10: 16580, 11: 102278}[t]
 
 
 class TestSweep:
@@ -373,82 +454,11 @@ class TestSweep:
         assert all(r.all_pass for r in sweep5_reports)
 
     def test_sweep_is_the_same_on_three_workers(self, sweep6_reports):
-        # 3 workers split the windows of 4, 7 and 11 cells unevenly (t = 4
-        # into groups of 1, 1 and 2 cells); the reports come back in (t, m)
-        # order
+        # the worker count is accepted and ignored; the reports come in
+        # (t, m) order
         assert sweep(6, workers=3) == sweep6_reports
         assert [(rep.t, rep.m) for rep in sweep6_reports] == [
             (t, m) for t in range(4, 7) for m in cell_window(t)]
-
-    def test_groups_share_a_window_evenly(self):
-        # cells shrink as m grows; dealing them back and forth gives each
-        # of two workers about half of the t = 9 window's 2,974 graphs,
-        # where window[j::2] gives one of them 1,586 (6.7 % over half)
-        assert verifier._groups(cell_window(5), 2) == [[4, 7, 8], [5, 6, 9, 10]]
-        assert verifier._groups(cell_window(5), 1) == [list(cell_window(5))]
-        assert verifier._groups(cell_window(4), 6) == [[1], [2], [3], [4], [], []]
-        counts = {m: count_left_compressed(9, m) for m in cell_window(9)}
-        shares = [sum(counts[m] for m in group) for group in verifier._groups(cell_window(9), 2)]
-        assert sum(shares) == 2974 and max(shares) <= 1.01 * 2974 / 2
-
-    def test_one_fork_per_other_worker_with_cells(self, monkeypatch, sweep5_reports):
-        # worker 0 is the caller, and a worker without cells forks nothing:
-        # the t = 4 window is four cells, so eight workers fork three children
-        forks, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
-        assert sweep(4, workers=8) == [rep for rep in sweep5_reports if rep.t == 4]
-        assert len(forks) == 3
-        forks.clear()
-        serial = sweep(7)
-        assert forks == []
-        assert sweep(7, workers=2) == serial
-        assert len(forks) == 1
-
-    def test_workers_capped_at_the_largest_window(self, monkeypatch, sweep5_reports):
-        # the t = 4 window has four cells, so a fifth group would be empty
-        sizes, groups, forks, fork = [], verifier._groups, [], os.fork
-        monkeypatch.setattr(verifier, "_groups",
-                            lambda window, workers: sizes.append(workers) or groups(window, workers))
-        monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
-        assert sweep(4, workers=1000) == [rep for rep in sweep5_reports if rep.t == 4]
-        assert sizes == [4] and len(forks) == 3
-
-    @staticmethod
-    def _in_children(monkeypatch, child, caller=None):
-        """Run ``child`` in place of verify_cells in the forked workers, and
-        ``caller`` (by default verify_cells itself) in the calling process."""
-        real, pid = verifier.verify_cells, os.getpid()
-
-        def verify_cells(t, ms):
-            return ((caller or real) if os.getpid() == pid else child)(t, ms)
-
-        monkeypatch.setattr(verifier, "verify_cells", verify_cells)
-
-    def test_child_error_comes_out_with_its_type_and_message(self, monkeypatch):
-        def child(t, ms):
-            raise ValueError(f"no cells at t={t}")
-
-        self._in_children(monkeypatch, child)
-        with pytest.raises(ValueError, match=r"^no cells at t=5$"):
-            sweep(5, workers=2)
-
-    def test_child_that_exits_without_a_result_raises(self, monkeypatch):
-        self._in_children(monkeypatch, lambda t, ms: os._exit(3))
-        with pytest.raises(RuntimeError, match=r"sweep worker \d+ ended with status 3 "):
-            sweep(5, workers=2)
-
-    def test_failing_caller_leaves_no_child(self, monkeypatch):
-        # the child would sleep for a minute; the caller kills and reaps it
-        def caller(t, ms):
-            raise ArithmeticError("the caller's share failed")
-
-        self._in_children(monkeypatch, lambda t, ms: time.sleep(60), caller)
-        start = time.monotonic()
-        with pytest.raises(ArithmeticError):
-            sweep(5, workers=2)
-        assert time.monotonic() - start < 30
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     def test_sweep_rejects_bad_t_max(self):
         with pytest.raises(ValueError):
