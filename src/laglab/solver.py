@@ -16,28 +16,35 @@ Such blocked rows are nearly all the rows whose ascent crawls, so the step
 cap hands them to Newton early and loses no solved row.  Other graphs run
 the same multiplicative ascent from many starts, to the much finer
 ``START_ASCENT_STOP`` because the end points choose the faces, and hand the
-supports it reveals to the same face solve.  Results carry a KKT residual
-and a certification flag.  Graphs with at most ``CROSS_CHECK_MAX_ACTIVE``
-active vertices also get a support-enumeration cross-check: every support
-whose pairs lie in edges, solved by the same face solve.  On the prefix
-faces it reads the very rows the prefix route solved, so it adds
-information only through its other supports.
+supports it reveals to the same face solve.  That ascent has a kernel of
+its own: its rows all weight one graph and are positive on every active
+vertex, so each step's links are one matrix product over the graph's
+shadow (:class:`_OneGraphRows`), summed in BLAS order.  Its end points
+only choose faces and serve as a fallback; every face row, value and
+certificate sums in edge order (:class:`_Rows`).  Results carry a KKT
+residual and a certification flag.  Graphs with at most
+``CROSS_CHECK_MAX_ACTIVE`` active vertices also get a support-enumeration
+cross-check: every support whose pairs lie in edges, solved by the same
+face solve.  On the prefix faces it reads the very rows the prefix route
+solved, so it adds information only through its other supports.
 
 The face solve is batched: graphs that share r and n, whatever their edge
 counts (a block of a window's cells), stack their edges one graph after
 another (enumerated graphs from one unpacking of their stacked picks),
 (graph, face) pairs that share the face and the edges inside it share one
-weight row, each ascent or Newton step is one numpy call over all rows, and
-one stationarity report gives every result of the block.  Each row's value
-is summed once, over the edges inside its face, and is its pairs' value on
-their graphs, since the row is zero off the face; only a search with more
-than one pair within ``TIE_TOL`` of its best reads those pairs' first-order
-conditions on all its graph's edges, to break the tie.  A block's edges are
-stacked once and take one face solve: one search per graph on its route's
-faces, plus a second search per cross-checked graph on its supports.  No
-row's arithmetic depends on the rows beside it, so :func:`lagrangians` on a
-block gives exactly what :func:`lagrangian` gives on each graph alone, and
-each cross-check search the value that :func:`support_enumeration` gives.
+weight row, whatever their graphs' other edges, each ascent or Newton step
+is one numpy call over all rows, and one stationarity report gives every
+result of the block.  Each row's value is summed once, over the edges
+inside its face, and is its pairs' value on their graphs, since the row is
+zero off the face; only a search with more than one pair within
+``TIE_TOL`` of its best reads those pairs' first-order conditions on all
+its graph's edges, to break the tie.  A block's edges are stacked once and
+take one face solve: one search per graph on its route's faces, plus a
+second search per cross-checked graph on its supports.  No row's
+arithmetic depends on the rows beside it, and a multistart ascent reads
+only its own graph's starts, so :func:`lagrangians` on a block gives
+exactly what :func:`lagrangian` gives on each graph alone, and each
+cross-check search the value that :func:`support_enumeration` gives.
 """
 
 from __future__ import annotations
@@ -226,6 +233,44 @@ class _Rows:
         h = np.bincount(np.concatenate(idx), parts.ravel(),
                         minlength=size * n * n).reshape(size, n, n)
         return h + h.transpose(0, 2, 1)
+
+
+class _OneGraphRows:
+    """Links of weight rows x (R, n) that all weight graph k of ``data`` and
+    are positive on its every active vertex, as the multistart route's
+    starts are, so every edge lies inside every row's support and no row is
+    ever dropped from the kernel (:meth:`subset` returns it whole).  A
+    vertex's link is then a sum over the graph's shadow, the (r-1)-sets that
+    lie in an edge, of their weight products, and the links of all rows are
+    one matrix product P @ M: P (R, S) holds the shadow products and M (S, n)
+    the 0/1 incidence "s with i is an edge".  The shadow is listed once per
+    edge position p, the sets an edge leaves without its vertex at p, each
+    list in colex order, so each vertex meets its terms in the order
+    :meth:`_Rows.grad` adds them; BLAS may still add them in another order,
+    which depends only on the graph and the row count, so each row's ascent
+    depends only on its own graph and starts."""
+
+    def __init__(self, data: _GraphData, k: int):
+        vert = data.vert[:, data.start[k]:data.start[k + 1]]
+        weight = data.n ** np.arange(data.r - 1)[:, None]  # codes in colex order
+        shadow, link = [], []
+        for p in range(data.r):
+            rest = np.delete(vert, p, axis=0)
+            _, first, sets = np.unique((rest * weight).sum(axis=0), return_index=True,
+                                       return_inverse=True)
+            shadow.append(rest[:, first])
+            link.append(np.zeros((first.size, data.n)))
+            link[-1][sets.ravel(), vert[p]] = 1.0
+        self.shadow, self.link = np.concatenate(shadow, axis=1), np.concatenate(link)
+
+    def subset(self, keep: np.ndarray) -> _OneGraphRows:
+        return self
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        products = x[:, self.shadow[0]]
+        for col in self.shadow[1:]:
+            products = products * x[:, col]
+        return products @ self.link
 
 
 def _as_vector(g: RGraph, x) -> np.ndarray:
@@ -459,12 +504,18 @@ def _prefix_faces(r: int, top: int) -> list[tuple[int, ...]]:
 def _multistart(data: _GraphData, k: int, opts: SolverOptions) -> tuple[list, float, np.ndarray]:
     """The multistart route's ascent for graph k of ``data``: the uniform
     point of its active vertices and ``STARTS`` Dirichlet random points
-    on them climb by multiplicative ascent.  Returns the candidate supports of
-    the two best end points, the faces it hands :func:`_best_on_faces`, and
-    the best end point's value and point, which :func:`lagrangians` keeps
-    when no face yields a point or when it lies more than ``TIE_TOL`` above
-    the face solution (a flat optimal set can leave Newton's Jacobian
-    singular on the face that holds it)."""
+    on them climb by multiplicative ascent, on :class:`_OneGraphRows` of the
+    graph: the starts are positive on every active vertex, so every edge
+    lies inside every row, and one matrix product per step gives all their
+    links, in BLAS order.  The end points' values rank them and are summed
+    in edge order (:meth:`_Rows.eval`), since end points on a flat optimal
+    set tie to the last bit and another order would rank them otherwise.
+    Returns the candidate supports of the two best end points, the
+    faces it hands :func:`_best_on_faces`, and the best end point's value
+    and point, which :func:`lagrangians` keeps when no face yields a point or
+    when it lies more than ``TIE_TOL`` above the face solution (a flat
+    optimal set can leave Newton's Jacobian singular on the face that holds
+    it)."""
     rng = np.random.default_rng(
         [opts.seed & 0xFFFFFFFFFFFFFFFF, data.graphs[k].canonical_hash()]
     )
@@ -472,10 +523,9 @@ def _multistart(data: _GraphData, k: int, opts: SolverOptions) -> tuple[list, fl
     starts = np.zeros((STARTS + 1, data.n))
     starts[0, act] = 1.0 / act.size
     starts[1:, act] = rng.dirichlet(np.ones(act.size), size=STARTS)
-    # the starts are positive on every active vertex: every edge is inside
-    block = _Rows(data, np.full(len(starts), k))
+    block = _OneGraphRows(data, k)
     ends = _replicator_rows(block, starts, START_ASCENT_STOP, ASCENT_ITERS)
-    end_vals = block.eval(ends)
+    end_vals = _Rows(data, np.full(len(ends), k)).eval(ends)
     order = np.argsort(-end_vals, kind="stable")
     faces = list(dict.fromkeys(
         face for idx in order[:2] for face in _candidate_supports(ends[idx])
@@ -689,9 +739,11 @@ def _solve_faces(data: _GraphData, graph: np.ndarray,
     multistart route's candidate faces come with the same faces peeled of
     their smallest weights and with the best end point as a fallback.
     A row's solve reads only the edges inside its face, so (search, face)
-    pairs that share the face and their graphs' edges up to the face's largest
-    vertex (for a prefix face, exactly the edges inside it) share one row,
-    solved once; ``CHUNK_ROWS`` such rows go through together, their ascent,
+    pairs keyed by the face and the edges of their graph inside it share one
+    row, solved once, whatever their graphs' other edges.  For a prefix face
+    those edges are a slice of the graph's edges, those up to its largest
+    vertex; a face that skips a vertex below its largest gathers them from
+    that slice.  ``CHUNK_ROWS`` such rows go through together, their ascent,
     Newton and values on one :class:`_Rows` of the edges inside their faces.
     """
     n = data.n
@@ -704,15 +756,25 @@ def _solve_faces(data: _GraphData, graph: np.ndarray,
     for f, i in ids.items():
         masks[i, [v - 1 for v in f]], top[i] = True, max(f) - 1
     # the graphs lie in turn, each in colex order, which sorts by top vertex,
-    # so a pair's edges are one slice of the edges' bytes (edge by edge)
+    # so a pair's edges up to its face's top vertex are one slice of the
+    # edges; for a prefix face they are the edges inside it
     code = data.vert.T.astype(np.min_scalar_type(n))  # (E, r)
-    width = data.r * code.itemsize
-    los = data.start[owner] * width
-    his = np.searchsorted(data.graph * n + data.vert[-1], owner * n + top[face], "right") * width
-    blob = code.tobytes()
-    keys: dict[tuple[int, bytes], int] = {}
+    los = data.start[owner]
+    his = np.searchsorted(data.graph * n + data.vert[-1], owner * n + top[face], "right")
+    holed = np.flatnonzero(masks.sum(axis=1)[face] <= top[face])  # faces that skip a vertex
+    if holed.size:  # their edges inside, appended to the edges as slices of their own
+        count = his[holed] - los[holed]
+        pos = np.repeat(np.arange(holed.size), count)
+        edge = np.repeat(los[holed] - np.cumsum(count) + count, count) + np.arange(pos.size)
+        inside = masks[face[holed][pos], data.vert[:, edge]].all(axis=0)
+        kept = np.bincount(pos[inside], minlength=holed.size)
+        his[holed] = code.shape[0] + np.cumsum(kept)
+        los[holed] = his[holed] - kept
+        code = np.concatenate([code, code[edge[inside]]])
+    width, blob = data.r * code.itemsize, code.tobytes()
+    keys: dict[tuple[int, bytes], int] = {}  # a pair's key: its face and the edges inside it
     which = np.fromiter((keys.setdefault((f, blob[lo:hi]), len(keys)) for f, lo, hi in zip(
-        face.tolist(), los.tolist(), his.tolist())), np.intp, owner.size)
+        face.tolist(), (los * width).tolist(), (his * width).tolist())), np.intp, owner.size)
     first = np.unique(which, return_index=True)[1]  # each row's first pair
     xs, solved, vals = np.zeros((first.size, n)), np.zeros(first.size, bool), np.zeros(first.size)
     for lo in range(0, first.size, CHUNK_ROWS):
@@ -736,15 +798,20 @@ def _tie_key(fails: bool, x: np.ndarray) -> tuple:
     return fails, sup.size, sup.tolist(), (-x).tolist()
 
 
-def _replicator_rows(block: _Rows, rows: np.ndarray, stop: float, iters: int) -> np.ndarray:
+def _replicator_rows(block: _Rows | _OneGraphRows, rows: np.ndarray, stop: float,
+                     iters: int) -> np.ndarray:
     """Batched multiplicative-update ascent x <- x * grad / (r * value) of
-    the start ``rows``, with their kernels ``block``.
+    the start ``rows``, with their kernels ``block``: a :class:`_Rows` for
+    face rows, which sums in edge order, and the one matrix product of
+    :class:`_OneGraphRows` for the multistart starts of one graph.
 
     Supports are invariant under the update and the value never decreases,
     so each row climbs within its own face of the simplex.  Rows whose value
     hits zero are left unchanged.  Each row stops on its own, after its first
     step that moves no weight by ``stop`` or more, or after ``iters`` steps,
-    so its path depends only on its start and the edges inside its face.
+    so its path depends only on its start and the edges inside its face
+    (and, for multistart starts, on how many of its graph's starts still
+    climb, which can change BLAS's summation order).
     Face rows stop at ``FACE_ASCENT_STOP`` (1e-4) or ``FACE_ASCENT_ITERS``
     (30) steps, since Newton finishes them or fails a row whose optimum is
     another row's, and those blocked rows are the ones that climb slowly;

@@ -59,6 +59,8 @@ MUTANTS = [  # (name, file under src/laglab, text, replacement)
     ("Newton convergence", "solver.py", ")) < 1e-14", ")) < 1e-12"),
     ("Newton step bound", "solver.py", ".min(axis=1) >= -1e-9", ".min(axis=1) >= 0"),
     ("Newton step bound", "solver.py", ".min(axis=1) >= -1e-9", ".min(axis=1) >= -1e-6"),
+    ("row key", "solver.py",  # every pair keyed by its edges up to the face's top vertex
+     "masks.sum(axis=1)[face] <= top[face]", "masks.sum(axis=1)[face] < 0"),
     const("CELL_BLOCK", "verifier.py", "1024", "3"),
     const("INEQ_TOL", "verifier.py", "1e-7", "1e-12"),
     const("INEQ_TOL", "verifier.py", "1e-7", "1e-4"),

@@ -1,14 +1,18 @@
 """Lagrangian solver: values, stationarity, oracles, invariances."""
 
+import os
+import subprocess
 import sys
 import warnings
 from dataclasses import asdict
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import laglab
 from laglab import solver
 from laglab.hypergraph import (
     RGraph,
@@ -45,6 +49,7 @@ from oracles import (
     relabel,
 )
 
+SRC = str(Path(laglab.__file__).resolve().parent.parent)
 FIVE_CYCLE = RGraph.from_edges(2, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
 
 
@@ -884,6 +889,98 @@ class TestBatchedSolve:
         assert calls[:2] == [2, 1]
         assert solved.tolist() == [True, False]
         assert np.allclose(xs[0], 0.25, rtol=0, atol=1e-14) and not xs[1].any()
+
+
+class TestRowKeys:
+    """A face row reads only its face and the edges inside it, so (graph,
+    face) pairs are keyed by those, whatever their graphs' other edges."""
+
+    def test_distinct_rows_per_window(self, monkeypatch):
+        # every graph of the t <= 6 windows, and one of t = 7, is also
+        # searched on its enumerable supports; keyed by its graph's edges up
+        # to the face's top vertex, a support that skips a vertex below it
+        # is not shared by graphs that differ there, and the windows take
+        # 9, 64, 485 and 110 rows; a prefix face's two keys agree
+        rows, solve = [], solver._solve_faces
+
+        def spy(data, graph, faces):
+            out = solve(data, graph, faces)
+            rows.append(len(out[2]))
+            return out
+
+        monkeypatch.setattr(solver, "_solve_faces", spy)
+        for t in (4, 5, 6, 7):
+            lagrangians(window_graphs(t))
+        assert rows == [6, 26, 107, 110]
+
+    def test_edges_outside_the_face_share_its_row(self):
+        # both graphs hold the face {1, 2, 4}'s one inside edge; only g holds
+        # {1, 2, 3}, which lies below the face's top vertex
+        g, h = graph_from_words(3, 5, "123 124 345"), graph_from_words(3, 5, "124 135 345")
+        face = [(1, 2, 4)]
+        _, which, xs, solved, vals = solver._solve_faces(
+            solver._GraphData([g, h]), np.array([0, 1]), [face, face])
+        assert which.tolist() == [0, 0]
+        _, _, *alone = solver._solve_faces(solver._GraphData([g]), np.array([0]), [face])
+        assert solved.tolist() == alone[1].tolist() == [True]
+        assert np.array_equal(xs, alone[0]) and np.array_equal(vals, alone[2])
+        assert vals[0] == 1 / 27
+
+
+class TestOneGraphKernel:
+    """The multistart route's kernel: the links of all starts of one graph
+    as one matrix product over the graph's shadow."""
+
+    @staticmethod
+    def graphs_with_isolated_vertices():
+        rng, out = np.random.default_rng(41), []
+        for r in (2, 3, 4):
+            while sum(g.r == r for g in out) < 12:
+                g = random_rgraph(rng, r, int(rng.integers(r + 2, 11)),
+                                  float(rng.uniform(0.05, 0.6)))
+                if g.m and solver._GraphData([g]).active.sum() < g.n:
+                    out.append(g)
+        return out
+
+    def test_grad_matches_the_edge_order_kernel(self):
+        # both kernels form the same products and may differ only in the
+        # order of their sums; a sum of at most m non-negative terms moves
+        # by at most (m - 1) * 2**-53 of itself in either order
+        rng = np.random.default_rng(42)
+        for g in self.graphs_with_isolated_vertices():
+            data = solver._GraphData([g])
+            x, act = np.zeros((33, g.n)), np.flatnonzero(data.active[0])
+            x[:, act] = rng.dirichlet(np.ones(act.size), size=33)
+            one, edge = solver._OneGraphRows(data, 0), solver._Rows(data, np.zeros(33, np.intp))
+            tol = 4 * g.m * 2.0 ** -52
+            want = edge.grad(x)
+            assert (np.abs(one.grad(x) - want) <= tol * want.max(axis=1, keepdims=True)).all()
+            assert not one.grad(x)[:, ~data.active[0]].any()
+            assert one.subset(np.arange(33) % 2 == 0) is one
+
+    def test_block_mates_leave_a_general_result_alone(self):
+        rng = np.random.default_rng(43)
+        graphs = [random_rgraph(rng, 3, 8, 0.5) for _ in range(3)]
+        assert not any(map(is_left_compressed, graphs))
+        got, alone = lagrangians(graphs)[0], lagrangian(graphs[0])
+        assert got.method == "multistart_gradient"
+        assert [v.hex() for v in (got.value, *got.weighting)] == [
+            v.hex() for v in (alone.value, *alone.weighting)]
+
+    def test_fresh_processes_agree(self):
+        # the one-vertex-peel graph of TestMultistartRoute
+        words = ("123 124 125 126 127 137 145 146 147 156 157 167 234 236 237 245 256 "
+                 "267 346 356 367 457 567")
+        code = ("from laglab.solver import lagrangian; from laglab.hypergraph import RGraph; "
+                f"g = RGraph.from_edges(3, [tuple(map(int, w)) for w in {words!r}.split()]); "
+                "res = lagrangian(g); print(res.method, res.certified, res.value.hex(), "
+                "*[w.hex() for w in res.weighting])")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        outs = [subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                               text=True, check=True, timeout=120).stdout for _ in range(2)]
+        assert outs[0] == outs[1]
+        assert outs[0].startswith("multistart_gradient True ")
 
 
 def window_graphs(t):
