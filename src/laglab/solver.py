@@ -523,8 +523,7 @@ def _multistart(data: _GraphData, k: int, opts: SolverOptions) -> tuple[list, fl
     starts = np.zeros((STARTS + 1, data.n))
     starts[0, act] = 1.0 / act.size
     starts[1:, act] = rng.dirichlet(np.ones(act.size), size=STARTS)
-    block = _OneGraphRows(data, k)
-    ends = _replicator_rows(block, starts, START_ASCENT_STOP, ASCENT_ITERS)
+    ends = _replicator_rows(_OneGraphRows(data, k), starts, START_ASCENT_STOP, ASCENT_ITERS)
     end_vals = _Rows(data, np.full(len(ends), k)).eval(ends)
     order = np.argsort(-end_vals, kind="stable")
     faces = list(dict.fromkeys(

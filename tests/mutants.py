@@ -11,7 +11,7 @@ Prints one line per mutant: its name, the changed text, and the first failing
 test or ``SURVIVED``, then a last line "N killed, M survived"; exits 1 when
 any mutant survived.  The first failing test need not be the only one that
 notices the mutant.  A surviving mutant runs the whole of tier-1, so the
-full list takes about 15 min on two cores.  The scan is not part of tier-1
+full list takes about 10 min on two cores.  The scan is not part of tier-1
 and changes no file of the repository.
 """
 
