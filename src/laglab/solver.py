@@ -19,14 +19,15 @@ the same multiplicative ascent from many starts, to the much finer
 supports it reveals to the same face solve.  That ascent has a kernel of
 its own: its rows all weight one graph and are positive on every active
 vertex, so each step's links are one matrix product over the graph's
-shadow (:class:`_OneGraphRows`), summed in BLAS order.  Its end points
-only choose faces and serve as a fallback; every face row, value and
-certificate sums in edge order (:class:`_Rows`).  Results carry a KKT
-residual and a certification flag.  Graphs with at most
-``CROSS_CHECK_MAX_ACTIVE`` active vertices also get a support-enumeration
-cross-check: every support whose pairs lie in edges, solved by the same
-face solve.  On the prefix faces it reads the very rows the prefix route
-solved, so it adds information only through its other supports.
+shadow (:class:`_OneGraphRows`), summed in BLAS order on a fixed STARTS + 1
+rows, and one stop test serves a stretch of steps.  Its end points only
+choose faces and serve as a fallback; every face row, value and certificate
+sums in edge order (:class:`_Rows`).  Results carry a KKT residual and a
+certification flag.  Graphs with at most ``CROSS_CHECK_MAX_ACTIVE`` active
+vertices also get a support-enumeration cross-check: every support whose
+pairs lie in edges, solved by the same face solve.  On the prefix faces it
+reads the very rows the prefix route solved, so it adds information only
+through its other supports.
 
 The face solve is batched: graphs that share r and n, whatever their edge
 counts (a block of a window's cells), stack their edges one graph after
@@ -238,17 +239,17 @@ class _Rows:
 class _OneGraphRows:
     """Links of weight rows x (R, n) that all weight graph k of ``data`` and
     are positive on its every active vertex, as the multistart route's
-    starts are, so every edge lies inside every row's support and no row is
-    ever dropped from the kernel (:meth:`subset` returns it whole).  A
-    vertex's link is then a sum over the graph's shadow, the (r-1)-sets that
-    lie in an edge, of their weight products, and the links of all rows are
-    one matrix product P @ M: P (R, S) holds the shadow products and M (S, n)
+    starts are, so every edge lies inside every row's support.  A vertex's
+    link is then a sum over the graph's shadow, the (r-1)-sets that lie in
+    an edge, of their weight products, and the links of all rows are one
+    matrix product P @ M: P (R, S) holds the shadow products and M (S, n)
     the 0/1 incidence "s with i is an edge".  The shadow is listed once per
     edge position p, the sets an edge leaves without its vertex at p, each
     list in colex order, so each vertex meets its terms in the order
     :meth:`_Rows.grad` adds them; BLAS may still add them in another order,
-    which depends only on the graph and the row count, so each row's ascent
-    depends only on its own graph and starts."""
+    which depends only on the graph and the row count, so each row's
+    :meth:`climb`, on a fixed STARTS + 1 rows, depends only on its own graph
+    and starts."""
 
     def __init__(self, data: _GraphData, k: int):
         vert = data.vert[:, data.start[k]:data.start[k + 1]]
@@ -263,14 +264,36 @@ class _OneGraphRows:
             link[-1][sets.ravel(), vert[p]] = 1.0
         self.shadow, self.link = np.concatenate(shadow, axis=1), np.concatenate(link)
 
-    def subset(self, keep: np.ndarray) -> _OneGraphRows:
-        return self
-
     def grad(self, x: np.ndarray) -> np.ndarray:
-        products = x[:, self.shadow[0]]
-        for col in self.shadow[1:]:
-            products = products * x[:, col]
-        return products @ self.link
+        cols = x[:, self.shadow].swapaxes(0, 1)  # (r - 1, R, S) in one gather
+        return reduce(np.multiply, cols) @ self.link
+
+    def climb(self, rows: np.ndarray, stop: float, iters: int, stretch: int = 16) -> np.ndarray:
+        """Multiplicative ascent x <- x * grad / (r * value) of the start
+        ``rows``, each to its state after its first step that moves no weight
+        by ``stop`` or more, or after ``iters`` steps.  Every row stays in
+        every step's product; the steps of a stretch are kept and take one
+        stop test, which moves no bit of an end, and the climb ends with the
+        first stretch after which every row has stopped.  A row whose value
+        is zero turns NaN (0 / 0) and stops where it was."""
+        path = np.empty((stretch + 1,) + rows.shape)
+        path[0], end = rows, rows.copy()
+        climbing, done = np.ones(len(rows), bool), 0
+        with np.errstate(invalid="ignore"):
+            while done < iters and climbing.any():
+                steps = min(stretch, iters - done)
+                for x, new in zip(path[:steps], path[1:steps + 1]):
+                    np.multiply(x, self.grad(x), out=new)
+                    new /= new.sum(axis=1, keepdims=True)
+                moved = np.abs(path[1:steps + 1] - path[:steps]).max(axis=2) >= stop
+                halts = np.flatnonzero(climbing & ~moved.all(axis=0))
+                at = moved[:, halts].argmin(axis=0)  # each halting row's stopping step
+                new, old = path[at + 1, halts], path[at, halts]
+                end[halts] = np.where(np.isnan(new), old, new)
+                climbing[halts], path[0] = False, path[steps]
+                done += steps
+        end[climbing] = path[0, climbing]
+        return end
 
 
 def _as_vector(g: RGraph, x) -> np.ndarray:
@@ -503,19 +526,21 @@ def _prefix_faces(r: int, top: int) -> list[tuple[int, ...]]:
 
 def _multistart(data: _GraphData, k: int, opts: SolverOptions) -> tuple[list, float, np.ndarray]:
     """The multistart route's ascent for graph k of ``data``: the uniform
-    point of its active vertices and ``STARTS`` Dirichlet random points
-    on them climb by multiplicative ascent, on :class:`_OneGraphRows` of the
-    graph: the starts are positive on every active vertex, so every edge
-    lies inside every row, and one matrix product per step gives all their
-    links, in BLAS order.  The end points' values rank them and are summed
-    in edge order (:meth:`_Rows.eval`), since end points on a flat optimal
-    set tie to the last bit and another order would rank them otherwise.
-    Returns the candidate supports of the two best end points, the
-    faces it hands :func:`_best_on_faces`, and the best end point's value
-    and point, which :func:`lagrangians` keeps when no face yields a point or
-    when it lies more than ``TIE_TOL`` above the face solution (a flat
-    optimal set can leave Newton's Jacobian singular on the face that holds
-    it)."""
+    point of its active vertices and ``STARTS`` Dirichlet random points on
+    them climb by :meth:`_OneGraphRows.climb` of the graph, to
+    ``START_ASCENT_STOP`` or ``ASCENT_ITERS`` steps (their end points choose
+    the faces, and a coarser stop leaves some general graphs on a lower
+    face, uncertified).  The starts are positive on every active vertex, so
+    every edge lies inside every row, and one matrix product per step gives
+    all their links, in BLAS order.  The end points' values rank them and
+    are summed in edge order (:meth:`_Rows.eval`), since end points on a
+    flat optimal set tie to the last bit and another order would rank them
+    otherwise.  Returns the candidate supports of the two best end points,
+    the faces it hands :func:`_best_on_faces`, and the best end point's
+    value and point, which :func:`lagrangians` keeps when no face yields a
+    point or when it lies more than ``TIE_TOL`` above the face solution (a
+    flat optimal set can leave Newton's Jacobian singular on the face that
+    holds it)."""
     rng = np.random.default_rng(
         [opts.seed & 0xFFFFFFFFFFFFFFFF, data.graphs[k].canonical_hash()]
     )
@@ -523,7 +548,7 @@ def _multistart(data: _GraphData, k: int, opts: SolverOptions) -> tuple[list, fl
     starts = np.zeros((STARTS + 1, data.n))
     starts[0, act] = 1.0 / act.size
     starts[1:, act] = rng.dirichlet(np.ones(act.size), size=STARTS)
-    ends = _replicator_rows(_OneGraphRows(data, k), starts, START_ASCENT_STOP, ASCENT_ITERS)
+    ends = _OneGraphRows(data, k).climb(starts, START_ASCENT_STOP, ASCENT_ITERS)
     end_vals = _Rows(data, np.full(len(ends), k)).eval(ends)
     order = np.argsort(-end_vals, kind="stable")
     faces = list(dict.fromkeys(
@@ -797,28 +822,21 @@ def _tie_key(fails: bool, x: np.ndarray) -> tuple:
     return fails, sup.size, sup.tolist(), (-x).tolist()
 
 
-def _replicator_rows(block: _Rows | _OneGraphRows, rows: np.ndarray, stop: float,
+def _replicator_rows(block: _Rows, rows: np.ndarray, stop: float,
                      iters: int) -> np.ndarray:
     """Batched multiplicative-update ascent x <- x * grad / (r * value) of
-    the start ``rows``, with their kernels ``block``: a :class:`_Rows` for
-    face rows, which sums in edge order, and the one matrix product of
-    :class:`_OneGraphRows` for the multistart starts of one graph.
+    the face rows ``rows``, with their kernels ``block``, summed in edge
+    order (the multistart starts climb by :meth:`_OneGraphRows.climb`).
 
     Supports are invariant under the update and the value never decreases,
     so each row climbs within its own face of the simplex.  Rows whose value
     hits zero are left unchanged.  Each row stops on its own, after its first
     step that moves no weight by ``stop`` or more, or after ``iters`` steps,
-    so its path depends only on its start and the edges inside its face
-    (and, for multistart starts, on how many of its graph's starts still
-    climb, which can change BLAS's summation order).
+    so its path depends only on its start and the edges inside its face.
     Face rows stop at ``FACE_ASCENT_STOP`` (1e-4) or ``FACE_ASCENT_ITERS``
     (30) steps, since Newton finishes them or fails a row whose optimum is
     another row's, and those blocked rows are the ones that climb slowly;
     the loop runs until its slowest row stops, so the cap bounds each call.
-    Multistart starts stop at ``START_ASCENT_STOP`` (1e-13) or
-    ``ASCENT_ITERS`` (300) steps, since their end points choose the
-    candidate faces and a coarse stop there leaves some general graphs on a
-    lower face, uncertified.
     """
     x = rows.copy()
     live, xl = np.arange(len(x)), x  # rows still climbing

@@ -258,3 +258,27 @@ def fd_gradient(g: RGraph, x, h: float = 1e-5) -> np.ndarray:
 def random_rgraph(rng: np.random.Generator, r: int, n: int, p: float) -> RGraph:
     edges = [e for e in combinations(range(1, n + 1), r) if rng.random() < p]
     return RGraph.from_edges(r, edges, n=n)
+
+
+def climb_reference(kernel, rows: np.ndarray, stop: float,
+                    iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """The multistart climb of ``rows`` on ``kernel`` (a
+    ``solver._OneGraphRows``), one stop test after every step: every row
+    stays in every step's product, and each row ends at its state after its
+    first step that moves no weight by ``stop``, or after ``iters`` steps.
+    A row whose value is zero stays where it is, and that step stops it.
+    Returns the ends and each row's steps up to its stop."""
+    x, end = rows.copy(), rows.copy()
+    steps, live = np.full(len(rows), iters), np.ones(len(rows), bool)
+    for step in range(1, iters + 1):
+        new = x * kernel.grad(x)
+        totals = new.sum(axis=1, keepdims=True)
+        new = np.divide(new, totals, out=x.copy(), where=totals > 0)
+        halt = live & (np.abs(new - x).max(axis=1) < stop)
+        end[halt], steps[halt] = new[halt], step
+        live &= ~halt
+        x = new
+        if not live.any():
+            break
+    end[live] = x[live]
+    return end, steps

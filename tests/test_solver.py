@@ -39,6 +39,7 @@ from laglab.verifier import (
     verify_cell,
 )
 from oracles import (
+    climb_reference,
     clique_number,
     clique_number_bruteforce,
     fd_gradient,
@@ -956,7 +957,36 @@ class TestOneGraphKernel:
             want = edge.grad(x)
             assert (np.abs(one.grad(x) - want) <= tol * want.max(axis=1, keepdims=True)).all()
             assert not one.grad(x)[:, ~data.active[0]].any()
-            assert one.subset(np.arange(33) % 2 == 0) is one
+
+    def test_climb_matches_the_step_by_step_climb(self, monkeypatch):
+        # one stop test per stretch of steps moves no bit of an end: at
+        # stretches of 1, 7 and ASCENT_ITERS steps each row ends at its state
+        # after its first step below the stop, as in climb_reference, and the
+        # climb ends with the first stretch after which every row has
+        # stopped; a 34th start whose products underflow (value zero) stays
+        # where it is and stops at its first step
+        rng, calls, grad = np.random.default_rng(44), [], solver._OneGraphRows.grad
+        monkeypatch.setattr(solver._OneGraphRows, "grad",
+                            lambda one, x: calls.append(1) or grad(one, x))
+        inside = first = 0
+        for g in self.graphs_with_isolated_vertices():
+            data = solver._GraphData([g])
+            x, act = np.zeros((34, g.n)), np.flatnonzero(data.active[0])
+            x[:33, act] = rng.dirichlet(np.ones(act.size), size=33)
+            x[33, act] = 1e-200
+            one = solver._OneGraphRows(data, 0)
+            for stop in (solver.START_ASCENT_STOP, 1e-3):
+                want, steps = climb_reference(one, x, stop, solver.ASCENT_ITERS)
+                assert steps[33] == 1 and want[33].tobytes() == x[33].tobytes()
+                for stretch in (1, 7, solver.ASCENT_ITERS):
+                    calls.clear()
+                    assert one.climb(x, stop, solver.ASCENT_ITERS, stretch).tobytes() == (
+                        want.tobytes())
+                    assert len(calls) == min(-(-steps.max() // stretch) * stretch,
+                                             solver.ASCENT_ITERS)
+                inside += (steps % 7 > 0).sum()
+                first += steps.max() <= 7
+        assert inside and first  # rows stop inside stretches; all stop in the first
 
     def test_block_mates_leave_a_general_result_alone(self):
         rng = np.random.default_rng(43)
