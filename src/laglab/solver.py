@@ -288,8 +288,8 @@ class _OneGraphRows:
                 moved = np.abs(path[1:steps + 1] - path[:steps]).max(axis=2) >= stop
                 halts = np.flatnonzero(climbing & ~moved.all(axis=0))
                 at = moved[:, halts].argmin(axis=0)  # each halting row's stopping step
-                new, old = path[at + 1, halts], path[at, halts]
-                end[halts] = np.where(np.isnan(new), old, new)
+                after, before = path[at + 1, halts], path[at, halts]
+                end[halts] = np.where(np.isnan(after), before, after)
                 climbing[halts], path[0] = False, path[steps]
                 done += steps
         end[climbing] = path[0, climbing]

@@ -3,9 +3,10 @@
 Everything here is deliberately brute force and stays independent of the
 code paths it validates: subset filtering or an unpruned search instead of
 the pruned poset DFS, every graph of a cell solved instead of the walk that
-settles whole subtrees, dense grid scans instead of ascent, and for 2-graphs
-the Motzkin-Straus closed form from an exact clique number (a branch and
-bound, itself checked against an itertools subset scan).  Also the helpers
+settles whole subtrees, dense grid scans instead of ascent, the multistart
+climb with a stop test after every step instead of one per stretch, and for
+2-graphs the Motzkin-Straus closed form from an exact clique number (a branch
+and bound, itself checked against an itertools subset scan).  Also the helpers
 only the tests use: colex comparison, the descendant down-closure test, pair
 links, single link values and vertex relabeling.
 """
