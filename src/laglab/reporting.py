@@ -8,7 +8,7 @@ regardless of encoder details.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import fields
 
 from laglab.verifier import InequalityCheck, VerificationReport
 
@@ -64,7 +64,7 @@ def _render(obj, out: list[str], depth: int) -> None:
 
 def report_dict(report: VerificationReport | InequalityCheck) -> dict:
     """A cell report or a family check, its fields after the schema version."""
-    return {"schema": SCHEMA_VERSION, **asdict(report)}
+    return {"schema": SCHEMA_VERSION, **{f.name: getattr(report, f.name) for f in fields(report)}}
 
 
 CSV_HEADER = "t,m,a,colex_value,max_value,gap,graph_count,all_pass"
@@ -73,6 +73,6 @@ CSV_HEADER = "t,m,a,colex_value,max_value,gap,graph_count,all_pass"
 def reports_csv(reports: list[VerificationReport]) -> str:
     """Summary CSV, one row per cell in the order given (a sweep's is
     (t, m) order): the header's fields of each report."""
-    fields = CSV_HEADER.split(",")
-    rows = (",".join(fmt_value(getattr(rep, f)) for f in fields) for rep in reports)
+    names = CSV_HEADER.split(",")
+    rows = (",".join(fmt_value(getattr(rep, f)) for f in names) for rep in reports)
     return "\n".join([CSV_HEADER, *rows]) + "\n"

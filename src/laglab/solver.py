@@ -7,27 +7,30 @@ sorted, it is optimal on a prefix [k], and the edge through the two largest
 vertices of its support dominates {1, ..., r-2, k-1, k}, which
 left-compression then puts in the graph.  The prefix faces from [r] up to
 the largest such k are solved, each by multiplicative ascent from its
-uniform point, stopped once no weight moves by ``FACE_ASCENT_STOP`` or
-after ``FACE_ASCENT_ITERS`` steps, and Newton iteration on the equal-link
-stationarity system.  A face whose optimum lies on its boundary may yield
-no point (a Newton step that would leave the simplex fails its row): that
-optimum lies on a smaller prefix face, which is solved as its own row.
-Such blocked rows are nearly all the rows whose ascent crawls, so the step
-cap hands them to Newton early and loses no solved row.  Other graphs run
-the same multiplicative ascent from many starts, to the much finer
-``START_ASCENT_STOP`` because the end points choose the faces, and hand the
-supports it reveals to the same face solve.  That ascent has a kernel of
-its own: its rows all weight one graph and are positive on every active
-vertex, so each step's links are one matrix product over the graph's
-shadow (:class:`_OneGraphRows`), summed in BLAS order on a fixed STARTS + 1
-rows, and one stop test serves a stretch of steps.  Its end points only
-choose faces and serve as a fallback; every face row, value and certificate
-sums in edge order (:class:`_Rows`).  Results carry a KKT residual and a
-certification flag.  Graphs with at most ``CROSS_CHECK_MAX_ACTIVE`` active
-vertices also get a support-enumeration cross-check: every support whose
-pairs lie in edges, solved by the same face solve.  On the prefix faces it
-reads the very rows the prefix route solved, so it adds information only
-through its other supports.
+uniform point and Newton iteration on the equal-link stationarity system.
+A face whose optimum lies on its boundary may yield no point (a Newton step
+that would leave the simplex fails its row): that optimum lies on a smaller
+prefix face, which is solved as its own row.  Other graphs run the same
+ascent from many starts and hand the supports it reveals to the same face
+solve.  One ascent, :func:`_climb`, serves both: every row stays in every
+step and ends after its first step that moves no weight by the stop, or at
+the step cap, and one stop test serves a stretch of steps, the stretches
+doubling up to about the square root of the cap.  Face rows stop at
+``FACE_ASCENT_STOP`` or after ``FACE_ASCENT_ITERS`` steps: the rows whose
+ascent crawls are nearly all blocked ones, so the cap hands them to Newton
+early and loses no solved row.  Starts stop at the much finer
+``START_ASCENT_STOP``, because their end points choose the faces, and climb
+on a kernel of their own: they all weight one graph and are positive on
+every active vertex, so each step's links are one matrix product over the
+graph's shadow (:class:`_OneGraphRows`), summed in BLAS order on a fixed
+STARTS + 1 rows.  Their end points only choose faces and serve as a
+fallback; every face row, value and certificate sums in edge order
+(:class:`_Rows`).  Results carry a KKT residual and a certification flag.
+Graphs with at most ``CROSS_CHECK_MAX_ACTIVE`` active vertices also get a
+support-enumeration cross-check: every support whose pairs lie in edges,
+solved by the same face solve.  On the prefix faces it reads the very rows
+the prefix route solved, so it adds information only through its other
+supports.
 
 The face solve is batched: graphs that share r and n, whatever their edge
 counts (a block of a window's cells), stack their edges one graph after
@@ -53,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cache, reduce
 from itertools import chain, combinations, islice
-from math import comb
+from math import comb, isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -247,9 +250,9 @@ class _OneGraphRows:
     edge position p, the sets an edge leaves without its vertex at p, each
     list in colex order, so each vertex meets its terms in the order
     :meth:`_Rows.grad` adds them; BLAS may still add them in another order,
-    which depends only on the graph and the row count, so each row's
-    :meth:`climb`, on a fixed STARTS + 1 rows, depends only on its own graph
-    and starts."""
+    which depends only on the graph and the row count, so each start's
+    :func:`_climb`, among a fixed STARTS + 1 rows, depends only on its own
+    graph and starts."""
 
     def __init__(self, data: _GraphData, k: int):
         vert = data.vert[:, data.start[k]:data.start[k + 1]]
@@ -268,32 +271,39 @@ class _OneGraphRows:
         cols = x[:, self.shadow].swapaxes(0, 1)  # (r - 1, R, S) in one gather
         return reduce(np.multiply, cols) @ self.link
 
-    def climb(self, rows: np.ndarray, stop: float, iters: int, stretch: int = 16) -> np.ndarray:
-        """Multiplicative ascent x <- x * grad / (r * value) of the start
-        ``rows``, each to its state after its first step that moves no weight
-        by ``stop`` or more, or after ``iters`` steps.  Every row stays in
-        every step's product; the steps of a stretch are kept and take one
-        stop test, which moves no bit of an end, and the climb ends with the
-        first stretch after which every row has stopped.  A row whose value
-        is zero turns NaN (0 / 0) and stops where it was."""
-        path = np.empty((stretch + 1,) + rows.shape)
-        path[0], end = rows, rows.copy()
-        climbing, done = np.ones(len(rows), bool), 0
-        with np.errstate(invalid="ignore"):
-            while done < iters and climbing.any():
-                steps = min(stretch, iters - done)
-                for x, new in zip(path[:steps], path[1:steps + 1]):
-                    np.multiply(x, self.grad(x), out=new)
-                    new /= new.sum(axis=1, keepdims=True)
-                moved = np.abs(path[1:steps + 1] - path[:steps]).max(axis=2) >= stop
-                halts = np.flatnonzero(climbing & ~moved.all(axis=0))
-                at = moved[:, halts].argmin(axis=0)  # each halting row's stopping step
-                after, before = path[at + 1, halts], path[at, halts]
-                end[halts] = np.where(np.isnan(after), before, after)
-                climbing[halts], path[0] = False, path[steps]
-                done += steps
-        end[climbing] = path[0, climbing]
-        return end
+
+def _climb(kernel, rows: np.ndarray, stop: float, iters: int,
+           stretch: int | None = None) -> np.ndarray:
+    """The one multiplicative ascent x <- x * grad / (r * value): face rows
+    on their :class:`_Rows`, multistart starts on their
+    :class:`_OneGraphRows`.  Each of ``rows`` ends at its state after its
+    first step that moves no weight by ``stop``, or after ``iters`` steps;
+    the update keeps its support and never lowers its value.  Every row
+    stays in every step, so a kernel sees one row count.  The steps of a
+    stretch are kept and take one stop test, the stretches doubling from one
+    step up to ``stretch`` (by default about the square root of ``iters``),
+    and the climb ends with the first stretch after which every row has
+    stopped.  A row whose value is zero turns NaN (0 / 0) and ends where it
+    was."""
+    cap = stretch or isqrt(iters)
+    path = np.empty((cap + 1,) + rows.shape)
+    path[0], end = rows, rows.copy()
+    climbing, done, size = np.ones(len(rows), bool), 0, 1
+    with np.errstate(invalid="ignore"):
+        while done < iters and climbing.any():
+            steps = min(size, iters - done)
+            for x, new in zip(path[:steps], path[1:steps + 1]):
+                np.multiply(x, kernel.grad(x), out=new)
+                new /= new.sum(axis=1, keepdims=True)
+            moved = np.abs(path[1:steps + 1] - path[:steps]).max(axis=2) >= stop
+            halts = np.flatnonzero(climbing & ~moved.all(axis=0))
+            at = moved[:, halts].argmin(axis=0)  # each halting row's stopping step
+            after, before = path[at + 1, halts], path[at, halts]
+            end[halts] = np.where(np.isnan(after), before, after)
+            climbing[halts], path[0] = False, path[steps]
+            done, size = done + steps, min(2 * size, cap)
+    end[climbing] = path[0, climbing]
+    return end
 
 
 def _as_vector(g: RGraph, x) -> np.ndarray:
@@ -527,10 +537,10 @@ def _prefix_faces(r: int, top: int) -> list[tuple[int, ...]]:
 def _multistart(data: _GraphData, k: int, opts: SolverOptions) -> tuple[list, float, np.ndarray]:
     """The multistart route's ascent for graph k of ``data``: the uniform
     point of its active vertices and ``STARTS`` Dirichlet random points on
-    them climb by :meth:`_OneGraphRows.climb` of the graph, to
-    ``START_ASCENT_STOP`` or ``ASCENT_ITERS`` steps (their end points choose
-    the faces, and a coarser stop leaves some general graphs on a lower
-    face, uncertified).  The starts are positive on every active vertex, so
+    them climb by :func:`_climb` on the graph's :class:`_OneGraphRows`, to
+    ``START_ASCENT_STOP`` or ``ASCENT_ITERS`` steps, one stop test per
+    stretch of up to 17 steps (their end points choose the faces, and a
+    coarser stop leaves some general graphs on a lower face, uncertified).  The starts are positive on every active vertex, so
     every edge lies inside every row, and one matrix product per step gives
     all their links, in BLAS order.  The end points' values rank them and
     are summed in edge order (:meth:`_Rows.eval`), since end points on a
@@ -548,7 +558,7 @@ def _multistart(data: _GraphData, k: int, opts: SolverOptions) -> tuple[list, fl
     starts = np.zeros((STARTS + 1, data.n))
     starts[0, act] = 1.0 / act.size
     starts[1:, act] = rng.dirichlet(np.ones(act.size), size=STARTS)
-    ends = _OneGraphRows(data, k).climb(starts, START_ASCENT_STOP, ASCENT_ITERS)
+    ends = _climb(_OneGraphRows(data, k), starts, START_ASCENT_STOP, ASCENT_ITERS)
     end_vals = _Rows(data, np.full(len(ends), k)).eval(ends)
     order = np.argsort(-end_vals, kind="stable")
     faces = list(dict.fromkeys(
@@ -750,9 +760,10 @@ def _solve_faces(data: _GraphData, graph: np.ndarray,
     Each face gets a monotone multiplicative ascent from its uniform point,
     then a Newton solve of its equal-link system; plain Newton from the
     uniform point can land on a saddle, ascent cannot go below its start.
-    The ascent hands a row to Newton once no weight moves by
-    ``FACE_ASCENT_STOP`` or after ``FACE_ASCENT_ITERS`` steps, and Newton
-    finishes the row or fails it (:func:`_newton_rows`).  The cap costs no
+    The ascent (:func:`_climb`, one stop test per stretch of up to 5 steps)
+    hands a row to Newton once no weight moves by ``FACE_ASCENT_STOP`` or
+    after ``FACE_ASCENT_ITERS`` steps, and Newton finishes the row or fails
+    it (:func:`_newton_rows`).  The cap costs no
     solved row: the rows that climb long are blocked ones, whose optimum
     lies on a smaller face, and Newton fails them from wherever the ascent
     left them (on the t = 8 window solved cell by cell, 244 of 565 rows
@@ -805,8 +816,8 @@ def _solve_faces(data: _GraphData, graph: np.ndarray,
         part = first[lo:lo + CHUNK_ROWS]
         mask = masks[face[part]]
         block = _Rows(data, owner[part], mask)
-        ascended = _replicator_rows(block, mask / mask.sum(axis=1, keepdims=True),
-                                    FACE_ASCENT_STOP, FACE_ASCENT_ITERS)
+        ascended = _climb(block, mask / mask.sum(axis=1, keepdims=True),
+                          FACE_ASCENT_STOP, FACE_ASCENT_ITERS)
         x, ok = _newton_rows(block, ascended, mask)
         xs[lo:lo + part.size], solved[lo:lo + part.size] = x, ok
         vals[lo:lo + part.size][ok] = block.subset(ok).eval(x[ok])
@@ -820,36 +831,3 @@ def _tie_key(fails: bool, x: np.ndarray) -> tuple:
     when one ties), then the lexicographically largest weighting."""
     sup = np.flatnonzero(x > POSITIVE_EPS)
     return fails, sup.size, sup.tolist(), (-x).tolist()
-
-
-def _replicator_rows(block: _Rows, rows: np.ndarray, stop: float,
-                     iters: int) -> np.ndarray:
-    """Batched multiplicative-update ascent x <- x * grad / (r * value) of
-    the face rows ``rows``, with their kernels ``block``, summed in edge
-    order (the multistart starts climb by :meth:`_OneGraphRows.climb`).
-
-    Supports are invariant under the update and the value never decreases,
-    so each row climbs within its own face of the simplex.  Rows whose value
-    hits zero are left unchanged.  Each row stops on its own, after its first
-    step that moves no weight by ``stop`` or more, or after ``iters`` steps,
-    so its path depends only on its start and the edges inside its face.
-    Face rows stop at ``FACE_ASCENT_STOP`` (1e-4) or ``FACE_ASCENT_ITERS``
-    (30) steps, since Newton finishes them or fails a row whose optimum is
-    another row's, and those blocked rows are the ones that climb slowly;
-    the loop runs until its slowest row stops, so the cap bounds each call.
-    """
-    x = rows.copy()
-    live, xl = np.arange(len(x)), x  # rows still climbing
-    for _ in range(iters):
-        new = xl * block.grad(xl)
-        totals = new.sum(axis=1, keepdims=True)
-        new = np.divide(new, totals, out=xl.copy(), where=totals > 0)
-        moved = np.abs(new - xl).max(axis=1) >= stop
-        xl = new
-        if not moved.all():
-            x[live] = xl
-            live, xl, block = live[moved], xl[moved], block.subset(moved)
-            if not live.size:
-                break
-    x[live] = xl
-    return x

@@ -59,6 +59,10 @@ MUTANTS = [  # (name, file under src/laglab, text, replacement)
     ("Newton convergence", "solver.py", ")) < 1e-14", ")) < 1e-12"),
     ("Newton step bound", "solver.py", ".min(axis=1) >= -1e-9", ".min(axis=1) >= 0"),
     ("Newton step bound", "solver.py", ".min(axis=1) >= -1e-9", ".min(axis=1) >= -1e-6"),
+    ("climb end", "solver.py",  # a row ends at its state before its stopping step
+     "np.where(np.isnan(after), before, after)", "np.where(np.isnan(after), before, before)"),
+    ("climb zero value", "solver.py",  # a row whose value is zero ends NaN
+     "np.where(np.isnan(after), before, after)", "after"),
     ("row key", "solver.py",  # every pair keyed by its edges up to the face's top vertex
      "masks.sum(axis=1)[face] <= top[face]", "masks.sum(axis=1)[face] < 0"),
     const("CELL_BLOCK", "verifier.py", "1024", "3"),

@@ -3,8 +3,8 @@
 Everything here is deliberately brute force and stays independent of the
 code paths it validates: subset filtering or an unpruned search instead of
 the pruned poset DFS, every graph of a cell solved instead of the walk that
-settles whole subtrees, dense grid scans instead of ascent, the multistart
-climb with a stop test after every step instead of one per stretch, and for
+settles whole subtrees, dense grid scans instead of ascent, the ascent with
+a stop test after every step instead of one per stretch, and for
 2-graphs the Motzkin-Straus closed form from an exact clique number (a branch
 and bound, itself checked against an itertools subset scan).  Also the helpers
 only the tests use: colex comparison, the descendant down-closure test, pair
@@ -263,11 +263,12 @@ def random_rgraph(rng: np.random.Generator, r: int, n: int, p: float) -> RGraph:
 
 def climb_reference(kernel, rows: np.ndarray, stop: float,
                     iters: int) -> tuple[np.ndarray, np.ndarray]:
-    """The multistart climb of ``rows`` on ``kernel`` (a
-    ``solver._OneGraphRows``), one stop test after every step: every row
-    stays in every step's product, and each row ends at its state after its
-    first step that moves no weight by ``stop``, or after ``iters`` steps.
-    A row whose value is zero stays where it is, and that step stops it.
+    """The ascent of ``rows`` on ``kernel`` (a ``solver._Rows`` of face
+    rows or a ``solver._OneGraphRows`` of starts), one stop test after every
+    step: every row stays in every step, and each row ends at its state
+    after its first step that moves no weight by ``stop``, or after
+    ``iters`` steps.  A row whose value is zero stays where it is, and that
+    step stops it.
     Returns the ends and each row's steps up to its stop."""
     x, end = rows.copy(), rows.copy()
     steps, live = np.full(len(rows), iters), np.ones(len(rows), bool)

@@ -25,30 +25,39 @@ GENERAL7 = ("123 124 134 125 135 235 245 345 136 236 146 246 346 156 256 356 456
 
 def test_face_ascent_and_newton_work_on_the_t8_window(monkeypatch):
     # over the t = 8 window, solved cell by cell, the face ascent takes
-    # 10,417 row-steps (gradient rows inside _replicator_rows) and Newton
-    # reads 1,389 gradient rows; with FACE_ASCENT_STOP at 1e-2 the ascent
-    # takes 1,497, with Newton converged at 1e-12 Newton reads 1,293
-    work, inside, grad = {"ascent": 0, "newton": 0}, [], solver._Rows.grad
+    # 10,417 row-steps up to each row's stop and Newton reads 1,389
+    # gradient rows; with FACE_ASCENT_STOP at 1e-2 the ascent takes 1,497,
+    # with Newton converged at 1e-12 Newton reads 1,293; climb_reference
+    # replays each face climb step by step, to the same bits, and counts
+    # its row-steps
+    work, calls, inside = {"ascent": 0, "newton": 0}, [], []
+    grad, climb, solve = solver._Rows.grad, solver._climb, solver._newton_rows
 
     def count_grad(block, x):
         if inside:
-            work[inside[-1]] += len(x)
+            work["newton"] += len(x)
         return grad(block, x)
 
-    def counted(name, fn):
-        def spy(*args):
-            inside.append(name)
-            try:
-                return fn(*args)
-            finally:
-                inside.pop()
-        return spy
+    def spy_climb(kernel, rows, stop, iters):
+        calls.append((kernel, rows, stop, iters, climb(kernel, rows, stop, iters)))
+        return calls[-1][-1]
+
+    def spy_newton(*args):
+        inside.append(1)
+        try:
+            return solve(*args)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(solver._Rows, "grad", count_grad)
-    monkeypatch.setattr(solver, "_replicator_rows", counted("ascent", solver._replicator_rows))
-    monkeypatch.setattr(solver, "_newton_rows", counted("newton", solver._newton_rows))
+    monkeypatch.setattr(solver, "_climb", spy_climb)
+    monkeypatch.setattr(solver, "_newton_rows", spy_newton)
     for m in cell_window(8):
         verify_cell(8, m)
+    for kernel, rows, stop, iters, ends in calls:
+        want, steps = climb_reference(kernel, rows, stop, iters)
+        assert ends.tobytes() == want.tobytes()
+        work["ascent"] += int(steps.sum())
     assert work == {"ascent": 10_417, "newton": 1_389}
 
 
@@ -70,15 +79,15 @@ def test_multistart_ascent_work_on_general7(monkeypatch):
     # 156 ... 211), with ASCENT_ITERS at 100 they climb 3,300;
     # climb_reference replays the call step by step, to the same bits, and
     # counts them
-    calls, climb = [], solver._OneGraphRows.climb
+    calls, climb = [], solver._climb
 
-    def spy(one, rows, stop, iters):
-        calls.append((one, rows, stop, iters, climb(one, rows, stop, iters)))
+    def spy(kernel, rows, stop, iters):
+        calls.append((kernel, rows, stop, iters, climb(kernel, rows, stop, iters)))
         return calls[-1][-1]
 
-    monkeypatch.setattr(solver._OneGraphRows, "climb", spy)
+    monkeypatch.setattr(solver, "_climb", spy)
     lagrangian(RGraph.from_edges(3, [tuple(map(int, w)) for w in GENERAL7.split()]))
-    (one, rows, stop, iters, ends), = calls
+    (one, rows, stop, iters, ends), = [c for c in calls if isinstance(c[0], solver._OneGraphRows)]
     want, steps = climb_reference(one, rows, stop, iters)
     assert ends.tobytes() == want.tobytes()
     assert (steps.sum(), steps.min(), steps.max()) == (9_540, 263, 300)

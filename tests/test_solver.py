@@ -5,8 +5,8 @@ import subprocess
 import sys
 import warnings
 from dataclasses import asdict
-from itertools import combinations
-from math import comb
+from itertools import accumulate, combinations
+from math import comb, isqrt
 from pathlib import Path
 
 import numpy as np
@@ -696,7 +696,7 @@ class TestBatchedSolve:
         # fails test_tie_rule_prefers_the_first_order_condition, which gives
         # the constant its floor
         grads, steps = [], []
-        grad, ascend = solver._Rows.grad, solver._replicator_rows
+        grad, ascend = solver._Rows.grad, solver._climb
 
         def count_grad(block, x):
             grads.append(len(x))
@@ -709,7 +709,7 @@ class TestBatchedSolve:
             return out
 
         monkeypatch.setattr(solver._Rows, "grad", count_grad)
-        monkeypatch.setattr(solver, "_replicator_rows", count_steps)
+        monkeypatch.setattr(solver, "_climb", count_steps)
         lagrangians(list(enumerate_left_compressed(8, 35)))
         assert steps and sum(steps) <= solver.FACE_ASCENT_ITERS
 
@@ -851,9 +851,9 @@ class TestBatchedSolve:
         # fails without touching its neighbour's point
         data, owner = solver._GraphData([BLOCKED_ON_8]), np.zeros(2, np.intp)
         faces = np.array([[1] * 8, [1] * 7 + [0]], dtype=bool)
-        x0 = solver._replicator_rows(solver._Rows(data, owner, faces),
-                                     faces / faces.sum(axis=1, keepdims=True),
-                                     solver.FACE_ASCENT_STOP, solver.FACE_ASCENT_ITERS)
+        x0 = solver._climb(solver._Rows(data, owner, faces),
+                           faces / faces.sum(axis=1, keepdims=True),
+                           solver.FACE_ASCENT_STOP, solver.FACE_ASCENT_ITERS)
         calls, solve = [], solver._solve_rows
 
         def spy(jac, rhs):
@@ -958,35 +958,60 @@ class TestOneGraphKernel:
             assert (np.abs(one.grad(x) - want) <= tol * want.max(axis=1, keepdims=True)).all()
             assert not one.grad(x)[:, ~data.active[0]].any()
 
+    @staticmethod
+    def face_blocks():
+        """Face rows as the face solve stacks them, on the edge-order kernel:
+        three blocks, each of four random graphs of the t = 7 window with
+        their prefix faces [3] ... [7] and the face {5, 6, 7}, which holds
+        no edge (every sixth row has value zero)."""
+        rng, graphs = np.random.default_rng(45), window_graphs(7)
+        faces = np.array([np.arange(7) < k for k in range(3, 8)] + [np.arange(7) >= 4])
+        masks, owner = np.tile(faces, (4, 1)), np.repeat(np.arange(4), len(faces))
+        return [(solver._Rows(solver._GraphData([graphs[i] for i in pick]), owner, masks),
+                 masks / masks.sum(axis=1, keepdims=True))
+                for pick in (rng.choice(len(graphs), 4, replace=False) for _ in range(3))]
+
     def test_climb_matches_the_step_by_step_climb(self, monkeypatch):
-        # one stop test per stretch of steps moves no bit of an end: at
-        # stretches of 1, 7 and ASCENT_ITERS steps each row ends at its state
-        # after its first step below the stop, as in climb_reference, and the
-        # climb ends with the first stretch after which every row has
-        # stopped; a 34th start whose products underflow (value zero) stays
-        # where it is and stops at its first step
-        rng, calls, grad = np.random.default_rng(44), [], solver._OneGraphRows.grad
-        monkeypatch.setattr(solver._OneGraphRows, "grad",
-                            lambda one, x: calls.append(1) or grad(one, x))
-        inside = first = 0
+        # one stop test per stretch of steps moves no bit of an end: on the
+        # starts of this kernel and on the face rows of the edge-order
+        # kernel, with stretches doubling from one step up to 1, 5 or 7
+        # steps or the default cap, each row ends at its state after its
+        # first step below the stop, as in climb_reference, and the climb
+        # ends with the first stretch after which every row has stopped; a
+        # row whose value is zero (a 34th start whose products underflow, a
+        # face with no edge inside) stays where it is and stops at its first
+        # step
+        def stretch_ends(cap, iters):  # the steps taken after each stretch
+            return list(accumulate(min(2 ** k, cap) for k in range(iters)))
+
+        rng, calls, climbs = np.random.default_rng(44), [], []
+        for kernel in (solver._OneGraphRows, solver._Rows):
+            monkeypatch.setattr(kernel, "grad", lambda block, x, grad=kernel.grad: (
+                calls.append(1) or grad(block, x)))
         for g in self.graphs_with_isolated_vertices():
             data = solver._GraphData([g])
             x, act = np.zeros((34, g.n)), np.flatnonzero(data.active[0])
             x[:33, act] = rng.dirichlet(np.ones(act.size), size=33)
             x[33, act] = 1e-200
-            one = solver._OneGraphRows(data, 0)
-            for stop in (solver.START_ASCENT_STOP, 1e-3):
-                want, steps = climb_reference(one, x, stop, solver.ASCENT_ITERS)
-                assert steps[33] == 1 and want[33].tobytes() == x[33].tobytes()
-                for stretch in (1, 7, solver.ASCENT_ITERS):
-                    calls.clear()
-                    assert one.climb(x, stop, solver.ASCENT_ITERS, stretch).tobytes() == (
-                        want.tobytes())
-                    assert len(calls) == min(-(-steps.max() // stretch) * stretch,
-                                             solver.ASCENT_ITERS)
-                inside += (steps % 7 > 0).sum()
-                first += steps.max() <= 7
-        assert inside and first  # rows stop inside stretches; all stop in the first
+            climbs += [(solver._OneGraphRows(data, 0), x, stop, solver.ASCENT_ITERS, [33])
+                       for stop in (solver.START_ASCENT_STOP, 1e-3)]
+        for block, x in self.face_blocks():
+            climbs += [(block, x, stop, iters, np.arange(5, len(x), 6)) for stop, iters in (
+                (solver.FACE_ASCENT_STOP, solver.FACE_ASCENT_ITERS), (1e-6, solver.ASCENT_ITERS))]
+        inside = early = 0
+        for kernel, x, stop, iters, zero in climbs:
+            want, steps = climb_reference(kernel, x, stop, iters)
+            assert (steps[zero] == 1).all() and want[zero].tobytes() == x[zero].tobytes()
+            for stretch in (1, 5, 7, None):
+                calls.clear()
+                assert solver._climb(kernel, x, stop, iters, stretch).tobytes() == want.tobytes()
+                ends = stretch_ends(stretch or isqrt(iters), iters)
+                assert len(calls) == min(next(e for e in ends if e >= steps.max()), iters)
+            inside += np.isin(steps, stretch_ends(7, iters), invert=True).sum()
+            early += steps.max() <= 3
+        # rows stop inside stretches of up to 7 steps; some climbs end within
+        # the stretches of 1 and 2 steps
+        assert inside and early
 
     def test_block_mates_leave_a_general_result_alone(self):
         rng = np.random.default_rng(43)
